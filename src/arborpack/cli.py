@@ -103,7 +103,10 @@ def _emit(data: dict) -> None:
 
 
 def _load_graph(path: str) -> DirectedGraph:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read graph file: {exc}") from exc
     g, diag = parse_graph(text)
     if diag.dropped_self_loops or diag.dropped_source_incoming:
         print(
@@ -207,30 +210,64 @@ def _cmd_pack(args) -> int:
     return 0
 
 
+def _int_field(payload: dict, key: str) -> int:
+    value = payload.get(key)
+    if type(value) is not int:
+        raise ParameterError(f"result field {key!r} must be an integer")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ParameterError(f"{what} must be a list of integers")
+    return value
+
+
+def _read_result(path: str) -> dict:
+    """The JSON object in a result file; `ParameterError` if there is none."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read result file: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"result file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError("result file must hold a JSON object")
+    return payload
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    payload = json.loads(Path(args.result).read_text())
+    payload = _read_result(args.result)
     kind = payload.get("kind")
     if kind == "packing":
-        if payload["result"] == "arborescences":
+        k = _int_field(payload, "k")
+        if payload.get("result") == "arborescences":
+            trees = payload.get("trees")
+            if not isinstance(trees, list):
+                raise ParameterError("result field 'trees' must be a list")
             result = PackingResult(
                 kind="arborescences",
-                k=int(payload["k"]),
-                trees=tuple(tuple(t) for t in payload["trees"]),
-                congestion=int(payload["congestion"]),
+                k=k,
+                trees=tuple(tuple(_int_list(t, "each tree")) for t in trees),
+                congestion=_int_field(payload, "congestion"),
             )
-        else:
+        elif payload.get("result") == "cut":
             result = PackingResult(
                 kind="cut",
-                k=int(payload["k"]),
-                cut_vertices=frozenset(payload["cut"]),
-                cut_delta=int(payload["delta"]),
+                k=k,
+                cut_vertices=frozenset(_int_list(payload.get("cut"), "result field 'cut'")),
+                cut_delta=_int_field(payload, "delta"),
             )
-        report = verify_packing(g, result, int(payload["k"]))
+        else:
+            raise ParameterError("packing field 'result' must be 'arborescences' or 'cut'")
+        report = verify_packing(g, result, k)
     elif kind == "mincut":
         checks = []
-        side = frozenset(payload["cut"])
-        value = int(payload["value"])
+        side = frozenset(_int_list(payload.get("cut"), "result field 'cut'"))
+        value = _int_field(payload, "value")
         checks.append(
             {"name": "cut_nonempty", "ok": bool(side), "detail": ""}
         )
@@ -259,7 +296,10 @@ def _cmd_verify(args) -> int:
         )
         report = {"kind": "verify", "ok": all(c["ok"] for c in checks), "checks": checks}
     elif kind == "hierarchy":
-        hier = hierarchy_from_json(payload)
+        try:
+            hier = hierarchy_from_json(payload)
+        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ParameterError(f"malformed hierarchy result: {exc!r}") from exc
         try:
             hier.validate(g)
             report = {"kind": "verify", "ok": True, "checks": [

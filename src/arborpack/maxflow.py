@@ -1,20 +1,29 @@
 """Exact integral max-flow with multi-source/multi-sink boundaries.
 
-The solver is Dinic's algorithm (BFS level graph + blocking-flow DFS with
+The solver is Dinic's algorithm (BFS level graph + blocking flow along
 current-arc pointers) over a residual network that attaches a virtual
 super-source and super-sink for the per-vertex supply and sink-capacity
 functions. Virtual vertices are never visible to callers: `min_cut_side`
 is always a set of real vertices (those unreachable from the super-source
 in the final residual graph).
 
+The arcs that come from the graph's edges are built once per graph
+(`DirectedGraph.residual_arcs`) and shared by every call. A call copies
+their capacities into a fresh list: `capacity_scale` multiplies them and
+edges outside `edge_filter` get capacity 0 both ways. Only the arc lists
+of vertices that get a supply or sink arc are copied and extended. The
+blocking-flow search keeps an explicit stack, so path length is not
+bounded by Python's recursion limit.
+
 An optional `flow_bound` stops augmentation early once the bound is
 reached; a result with `value < flow_bound` (or no bound) is a genuine
 maximum flow and its `min_cut_side` is a genuine minimum cut.
 
-Everything is deterministic: arcs are added in edge-id order, then
-supplies and sinks in ascending vertex order, and the search routines
-scan adjacency in insertion order. Results do not depend on any worker
-or thread configuration.
+Everything is deterministic: each vertex lists its arcs in edge-id order,
+then its supply arc, then its sink arc; the super-source and super-sink
+list theirs in ascending vertex order, and the search routines scan
+adjacency in that order. Results do not depend on any worker or thread
+configuration, nor on which problems ran on the graph before.
 """
 from __future__ import annotations
 
@@ -61,6 +70,9 @@ class FlowProblem:
                     raise ParameterError(f"{name} vertex {v} out of range")
                 if amt < 0:
                     raise ParameterError(f"{name} at {v} must be nonnegative, got {amt}")
+        filt = self.edge_filter
+        if filt and not 0 <= min(filt) <= max(filt) < self.graph.m:
+            raise ParameterError("edge_filter holds an edge id out of range")
         if self.flow_bound is not None and self.flow_bound < 0:
             raise ParameterError("flow_bound must be nonnegative")
         if self.capacity_scale < 1:
@@ -89,102 +101,61 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     g = problem.graph
     n = g.n
     source, sink = n, n + 1
-    nv = n + 2
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nv)]
-
-    def add_arc(u: int, v: int, c: int) -> int:
-        idx = len(to)
-        to.append(v)
-        cap.append(c)
-        adj[u].append(idx)
-        to.append(u)
-        cap.append(0)
-        adj[v].append(idx + 1)
-        return idx
-
+    base_head, base_cap, base_adj = g.residual_arcs
     scale = problem.capacity_scale
     allowed = problem.edge_filter
-    arc_of_edge: dict[int, int] = {}
-    for eid, (u, v, c) in enumerate(g.edges):
-        if allowed is not None and eid not in allowed:
-            continue
-        arc_of_edge[eid] = add_arc(u, v, c * scale)
+    if allowed is None:
+        cap = list(base_cap) if scale == 1 else [c * scale for c in base_cap]
+    else:
+        cap = [0] * len(base_cap)
+        for eid in allowed:
+            cap[2 * eid] = base_cap[2 * eid] * scale
+    head = list(base_head)
+
+    # Supply arcs leave the source and sink arcs enter the sink. A real
+    # vertex lists its own after its real arcs, supply before sink.
+    extra: dict[int, list[int]] = {}
     supply_arc: dict[int, int] = {}
     for v in sorted(problem.source_supply):
         amt = problem.source_supply[v]
         if amt > 0:
-            supply_arc[v] = add_arc(source, v, amt)
+            supply_arc[v] = a = len(cap)
+            cap += (amt, 0)
+            head += (v, source)
+            extra.setdefault(v, []).append(a + 1)
     sink_arc: dict[int, int] = {}
     for v in sorted(problem.sink_capacity):
         amt = problem.sink_capacity[v]
         if amt > 0:
-            sink_arc[v] = add_arc(v, sink, amt)
+            sink_arc[v] = a = len(cap)
+            cap += (amt, 0)
+            head += (sink, v)
+            extra.setdefault(v, []).append(a)
+    adj = list(base_adj)
+    for v, arcs in extra.items():
+        adj[v] = base_adj[v] + tuple(arcs)
+    adj.append(tuple(supply_arc.values()))
+    adj.append(tuple(a + 1 for a in sink_arc.values()))
 
     total_supply = sum(problem.source_supply.values())
     bound = total_supply if problem.flow_bound is None else min(problem.flow_bound, total_supply)
 
-    level = [-1] * nv
-    it = [0] * nv
-
-    def bfs() -> bool:
-        for i in range(nv):
-            level[i] = -1
-        level[source] = 0
-        dq = deque([source])
-        while dq:
-            u = dq.popleft()
-            for a in adj[u]:
-                w = to[a]
-                if cap[a] > 0 and level[w] < 0:
-                    level[w] = level[u] + 1
-                    dq.append(w)
-        return level[sink] >= 0
-
-    def dfs(u: int, limit: int) -> int:
-        if u == sink:
-            return limit
-        pushed = 0
-        while it[u] < len(adj[u]):
-            a = adj[u][it[u]]
-            w = to[a]
-            if cap[a] > 0 and level[w] == level[u] + 1:
-                d = dfs(w, min(limit - pushed, cap[a]))
-                if d > 0:
-                    cap[a] -= d
-                    cap[a ^ 1] += d
-                    pushed += d
-                    if pushed == limit:
-                        return pushed
-            it[u] += 1
-        level[u] = -1
-        return pushed
-
     flow_total = 0
-    while flow_total < bound and bfs():
-        for i in range(nv):
-            it[i] = 0
-        while flow_total < bound:
-            pushed = dfs(source, bound - flow_total)
-            if pushed == 0:
-                break
-            flow_total += pushed
+    while True:
+        # Once the bound is met, the last search labels everything the
+        # source reaches; a search that misses the sink does so anyway.
+        level = _levels(adj, head, cap, source, sink if flow_total < bound else -1)
+        if flow_total >= bound or level[sink] < 0:
+            break
+        flow_total += _blocking_flow(adj, head, cap, level, source, sink, bound - flow_total)
+    unreachable = frozenset([v for v in range(n) if level[v] < 0])
 
-    # Residual reachability from the virtual source gives the cut.
-    seen = [False] * nv
-    seen[source] = True
-    dq = deque([source])
-    while dq:
-        u = dq.popleft()
-        for a in adj[u]:
-            w = to[a]
-            if cap[a] > 0 and not seen[w]:
-                seen[w] = True
-                dq.append(w)
-    unreachable = frozenset(v for v in range(n) if not seen[v])
-
-    flow = {eid: cap[a ^ 1] for eid, a in arc_of_edge.items()}
+    # The reverse arc of an edge holds the flow on it.
+    on_edge = cap[1 : len(base_cap) : 2]
+    if allowed is None:
+        flow = dict(enumerate(on_edge))
+    else:
+        flow = {eid: on_edge[eid] for eid in sorted(allowed)}
     source_used = {v: cap[a ^ 1] for v, a in supply_arc.items()}
     sink_used = {v: cap[a ^ 1] for v, a in sink_arc.items()}
     return FlowResult(
@@ -195,6 +166,76 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         sink_used=sink_used,
         capped=(flow_total >= bound and problem.flow_bound is not None),
     )
+
+
+def _levels(adj, head, cap, source: int, stop: int) -> list[int]:
+    """BFS distances from `source` over arcs with residual capacity; -1
+    marks a vertex not reached. The search ends as soon as it labels
+    `stop`: no vertex at that distance or beyond lies on a shortest path
+    to it."""
+    level = [-1] * len(adj)
+    level[source] = 0
+    dq = deque([source])
+    while dq:
+        u = dq.popleft()
+        nxt = level[u] + 1
+        for a in adj[u]:
+            if cap[a] > 0:
+                w = head[a]
+                if level[w] < 0:
+                    level[w] = nxt
+                    if w == stop:
+                        return level
+                    dq.append(w)
+    return level
+
+
+def _blocking_flow(adj, head, cap, level, source: int, sink: int, limit: int) -> int:
+    """Augment along shortest paths until none is left or `limit` is met.
+
+    An explicit stack of arcs walks from the source along each vertex's
+    current arc (`it`). A vertex with no usable arc left is dead for the
+    rest of the phase (level -1). After each augmentation the walk
+    starts again from the source and the current arcs are kept, so paths
+    are found in the order of a recursive search.
+    """
+    it = [0] * len(adj)
+    path: list[int] = []
+    pushed = 0
+    u = source
+    while True:
+        if u == sink:
+            d = limit - pushed
+            for a in path:
+                if cap[a] < d:
+                    d = cap[a]
+            for a in path:
+                cap[a] -= d
+                cap[a ^ 1] += d
+            pushed += d
+            if pushed == limit:
+                return pushed
+            path.clear()
+            u = source
+            continue
+        arcs = adj[u]
+        i = it[u]
+        want = level[u] + 1
+        while i < len(arcs):
+            a = arcs[i]
+            if cap[a] > 0 and level[head[a]] == want:
+                break
+            i += 1
+        it[u] = i
+        if i < len(arcs):
+            path.append(a)
+            u = head[a]
+            continue
+        level[u] = -1
+        if not path:
+            return pushed
+        u = head[path.pop() ^ 1]
+        it[u] += 1
 
 
 def verify_flow(problem: FlowProblem, result: FlowResult) -> None:

@@ -203,3 +203,61 @@ class TestVerifyOtherKinds:
         report = json.loads(out)
         validate(report, "verify.schema.json")
         assert report["ok"]
+
+
+class TestVerifyMalformedResults:
+    @pytest.fixture()
+    def graph_file(self, tmp_path):
+        path = tmp_path / "g.dmc"
+        main(["gen", "random_gnm", "--n", "5", "--m", "12", "--seed", "1",
+              "--out", str(path)])
+        return path
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "packing", "k": 1}',
+        '{"kind": "mincut"}',
+        '{"kind": "packing", "k": 1, "result": "arborescences", "trees": [["a"]],'
+        ' "congestion": 1}',
+        '{"kind": "mincut", "cut": [1], "value": "1"}',
+        '[1, 2]',
+        'not json {',
+    ])
+    def test_parameter_error_not_traceback(self, capsys, tmp_path, graph_file, text):
+        result_file = tmp_path / "bad.json"
+        result_file.write_text(text)
+        code, out = run_cli(capsys, "verify", str(result_file), str(graph_file))
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["error_type"] == "parameter"
+
+
+    def test_missing_files(self, capsys, tmp_path, graph_file):
+        missing = str(tmp_path / "missing")
+        for argv in (["verify", missing, str(graph_file)], ["mincut", missing]):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            validate(json.loads(out), "error.schema.json")
+
+
+class TestLongCycle:
+    # A 1,200-vertex cycle: max-flow paths are far deeper than Python's
+    # recursion limit.
+    @pytest.fixture(scope="class")
+    def cycle_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cycle") / "c.dmc"
+        assert main(["gen", "cycle_plus_chords", "--n", "1200", "--chords", "0",
+                     "--seed", "1", "--out", str(path)]) == 0
+        return path
+
+    def test_hierarchy(self, capsys, cycle_file):
+        code, out = run_cli(capsys, "hierarchy", str(cycle_file))
+        assert code == 0
+        validate(json.loads(out), "hierarchy.schema.json")
+
+    def test_exact_mincut(self, capsys, cycle_file):
+        code, out = run_cli(capsys, "mincut", str(cycle_file), "--exact")
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "mincut.schema.json")
+        assert payload["value"] == 1

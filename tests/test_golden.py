@@ -1,0 +1,64 @@
+"""Fixed-seed CLI output stays byte-stable.
+
+Each digest is the SHA-256 of one subcommand's stdout on a small
+generated instance. A change that alters output on purpose records the
+new digests here and says why in CHANGES.md.
+"""
+import hashlib
+
+from arborpack.cli import main
+
+# (name, `gen` arguments, k for `pack`)
+INSTANCES = (
+    ("known_packing", ["known_packing", "--n", "12", "--k", "3", "--seed", "1"], 3),
+    ("cycle_plus_chords", ["cycle_plus_chords", "--n", "40", "--chords", "8",
+                           "--seed", "2"], 1),
+    ("cycle_plus_chords_weighted", ["cycle_plus_chords", "--n", "30", "--chords", "6",
+                                    "--max-cap", "4", "--seed", "5"], None),
+    ("two_cliques_bridge", ["two_cliques_bridge", "--half", "5", "--seed", "3"], 2),
+)
+
+GOLDEN = {
+    "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
+    "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
+    "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
+    "known_packing pack": "b75c169a33ab8313de3873e380d568f4278e87d5e0d3b256ec37f09cc6d912f4",
+    "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
+    "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
+    "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
+    "cycle_plus_chords pack": "5ae051822ae6bb0d018ca6eb1a83c2ff02c78a0c28b26dce302d44f783ab0798",
+    "cycle_plus_chords_weighted hierarchy": "2bd406b8375657444fa844b0bf1a1a569de70936d811e14e3907d3d28c165218",
+    "cycle_plus_chords_weighted mincut": "eeb4b00bd87c4866d9ef1b9855e85ddfe5a94d0c7d24869ad4b5c11b89b4c772",
+    "cycle_plus_chords_weighted mincut --exact": "41f28eb331950245cb5990af9a48b22f5d743335d3d14f422dcf0836981de345",
+    "two_cliques_bridge hierarchy": "79a66339e23d27e39032ce3c46150e754397cff095db6fedd8ed27026e99de28",
+    "two_cliques_bridge mincut": "124826a3e104e11efac92ba16ab1fd772a7af398062328a9882eb018b382263b",
+    "two_cliques_bridge mincut --exact": "038b27ef0368150f89816adb1f10973bef4ea64d1fca55c518d424129442a8ee",
+    "two_cliques_bridge pack": "206fbb8c9553c610b1718c18fd1027cdf37b701c3cf507a87e7579a65e2d27a3",
+}
+
+
+def run_digests(capsys, tmp_path) -> dict:
+    digests = {}
+    for name, gen_args, k in INSTANCES:
+        graph = str(tmp_path / f"{name}.dmc")
+        assert main(["gen", *gen_args, "--out", graph]) == 0
+        commands = {
+            "hierarchy": ["hierarchy", graph, "--seed", "7"],
+            "mincut": ["mincut", graph, "--seed", "7"],
+            "mincut --exact": ["mincut", graph, "--exact"],
+        }
+        if k is not None:
+            commands["pack"] = ["pack", graph, "--k", str(k), "--seed", "7"]
+        for label, argv in commands.items():
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code == 0, (name, label, out)
+            digests[f"{name} {label}"] = hashlib.sha256(out.encode()).hexdigest()
+    return digests
+
+
+def test_fixed_seed_outputs_match_recorded_digests(capsys, tmp_path):
+    digests = run_digests(capsys, tmp_path)
+    changed = sorted(key for key in GOLDEN if digests.get(key) != GOLDEN[key])
+    assert not changed, f"output changed for: {changed}"
+    assert digests.keys() == GOLDEN.keys()

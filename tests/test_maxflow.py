@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arborpack.errors import InternalError
+from arborpack.errors import InternalError, ParameterError
 from arborpack.graphcore import normalize
 from arborpack.maxflow import (
     FlowProblem,
@@ -18,14 +18,20 @@ from arborpack.maxflow import (
 from .conftest import digraphs
 
 
-def brute_min_cut(g, supplies, sinks):
-    """Minimum cut of the virtual-terminal network by direct enumeration."""
+def brute_min_cut(g, supplies, sinks, edge_filter=None, scale=1):
+    """Minimum cut of the virtual-terminal network by direct enumeration,
+    over the edges in `edge_filter` (all when None) at `scale` times
+    their capacity."""
     best = None
     for r in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), r):
             t_side = set(combo)
             crossing = sum(
-                c for u, v, c in g.edges if u not in t_side and v in t_side
+                c * scale
+                for eid, (u, v, c) in enumerate(g.edges)
+                if (edge_filter is None or eid in edge_filter)
+                and u not in t_side
+                and v in t_side
             )
             value = (
                 sum(supplies.get(v, 0) for v in t_side)
@@ -35,6 +41,25 @@ def brute_min_cut(g, supplies, sinks):
             if best is None or value < best:
                 best = value
     return best
+
+
+@st.composite
+def flow_problems(draw, g):
+    """A problem on g with several supplies and sinks, an optional edge
+    filter and flow bound, and capacities scaled by 1-3."""
+    vertices = st.integers(0, g.n - 1)
+    supplies = draw(st.dictionaries(vertices, st.integers(0, 5), min_size=1, max_size=3))
+    sinks = draw(st.dictionaries(vertices, st.integers(0, 5), min_size=1, max_size=3))
+    edge_ids = st.sampled_from(range(g.m)) if g.m else st.nothing()
+    edge_filter = draw(st.none() | st.frozensets(edge_ids))
+    return FlowProblem(
+        g,
+        supplies,
+        sinks,
+        flow_bound=draw(st.none() | st.integers(0, 8)),
+        edge_filter=edge_filter,
+        capacity_scale=draw(st.integers(1, 3)),
+    )
 
 
 class TestMaxFlow:
@@ -87,6 +112,52 @@ class TestMaxFlow:
         res = max_flow(problem)
         assert res.value == brute_min_cut(g, supplies, sinks)
         verify_flow(problem, res)
+
+    def test_long_unit_path(self):
+        # Every augmenting path is 2,999 arcs long: deeper than Python's
+        # recursion limit.
+        n = 3000
+        g = normalize([(v, v + 1, 1) for v in range(n - 1)], n, 0)
+        problem = FlowProblem(g, {0: 1}, {n - 1: 1})
+        res = max_flow(problem)
+        assert res.value == 1
+        verify_flow(problem, res)
+
+    def test_rejects_edge_filter_out_of_range(self):
+        g = normalize([(0, 1, 1)], 2, 0)
+        with pytest.raises(ParameterError):
+            FlowProblem(g, {0: 1}, {1: 1}, edge_filter=frozenset({1}))
+
+    @given(digraphs(max_n=6, max_m=14, max_cap=3), st.data())
+    def test_problems_on_one_graph_match_fresh_copies(self, g, data):
+        # The arc arrays are cached on the graph, so a run must leave
+        # nothing behind that changes the next problem's result.
+        for _ in range(3):
+            problem = data.draw(flow_problems(g))
+            res = max_flow(problem)
+            best = brute_min_cut(
+                g,
+                problem.source_supply,
+                problem.sink_capacity,
+                problem.edge_filter,
+                problem.capacity_scale,
+            )
+            bound = problem.flow_bound
+            assert res.value == (best if bound is None else min(best, bound))
+            verify_flow(problem, res)
+            fresh = FlowProblem(
+                normalize(g.edges, g.n, g.source),
+                problem.source_supply,
+                problem.sink_capacity,
+                flow_bound=bound,
+                edge_filter=problem.edge_filter,
+                capacity_scale=problem.capacity_scale,
+            )
+            ref = max_flow(fresh)
+            assert (res.value, res.flow, res.min_cut_side, res.capped) == (
+                ref.value, ref.flow, ref.min_cut_side, ref.capped
+            )
+            assert (res.source_used, res.sink_used) == (ref.source_used, ref.sink_used)
 
 
 class TestDecomposePaths:
