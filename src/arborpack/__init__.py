@@ -9,7 +9,6 @@ from .graphcore import (
     normalize,
     restricted_degrees,
     scc,
-    scc_topo_order,
 )
 from .maxflow import FlowProblem, FlowResult, decompose_paths, max_flow
 from .mincut import CutCandidate, approx_rooted_mincut, mincut_into_component, sample_endpoints
@@ -54,7 +53,6 @@ __all__ = [
     "route",
     "sample_endpoints",
     "scc",
-    "scc_topo_order",
     "verify_arborescence",
     "verify_packing",
 ]

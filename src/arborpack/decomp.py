@@ -235,12 +235,7 @@ class Hierarchy:
     _above: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        above: list[frozenset] = [frozenset()] * (len(self.levels) + 1)
-        acc: frozenset = frozenset()
-        for i in range(len(self.levels) - 1, -1, -1):
-            acc = acc | self.levels[i]
-            above[i] = acc
-        object.__setattr__(self, "_above", tuple(above))
+        object.__setattr__(self, "_above", _suffix_unions(self.levels))
 
     @property
     def L(self) -> int:
@@ -368,12 +363,15 @@ def build_hierarchy(
     return hier
 
 
+def _suffix_unions(levels: Iterable[frozenset]) -> tuple[frozenset, ...]:
+    """Entry i is the union of E_j for j > i, for i = 0..L, where
+    `levels` holds E_1..E_L."""
+    above = [frozenset()]
+    for level in reversed(list(levels)):
+        above.append(above[-1] | level)
+    return tuple(reversed(above))
+
+
 def scc_for_levels(g: DirectedGraph, levels: Iterable[frozenset]) -> list[Partition]:
     """Partitions of g minus all higher-level edges, for levels 0..L."""
-    levels = list(levels)
-    above: list[frozenset] = [frozenset()] * (len(levels) + 1)
-    acc: frozenset = frozenset()
-    for i in range(len(levels) - 1, -1, -1):
-        acc = acc | levels[i]
-        above[i] = acc
-    return [scc(g, above[i]) for i in range(len(levels) + 1)]
+    return [scc(g, above) for above in _suffix_unions(levels)]

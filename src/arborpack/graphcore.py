@@ -12,7 +12,6 @@ concurrent readers.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -98,9 +97,6 @@ class DirectedGraph:
     def in_capacity(self, v: VertexId) -> int:
         return sum(self.edges[e][2] for e in self._in[v])
 
-    def out_capacity(self, v: VertexId) -> int:
-        return sum(self.edges[e][2] for e in self._out[v])
-
     def total_capacity(self) -> int:
         return sum(c for _, _, c in self.edges)
 
@@ -155,9 +151,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def component_of(self, v: VertexId) -> int:
-        return self.comp_of[v]
 
     def component(self, v: VertexId) -> frozenset:
         return self.components[self.comp_of[v]]
@@ -236,45 +229,6 @@ def scc(g: DirectedGraph, removed: EdgeSet = frozenset()) -> Partition:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return _partition_from_groups(g.n, groups)
-
-
-def scc_topo_order(
-    g: DirectedGraph, partition: Partition, removed: EdgeSet = frozenset()
-) -> tuple[int, ...]:
-    """Topological order of component ids in the condensation.
-
-    Only edges surviving `removed` order the components. The component
-    containing the source comes first when it has no surviving incoming
-    edge; remaining ties break on the smallest member vertex id.
-    """
-    k = len(partition.components)
-    succ: list[set] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for eid, (u, v, _c) in enumerate(g.edges):
-        if eid in removed:
-            continue
-        cu, cv = partition.comp_of[u], partition.comp_of[v]
-        if cu != cv and cv not in succ[cu]:
-            succ[cu].add(cv)
-            indeg[cv] += 1
-
-    def key(cid: int) -> tuple[int, int]:
-        comp = partition.components[cid]
-        return (0 if g.source in comp else 1, min(comp))
-
-    heap = [(key(c), c) for c in range(k) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for d in succ[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(heap, (key(d), d))
-    if len(order) != k:
-        raise InternalError("condensation contains a cycle")
-    return tuple(order)
 
 
 class CutValues(NamedTuple):

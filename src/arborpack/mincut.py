@@ -38,12 +38,11 @@ __all__ = [
 @dataclass(frozen=True)
 class CutCandidate:
     """A candidate rooted cut: the sink side C_v, its incoming capacity,
-    and where the sample that produced it came from."""
+    and the level and vertex of the sample that produced it."""
 
     vertex_set: frozenset
     rho: int
     level: int
-    component: int
     sampled_vertex: int
 
 
@@ -51,8 +50,6 @@ class CutCandidate:
 class MincutReport:
     best: CutCandidate
     candidates: tuple[CutCandidate, ...]
-    trials_per_component: int
-    seed: int
 
 
 def sample_endpoints(
@@ -80,7 +77,7 @@ def sample_endpoints(
 
 
 def mincut_into_component(
-    g: DirectedGraph, comp: frozenset, v: int, level: int = -1, component: int = -1
+    g: DirectedGraph, comp: frozenset, v: int, level: int = -1
 ) -> CutCandidate:
     """Exact min over {T : v in T subseteq comp} of the capacity entering T.
 
@@ -105,7 +102,7 @@ def mincut_into_component(
     rho = cut_values(g, side).rho
     if rho != res.value:
         raise InternalError(f"cut re-evaluates to {rho}, flow value was {res.value}")
-    return CutCandidate(side, rho, level, component, v)
+    return CutCandidate(side, rho, level, v)
 
 
 def approx_rooted_mincut(
@@ -132,13 +129,10 @@ def approx_rooted_mincut(
         if best is None or cand.rho < best.rho:
             best = cand
 
-    level0 = hierarchy.partition(0)
     for v in range(g.n):
         if v == s:
             continue
-        consider(
-            CutCandidate(frozenset({v}), g.in_capacity(v), 0, level0.comp_of[v], v)
-        )
+        consider(CutCandidate(frozenset({v}), g.in_capacity(v), 0, v))
     for i in range(1, hierarchy.L + 1):
         part = hierarchy.partition(i)
         level_edges = hierarchy.level_edges(i)
@@ -156,7 +150,7 @@ def approx_rooted_mincut(
             computed: dict[int, CutCandidate] = {}
             for v in sample_endpoints(g, inside, trials, rng):
                 if v not in computed:
-                    computed[v] = mincut_into_component(g, comp, v, i, comp_id)
+                    computed[v] = mincut_into_component(g, comp, v, i)
                 consider(computed[v])
     assert best is not None
-    return MincutReport(best, tuple(candidates), trials, seed)
+    return MincutReport(best, tuple(candidates))

@@ -16,6 +16,9 @@ three steps:
   3. chain demands connect each color's leader through its breakpoints,
      routed once per level with measured congestion.
 
+`pack` builds each level's table of critical incoming edges once, as
+the climb reaches that level, and hands it to every step that reads it.
+
 Three invariants are re-checked by direct search after every level:
 each color can reach every vertex from a colored vertex in its component
 (Invariant 1), vertex color counts stay within (i+1) times the critical
@@ -176,22 +179,21 @@ def partition_critical(
     hierarchy: Hierarchy,
     i: int,
     v: int,
-    crit_i: CriticalEdges | None = None,
-    crit_prev: CriticalEdges | None = None,
+    crit_i: CriticalEdges,
+    crit_prev: CriticalEdges,
 ) -> tuple[frozenset, frozenset, frozenset]:
     """Split v's level-(i-1) critical incoming edges into (E_X, E_Y, E_Z).
 
-    E_X are the level-i critical edges, E_Y the lower-level incoming
-    edges whose tails joined v's component only at level i, and E_Z the
-    rest (incoming level-i edges from inside the old component). The
-    three sets are asserted to partition the level-(i-1) critical set.
+    E_X are the level-i critical edges (`crit_i`), E_Y the lower-level
+    incoming edges whose tails joined v's component only at level i, and
+    E_Z the rest (incoming level-i edges from inside the old component).
+    The three sets are asserted to partition the level-(i-1) critical set
+    (`crit_prev`).
     """
     if not 1 <= i <= hierarchy.L:
         raise ParameterError(f"level {i} out of range 1..{hierarchy.L}")
     if v == g.source:
         raise ParameterError("the source has no critical incoming edges")
-    crit_i = crit_i or critical_edges(g, hierarchy, i)
-    crit_prev = crit_prev or critical_edges(g, hierarchy, i - 1)
     comp_i = hierarchy.partition(i).component(v)
     comp_prev = hierarchy.partition(i - 1).component(v)
     above_prev = hierarchy.edges_above(i - 1)
@@ -307,17 +309,17 @@ def run_level(
     hierarchy: Hierarchy,
     i: int,
     state: ColorState,
+    crit_i: CriticalEdges,
+    crit_prev: CriticalEdges,
     seed: int = 0,
-    reroute_sweeps: int = 3,
 ):
     """Compute the level-i color state from the level-(i-1) state, or
-    return the certifying cut discovered on the way."""
+    return the certifying cut discovered on the way. `crit_i` and
+    `crit_prev` are the critical-edge tables of levels i and i-1."""
     if state.level != i - 1:
         raise ParameterError(f"state is at level {state.level}, expected {i - 1}")
     k = state.k
     part = hierarchy.partition(i)
-    crit_i = critical_edges(g, hierarchy, i)
-    crit_prev = critical_edges(g, hierarchy, i - 1)
     level_set = hierarchy.level_edges(i)
     s = g.source
     singleton_source = frozenset({s})
@@ -388,15 +390,7 @@ def run_level(
                 f"level-{i} demand exceeds its respecting bound at vertex "
                 f"{violation[0]} ({violation[1]} > {violation[2]})"
             )
-        outcome = route(
-            g,
-            demand,
-            level_set,
-            seed=derive_seed(seed, "route", i),
-            reroute_sweeps=reroute_sweeps,
-            phi=hierarchy.phi_target,
-            level=i,
-        )
+        outcome = route(g, demand, seed=derive_seed(seed, "route", i))
         for idx, gamma in enumerate(tags):
             for e in outcome.paths_edges[idx]:
                 edge_colors[e].add(gamma)
@@ -420,21 +414,25 @@ def run_level(
             },
         ),
     )
-    violations = check_invariants(g, hierarchy, i, new_state)
+    violations = check_invariants(g, hierarchy, i, new_state, crit_i)
     if violations:
         raise InvariantError("; ".join(violations))
     return new_state
 
 
 def check_invariants(
-    g: DirectedGraph, hierarchy: Hierarchy, i: int, state: ColorState
+    g: DirectedGraph,
+    hierarchy: Hierarchy,
+    i: int,
+    state: ColorState,
+    crit: CriticalEdges,
 ) -> list[str]:
-    """Re-derive the three per-level invariants by direct search; returns
-    a list of violation descriptions (empty when all hold)."""
+    """Re-derive the three per-level invariants by direct search, with
+    `crit` the level-i critical-edge table; returns a list of violation
+    descriptions (empty when all hold)."""
     violations: list[str] = []
     s = g.source
     part = hierarchy.partition(i)
-    crit = critical_edges(g, hierarchy, i)
 
     for v in range(g.n):
         if v == s:
@@ -482,17 +480,16 @@ def check_invariants(
 
 
 def finalize_coloring(
-    g: DirectedGraph, hierarchy: Hierarchy, state: ColorState
+    g: DirectedGraph, hierarchy: Hierarchy, state: ColorState, crit: CriticalEdges
 ) -> dict:
     """Fold the top-level vertex colors onto their critical incoming edges
-    (round-robin, at most L+1 colors received per edge) and return the
-    final per-edge coloring."""
+    (`crit`, the level-L table; round-robin, at most L+1 colors received
+    per edge) and return the final per-edge coloring."""
     if state.level != hierarchy.L:
         raise ParameterError(
             f"state is at level {state.level}, expected top level {hierarchy.L}"
         )
     top = hierarchy.L
-    crit = critical_edges(g, hierarchy, top)
     final = {e: set(cols) for e, cols in state.edge_colors.items()}
     for v in range(g.n):
         if v == g.source:
@@ -595,7 +592,6 @@ def pack(
     k: int,
     phi_target: Fraction = DEFAULT_PHI,
     seed: int = 0,
-    reroute_sweeps: int = 3,
 ) -> PackingResult:
     """Produce k arborescences with measured congestion, or a cut with
     outgoing capacity below k containing the source."""
@@ -613,15 +609,16 @@ def pack(
     state = init_base_colors(g, k)
     if isinstance(state, CutFound):
         return _cut_result(g, k, state, hierarchy.L, ())
+    crit = critical_edges(g, hierarchy, 0)
     for i in range(1, hierarchy.L + 1):
+        crit_prev, crit = crit, critical_edges(g, hierarchy, i)
         outcome = run_level(
-            g, hierarchy, i, state, seed=derive_seed(seed, "level", i),
-            reroute_sweeps=reroute_sweeps,
+            g, hierarchy, i, state, crit, crit_prev, seed=derive_seed(seed, "level", i)
         )
         if isinstance(outcome, CutFound):
             return _cut_result(g, k, outcome, hierarchy.L, state.level_log)
         state = outcome
-    coloring = finalize_coloring(g, hierarchy, state)
+    coloring = finalize_coloring(g, hierarchy, state, crit)
     bound = 5 * hierarchy.L * hierarchy.L * state.route_factor + hierarchy.L + 1
     result = extract_arborescences(g, coloring, k, bound)
     return PackingResult(

@@ -4,24 +4,24 @@ Demands are multisets of ordered vertex pairs constrained to the
 components of a partition; paths are sought in the whole graph. The
 router is sequential and congestion-aware: pairs are routed in seeded
 random order along shortest paths under the exponential edge length
-2^load (capped at 2^20), then a few rerouting sweeps move the paths that
-sit on the most congested edges. Congestion is measured and reported
+2^load (capped at 2^20), then up to three rerouting sweeps move the paths
+that sit on the most congested edges. Congestion is measured and reported
 exactly; no asymptotic bound is promised.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalError, ParameterError, RoutingError
-from .graphcore import DirectedGraph, EdgeSet, Partition
+from .graphcore import DirectedGraph, Partition
 from .seeds import derive_rng
 
 __all__ = ["Demand", "RoutingOutcome", "route", "respecting_check"]
 
 _LENGTH_EXP_CAP = 20
+_REROUTE_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class RoutingOutcome:
     paths_edges: tuple[tuple[int, ...], ...]
     loads: dict
     congestion: int
-    kappa_observed: Fraction | None = None
 
 
 def _shortest_path(
@@ -96,22 +95,8 @@ def _shortest_path(
     return tuple(vertices), tuple(edges)
 
 
-def route(
-    g: DirectedGraph,
-    demand: Demand,
-    level_edges: EdgeSet | None = None,
-    seed: int = 0,
-    reroute_sweeps: int = 3,
-    phi: Fraction | None = None,
-    level: int | None = None,
-) -> RoutingOutcome:
-    """Route every demand pair along a simple path in g.
-
-    `level_edges` identifies the level the demand belongs to (diagnostic
-    only; routing may use any edge of g). When `phi` and `level` are
-    given, the outcome records congestion * phi / (3 * level) as the
-    observed routing overhead factor.
-    """
+def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
+    """Route every demand pair along a simple path in g."""
     npairs = len(demand.pairs)
     loads = [0] * g.m
     paths_v: list[tuple[int, ...] | None] = [None] * npairs
@@ -133,7 +118,7 @@ def route(
     for idx in order:
         place(idx)
 
-    for _sweep in range(reroute_sweeps):
+    for _sweep in range(_REROUTE_SWEEPS):
         congestion = max(loads, default=0)
         if congestion <= 1:
             break
@@ -161,15 +146,11 @@ def route(
     if recount != loads:
         raise InternalError("per-edge loads do not match the emitted paths")
 
-    kappa = None
-    if phi is not None and level is not None and level > 0:
-        kappa = Fraction(congestion) * Fraction(phi) / (3 * level)
     return RoutingOutcome(
         paths_vertices=tuple(paths_v),
         paths_edges=tuple(paths_e),
         loads={e: load for e, load in enumerate(loads) if load > 0},
         congestion=congestion,
-        kappa_observed=kappa,
     )
 
 

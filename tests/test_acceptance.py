@@ -27,6 +27,7 @@ from arborpack.oracle import (
 from arborpack.packing import (
     ColorState,
     check_invariants,
+    critical_edges,
     init_base_colors,
     pack,
     run_level,
@@ -230,19 +231,21 @@ def test_criterion_6_level_invariants():
         )
     ):
         hier = build_hierarchy(g, DEFAULT_PHI, derive_seed(MASTER_SEED, "h6", idx))
+        crit = [critical_edges(g, hier, i) for i in range(hier.L + 1)]
         for k in (1, 1 + idx % 3):
             state = init_base_colors(g, k)
             if not isinstance(state, ColorState):
                 continue
             for i in range(1, hier.L + 1):
                 outcome = run_level(
-                    g, hier, i, state, seed=derive_seed(MASTER_SEED, "l6", idx, i, k)
+                    g, hier, i, state, crit[i], crit[i - 1],
+                    seed=derive_seed(MASTER_SEED, "l6", idx, i, k),
                 )
                 if not isinstance(outcome, ColorState):
                     break
                 state = outcome
                 checked_levels += 1
-                found = check_invariants(g, hier, i, state)
+                found = check_invariants(g, hier, i, state, crit[i])
                 if found:
                     violations.append(f"{name} level {i}: {found[0]}")
                 entry = state.level_log[-1]

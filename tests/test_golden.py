@@ -34,11 +34,30 @@ GOLDEN = {
     "two_cliques_bridge mincut": "124826a3e104e11efac92ba16ab1fd772a7af398062328a9882eb018b382263b",
     "two_cliques_bridge mincut --exact": "038b27ef0368150f89816adb1f10973bef4ea64d1fca55c518d424129442a8ee",
     "two_cliques_bridge pack": "206fbb8c9553c610b1718c18fd1027cdf37b701c3cf507a87e7579a65e2d27a3",
+    # `verify` on the `mincut` and `pack` outputs above.
+    "known_packing verify mincut": "feeb2a1a69bc74847ef403161bf71b88d5525c2df26e6ce4c70ce7492fc9f654",
+    "known_packing verify pack": "bea888b6432f4c4205c8e4fdba8613a492c39bc0ca4f959231f042ee78c838b8",
+    "cycle_plus_chords verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
+    "cycle_plus_chords verify pack": "40b9a663211b6741871b8659db5050a15be0ea0266074bffd8c0480fa030369d",
+    "cycle_plus_chords_weighted verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
+    "two_cliques_bridge verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
+    "two_cliques_bridge verify pack": "49b7b2050d1df57899e8358bad226a967bef9ad88d8f22e4ea0eb43ab092f6f8",
+    # `bench --seed 7` over a corpus of the known_packing and
+    # two_cliques_bridge graphs.
+    "bench": "b943ab35161be71a98696ac536c23279bbc0d7527623da62154d70448759dc67",
 }
 
 
 def run_digests(capsys, tmp_path) -> dict:
     digests = {}
+
+    def run(label: str, argv: list) -> str:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, (label, out)
+        digests[label] = hashlib.sha256(out.encode()).hexdigest()
+        return out
+
     for name, gen_args, k in INSTANCES:
         graph = str(tmp_path / f"{name}.dmc")
         assert main(["gen", *gen_args, "--out", graph]) == 0
@@ -50,10 +69,17 @@ def run_digests(capsys, tmp_path) -> dict:
         if k is not None:
             commands["pack"] = ["pack", graph, "--k", str(k), "--seed", "7"]
         for label, argv in commands.items():
-            code = main(argv)
-            out = capsys.readouterr().out
-            assert code == 0, (name, label, out)
-            digests[f"{name} {label}"] = hashlib.sha256(out.encode()).hexdigest()
+            out = run(f"{name} {label}", argv)
+            if label in ("mincut", "pack"):
+                result = tmp_path / f"{name}-{label}.json"
+                result.write_text(out)
+                run(f"{name} verify {label}", ["verify", str(result), graph])
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, gen_args, _k in (INSTANCES[0], INSTANCES[3]):
+        assert main(["gen", *gen_args, "--out", str(corpus / f"{name}.dmc")]) == 0
+    run("bench", ["bench", str(corpus), "--seed", "7"])
     return digests
 
 

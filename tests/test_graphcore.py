@@ -1,4 +1,4 @@
-"""Graph core: normalization, SCCs, topological order, cuts, degrees."""
+"""Graph core: normalization, SCCs, cuts, degrees."""
 import itertools
 
 import pytest
@@ -12,7 +12,6 @@ from arborpack.graphcore import (
     normalize,
     restricted_degrees,
     scc,
-    scc_topo_order,
 )
 
 from .conftest import digraphs
@@ -95,42 +94,6 @@ class TestScc:
     @given(digraphs(max_n=7, max_m=16))
     def test_deterministic(self, g):
         assert scc(g) == scc(g)
-
-
-class TestTopoOrder:
-    def test_path(self):
-        g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
-        part = scc(g)
-        order = scc_topo_order(g, part)
-        comps = [part.components[c] for c in order]
-        assert comps == [frozenset({0}), frozenset({1}), frozenset({2})]
-
-    def test_source_first_then_cycle(self):
-        g = normalize([(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 1)], 3, 0)
-        part = scc(g)
-        order = scc_topo_order(g, part)
-        assert part.components[order[0]] == frozenset({0})
-        assert part.components[order[1]] == frozenset({1, 2})
-
-    def test_single_vertex(self):
-        g = normalize([], 1, 0)
-        part = scc(g)
-        assert scc_topo_order(g, part) == (0,)
-
-    @given(digraphs(max_n=7, max_m=16), st.data())
-    def test_every_surviving_edge_respects_order(self, g, data):
-        removed = frozenset(
-            data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-        ) & g.edge_set()
-        part = scc(g, removed)
-        order = scc_topo_order(g, part, removed)
-        position = {c: i for i, c in enumerate(order)}
-        for eid, (u, v, _c) in enumerate(g.edges):
-            if eid in removed:
-                continue
-            cu, cv = part.comp_of[u], part.comp_of[v]
-            if cu != cv:
-                assert position[cu] < position[cv]
 
 
 class TestCutValues:

@@ -52,6 +52,11 @@ def manual_hierarchy(g, levels, phi=DEFAULT_PHI):
     return h
 
 
+def level_tables(g, h, i):
+    """The critical-edge tables of levels i and i-1, as `run_level` takes them."""
+    return critical_edges(g, h, i), critical_edges(g, h, i - 1)
+
+
 class TestInitBaseColors:
     def test_low_in_degree_vertex_yields_cut(self):
         outcome = init_base_colors(path3(), 3)
@@ -81,28 +86,47 @@ class TestPartitionCritical:
         other = next(
             e for e, (u, v, _) in enumerate(g.edges) if (u, v) == (b, a)
         )
+        crit2, crit1 = critical_edges(g, h, 2), critical_edges(g, h, 1)
         # Head of the promoted bridge: its old critical edge is now a
         # level-2 in-edge from inside the merged component (E_Z).
-        ex, ey, ez = partition_critical(g, h, 2, b)
+        ex, ey, ez = partition_critical(g, h, 2, b, crit2, crit1)
         assert (ex, ey, ez) == (frozenset(), frozenset(), frozenset({cut_edge}))
         # Head of the surviving bridge: its old critical edge arrives from
         # the newly merged region at a lower level (E_Y).
-        ex, ey, ez = partition_critical(g, h, 2, a)
+        ex, ey, ez = partition_critical(g, h, 2, a, crit2, crit1)
         assert (ex, ey, ez) == (frozenset(), frozenset({other}), frozenset())
         # A vertex whose critical edges all come from outside the merged
         # component keeps them in E_X.
         source_edge = next(e for e, (u, v, _) in enumerate(g.edges) if u == 0)
-        ex, ey, ez = partition_critical(g, h, 2, g.head(source_edge))
+        ex, ey, ez = partition_critical(g, h, 2, g.head(source_edge), crit2, crit1)
         assert (ex, ey, ez) == (frozenset({source_edge}), frozenset(), frozenset())
 
     def test_degenerate_when_nothing_merges(self):
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
-        ex, ey, ez = partition_critical(g, h, 1, 1)
         crit = critical_edges(g, h, 1)
+        ex, ey, ez = partition_critical(g, h, 1, 1, crit, critical_edges(g, h, 0))
         assert ex == crit.sets[1]
         assert ey == frozenset()
+
+
+class TestCriticalTables:
+    def test_pack_builds_each_level_table_once(self, monkeypatch):
+        import arborpack.packing as packing
+
+        built = []
+        original = packing.critical_edges
+
+        def counting(g, hierarchy, i):
+            built.append(i)
+            return original(g, hierarchy, i)
+
+        monkeypatch.setattr(packing, "critical_edges", counting)
+        result = pack(gen_two_cliques_bridge(4, seed=0), 1, seed=7)
+        assert result.kind == "arborescences"
+        assert result.levels == 2
+        assert built == [0, 1, 2]
 
 
 class TestSplitColors:
@@ -183,10 +207,11 @@ class TestRunLevel:
         # and every vertex keeps its colors in X; no flow, no routing.
         g = rooted_triangle()
         h = manual_hierarchy(g, [frozenset({1, 2, 3}), frozenset({0})])
+        crit = [critical_edges(g, h, i) for i in range(3)]
         state = init_base_colors(g, 1)
-        s1 = run_level(g, h, 1, state, seed=3)
+        s1 = run_level(g, h, 1, state, crit[1], crit[0], seed=3)
         assert isinstance(s1, ColorState)
-        s2 = run_level(g, h, 2, s1, seed=3)
+        s2 = run_level(g, h, 2, s1, crit[2], crit[1], seed=3)
         assert isinstance(s2, ColorState)
         assert s2.vertex_colors == s1.vertex_colors
         assert s2.edge_colors == s1.edge_colors
@@ -197,9 +222,9 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
         state = init_base_colors(g, 1)
-        out = run_level(g, h, 1, state, seed=3)
+        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
         assert isinstance(out, ColorState)
-        assert check_invariants(g, h, 1, out) == []
+        assert check_invariants(g, h, 1, out, critical_edges(g, h, 1)) == []
         # The chain demand colors a route covering the cycle vertices.
         colored = {e for e, cols in out.edge_colors.items() if cols}
         assert colored
@@ -212,7 +237,7 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 2)
         assert isinstance(state, ColorState)  # in-degrees are all >= 2
-        out = run_level(g, h, 1, state, seed=3)
+        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
         assert isinstance(out, CutFound)
         assert 0 in out.source_side
 
@@ -220,10 +245,10 @@ class TestRunLevel:
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 1)
-        out = run_level(g, h, 1, state, seed=3)
+        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
-        assert check_invariants(g, h, 1, out)
+        assert check_invariants(g, h, 1, out, critical_edges(g, h, 1))
 
 
 class TestFinalizeColoring:
@@ -237,7 +262,7 @@ class TestFinalizeColoring:
             vertex_colors={v: set() for v in range(1, g.n)},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state)
+        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
         assert final[0] == frozenset({1})
         assert all(not final[e] for e in range(1, g.m))
 
@@ -251,7 +276,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state)
+        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
         assert final[0] == frozenset({1, 2})
 
     def test_round_robin_quota(self):
@@ -265,7 +290,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2, 3, 4}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state)
+        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
         assert final[0] == frozenset({1, 3})
         assert final[1] == frozenset({2, 4})
 
