@@ -14,7 +14,6 @@ from .maxflow import FlowProblem, FlowResult, decompose_paths, max_flow
 from .mincut import CutCandidate, approx_rooted_mincut, mincut_into_component, sample_endpoints
 from .oracle import (
     bruteforce_cut_expansion,
-    exact_global_mincut,
     exact_rooted_mincut,
     verify_arborescence,
     verify_packing,
@@ -42,7 +41,6 @@ __all__ = [
     "cut_values",
     "decompose",
     "decompose_paths",
-    "exact_global_mincut",
     "exact_rooted_mincut",
     "max_flow",
     "mincut_into_component",

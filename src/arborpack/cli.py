@@ -233,6 +233,8 @@ def _read_result(path: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"result file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParameterError("result file nests JSON too deeply") from exc
     if not isinstance(payload, dict):
         raise ParameterError("result file must hold a JSON object")
     return payload
@@ -298,7 +300,9 @@ def _cmd_verify(args) -> int:
     elif kind == "hierarchy":
         try:
             hier = hierarchy_from_json(payload)
-        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError
+        ) as exc:
             raise ParameterError(f"malformed hierarchy result: {exc!r}") from exc
         try:
             hier.validate(g)

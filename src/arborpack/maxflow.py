@@ -83,13 +83,14 @@ class FlowProblem:
 class FlowResult:
     """An integral flow: value, per-edge flow, and the sink-side cut.
 
-    `flow` maps edge id to flow in scaled capacity units; `source_used`
+    `flow[e]` is the flow on edge e in scaled capacity units, a list
+    entry for every edge id (0 on edges outside the filter); `source_used`
     and `sink_used` record how much of each vertex's supply/sink capacity
     the flow consumed.
     """
 
     value: int
-    flow: dict = field(repr=False)
+    flow: list = field(repr=False)
     min_cut_side: frozenset
     source_used: dict = field(repr=False)
     sink_used: dict = field(repr=False)
@@ -150,17 +151,13 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         flow_total += _blocking_flow(adj, head, cap, level, source, sink, bound - flow_total)
     unreachable = frozenset([v for v in range(n) if level[v] < 0])
 
-    # The reverse arc of an edge holds the flow on it.
-    on_edge = cap[1 : len(base_cap) : 2]
-    if allowed is None:
-        flow = dict(enumerate(on_edge))
-    else:
-        flow = {eid: on_edge[eid] for eid in sorted(allowed)}
+    # The reverse arc of an edge (or of a supply or sink arc) holds the
+    # flow on it.
     source_used = {v: cap[a ^ 1] for v, a in supply_arc.items()}
     sink_used = {v: cap[a ^ 1] for v, a in sink_arc.items()}
     return FlowResult(
         value=flow_total,
-        flow=flow,
+        flow=cap[1 : len(base_cap) : 2],
         min_cut_side=unreachable,
         source_used=source_used,
         sink_used=sink_used,
@@ -250,9 +247,9 @@ def verify_flow(problem: FlowProblem, result: FlowResult) -> None:
     allowed = problem.edge_filter
     in_flow = [0] * g.n
     out_flow = [0] * g.n
-    for eid, f in result.flow.items():
+    for eid, f in enumerate(result.flow):
         u, v, c = g.edges[eid]
-        if allowed is not None and eid not in allowed:
+        if f and allowed is not None and eid not in allowed:
             raise InternalError(f"flow on filtered-out edge {eid}")
         if not 0 <= f <= c * scale:
             raise InternalError(f"edge {eid}: flow {f} outside [0, {c * scale}]")
@@ -316,7 +313,7 @@ def decompose_paths(
         if used > sinks.get(v, 0):
             raise InternalError(f"vertex {v}: flow uses more sink capacity than granted")
 
-    rem = {eid: f for eid, f in result.flow.items() if f > 0}
+    rem = {eid: f for eid, f in enumerate(result.flow) if f > 0}
     inject = {v: amt for v, amt in result.source_used.items() if amt > 0}
     absorb = {v: amt for v, amt in result.sink_used.items() if amt > 0}
 

@@ -2,12 +2,14 @@
 
 The search walks every level of the hierarchy. Level 0 scans each
 non-source vertex directly (its in-capacity is the cut value of the
-singleton). At higher levels, every component is probed with
-capacity-weighted edge samples: a sampled endpoint v yields the exact
-minimum over sets T with v in T inside the component of the capacity
-entering T, computed by contracting everything outside the component
-into a virtual super-source and running one exact max-flow. The global
-minimum candidate wins.
+singleton). At level i >= 1, one pass over the level-i edges groups
+those with both endpoints in one component, and each component that
+holds such edges is probed, in component order, with capacity-weighted
+samples of them: a sampled endpoint v yields the exact minimum over
+sets T with v in T inside the component of the capacity entering T,
+computed by contracting everything outside the component into a
+virtual super-source and running one exact max-flow. The global minimum
+candidate wins.
 
 The RNG is split per (level, component), so the outcome is independent
 of any processing order.
@@ -135,20 +137,17 @@ def approx_rooted_mincut(
         consider(CutCandidate(frozenset({v}), g.in_capacity(v), 0, v))
     for i in range(1, hierarchy.L + 1):
         part = hierarchy.partition(i)
-        level_edges = hierarchy.level_edges(i)
-        for comp_id, comp in enumerate(part.components):
-            if comp == frozenset({s}):
-                continue
-            inside = [
-                e
-                for e in level_edges
-                if g.tail(e) in comp and g.head(e) in comp
-            ]
-            if not inside:
-                continue
+        comp_of = part.comp_of
+        inside: dict[int, list[int]] = {}
+        for e in hierarchy.level_edges(i):
+            comp_id = comp_of[g.tail(e)]
+            if comp_id == comp_of[g.head(e)]:
+                inside.setdefault(comp_id, []).append(e)
+        for comp_id in sorted(inside):
+            comp = part.components[comp_id]
             rng = derive_rng(seed, "mincut", i, comp_id)
             computed: dict[int, CutCandidate] = {}
-            for v in sample_endpoints(g, inside, trials, rng):
+            for v in sample_endpoints(g, inside[comp_id], trials, rng):
                 if v not in computed:
                     computed[v] = mincut_into_component(g, comp, v, i)
                 consider(computed[v])

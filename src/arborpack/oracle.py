@@ -15,12 +15,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalError, ParameterError, ScaleError
-from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values, normalize
+from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values
 from .maxflow import FlowProblem, max_flow
 
 __all__ = [
     "exact_rooted_mincut",
-    "exact_global_mincut",
     "bruteforce_cut_expansion",
     "bruteforce_rooted_mincut",
     "verify_arborescence",
@@ -75,17 +74,6 @@ def bruteforce_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
         if best is None or rho < best:
             best, witness = rho, subset
     return best, witness
-
-
-def exact_global_mincut(g: DirectedGraph) -> int:
-    """Global directed min-cut: the smaller of the rooted min-cut in g and
-    in g with every edge reversed."""
-    forward, _ = exact_rooted_mincut(g)
-    reversed_g = normalize([(v, u, c) for u, v, c in g.edges], g.n, g.source)
-    if reversed_g.n < 2:
-        raise ParameterError("global min-cut needs at least two vertices")
-    backward, _ = exact_rooted_mincut(reversed_g)
-    return min(forward, backward)
 
 
 def bruteforce_cut_expansion(

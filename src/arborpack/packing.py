@@ -3,21 +3,25 @@
 Colors 1..k are threaded through the hierarchy bottom-up. At level 0
 every non-source vertex holds all k colors as "breakpoints" (or, if some
 vertex has in-degree below k, that vertex immediately certifies a small
-cut). Each level then converts breakpoint colors into edge colors in
-three steps:
+cut). Each level then converts breakpoint colors into edge colors. It
+walks its non-source components once, and runs three steps on each:
 
   1. split every vertex's colors into X (stays a breakpoint), Y (parked
      on incoming edges from the newly merged region), and Z (to be wired
      through the component);
-  2. a single max-flow per component finds edge-disjoint paths from
-     critical-edge budgets to level-edge budgets, one path per Z color,
-     whose endpoint becomes that color's leader (a short flow means some
-     subset has fewer than k incoming edges, which is a certifying cut);
-  3. chain demands connect each color's leader through its breakpoints,
-     routed once per level with measured congestion.
+  2. a single max-flow finds edge-disjoint paths from critical-edge
+     budgets to level-edge budgets, one path per Z color, whose endpoint
+     becomes that color's leader (a short flow means some subset has
+     fewer than k incoming edges, which is a certifying cut);
+  3. chain demands connect each color's leader through its breakpoints.
+
+The chain demands of all components are then routed once per level with
+measured congestion.
 
 `pack` builds each level's table of critical incoming edges once, as
 the climb reaches that level, and hands it to every step that reads it.
+Each level also counts every vertex's level-edge in-degree once; the
+counts set the flow sinks and the bound on the chain demands.
 
 Three invariants are re-checked by direct search after every level:
 each color can reach every vertex from a colored vertex in its component
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from .errors import (
@@ -46,7 +50,6 @@ from .errors import (
 )
 from .graphcore import (
     DirectedGraph,
-    EdgeSet,
     cut_values,
     edges_within,
     reachable_from,
@@ -233,17 +236,19 @@ def split_colors(
 
 def component_flow(
     g: DirectedGraph,
-    level_edges: EdgeSet,
+    indeg: Sequence[int],
     i: int,
     comp: frozenset,
-    delta_map: Mapping[int, int],
+    crit: CriticalEdges,
     z_colors: set | frozenset,
     k: int,
 ):
     """Wire the component's Z colors with one exact max-flow.
 
-    Supplies are the per-vertex critical degrees, sinks are i times the
-    level-edge in-degrees, and the flow is capped at min(k, total sink).
+    `indeg[v]` is v's in-degree over the level-i edges, counted once per
+    level, and `crit` is the level-i critical-edge table. Supplies are
+    the per-vertex critical degrees, sinks are i times the level-edge
+    in-degrees, and the flow is capped at min(k, total sink).
     A short flow exposes a vertex set with fewer than k incoming edges
     (returned as a cut); otherwise the flow decomposes into edge-disjoint
     paths inside the component and the first |Z| of them are assigned to
@@ -252,18 +257,15 @@ def component_flow(
     z = sorted(z_colors)
     if not z:
         return FlowCase({}, {})
-    sinks: dict[int, int] = {}
-    for v in sorted(comp):
-        indeg = sum(1 for e in g.in_edges(v) if e in level_edges)
-        if indeg:
-            sinks[v] = i * indeg
+    members = sorted(comp)
+    sinks = {v: i * indeg[v] for v in members if indeg[v]}
     total_sink = sum(sinks.values())
     bound = min(k, total_sink)
     if len(z) > bound:
         raise InternalError(
             f"{len(z)} colors need wiring but the flow bound is only {bound}"
         )
-    supplies = {v: delta_map.get(v, 0) for v in sorted(comp) if delta_map.get(v, 0) > 0}
+    supplies = {v: crit.delta(v) for v in members if crit.delta(v)}
     intra = edges_within(g, comp)
     res = max_flow(
         FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=intra)
@@ -320,20 +322,25 @@ def run_level(
         raise ParameterError(f"state is at level {state.level}, expected {i - 1}")
     k = state.k
     part = hierarchy.partition(i)
-    level_set = hierarchy.level_edges(i)
     s = g.source
     singleton_source = frozenset({s})
+    indeg = [0] * g.n
+    for e in hierarchy.level_edges(i):
+        indeg[g.head(e)] += 1
 
     edge_colors = {e: set(cols) for e, cols in state.edge_colors.items()}
     vertex_colors: dict[int, set] = {v: set() for v in range(g.n) if v != s}
-    z_of: dict[int, set] = {}
-
-    # Step 1: split breakpoint colors into X (keep), Y (park on merged
-    # in-edges), Z (wire through the component).
+    pairs: list[tuple[int, int]] = []
+    tags: list[int] = []
     for comp in part.components:
         if comp == singleton_source:
             continue
-        for v in sorted(comp):
+        members = sorted(comp)
+
+        # Step 1: split breakpoint colors into X (keep), Y (park on merged
+        # in-edges), Z (wire through the component).
+        z_of: dict[int, set] = {}
+        for v in members:
             ex, ey, ez = partition_critical(g, hierarchy, i, v, crit_i, crit_prev)
             x, y, z = split_colors(
                 state.vertex_colors.get(v, set()),
@@ -346,45 +353,28 @@ def run_level(
                     edge_colors[ey_sorted[idx % len(ey_sorted)]].add(gamma)
             z_of[v] = z
 
-    # Step 2: one flow per component hands each Z color a path and a leader.
-    delta_map = {v: crit_i.delta(v) for v in range(g.n)}
-    component_z: list[tuple[int, frozenset, list[int]]] = []
-    leaders: dict[tuple[int, int], int] = {}
-    for comp_id, comp in enumerate(part.components):
-        if comp == singleton_source:
-            continue
-        zc = set()
-        for v in comp:
-            zc |= z_of.get(v, set())
-        outcome = component_flow(g, level_set, i, comp, delta_map, zc, k)
+        # Step 2: one flow hands each Z color a path and a leader.
+        zc = set().union(*z_of.values())
+        outcome = component_flow(g, indeg, i, comp, crit_i, zc, k)
         if isinstance(outcome, CutFound):
             return outcome
-        component_z.append((comp_id, comp, sorted(zc)))
         for gamma, path in sorted(outcome.assignments.items()):
             for e in path.edges:
                 edge_colors[e].add(gamma)
-            start = path.vertices[0]
-            vertex_colors[start].add(gamma)
-            leaders[(comp_id, gamma)] = outcome.leaders[gamma]
+            vertex_colors[path.vertices[0]].add(gamma)
 
-    # Step 3: chain each color's leader through its breakpoints, check the
-    # demand bound, route once, and color the routed paths.
-    pairs: list[tuple[int, int]] = []
-    tags: list[int] = []
-    for comp_id, comp, zc in component_z:
-        for gamma in zc:
-            breakpoints = [v for v in sorted(comp) if gamma in z_of.get(v, ())]
-            for pair in chain_demand_pairs(leaders[(comp_id, gamma)], breakpoints):
+        # Step 3: chain each color's leader through its breakpoints.
+        for gamma in sorted(zc):
+            breakpoints = [v for v in members if gamma in z_of[v]]
+            for pair in chain_demand_pairs(outcome.leaders[gamma], breakpoints):
                 pairs.append(pair)
                 tags.append(gamma)
+
+    # Check the demand bound, route once, and color the routed paths.
     congestion = 0
     if pairs:
         demand = Demand(tuple(pairs), part)
-        bound = {
-            v: 3 * i * sum(1 for e in g.in_edges(v) if e in level_set)
-            for v in range(g.n)
-        }
-        ok, violation = respecting_check(demand, bound)
+        ok, violation = respecting_check(demand, [3 * i * d for d in indeg])
         if not ok:
             raise InvariantError(
                 f"level-{i} demand exceeds its respecting bound at vertex "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InternalError, ParameterError, RoutingError
 from .graphcore import DirectedGraph, Partition
@@ -155,9 +155,10 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
 
 
 def respecting_check(
-    demand: Demand, bound: Mapping[int, int] | Sequence[int]
+    demand: Demand, bound: Sequence[int]
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff every vertex's demand participation stays within bound.
+    """True iff every vertex's demand participation stays within its
+    entry of `bound`, a list indexed by vertex id.
 
     On failure returns (False, (vertex, participation, bound)) for the
     smallest violating vertex id.
@@ -166,13 +167,7 @@ def respecting_check(
     for src, dst in demand.pairs:
         participation[src] = participation.get(src, 0) + 1
         participation[dst] = participation.get(dst, 0) + 1
-
-    def limit(v: int) -> int:
-        if isinstance(bound, Mapping):
-            return bound.get(v, 0)
-        return bound[v]
-
     for v in sorted(participation):
-        if participation[v] > limit(v):
-            return False, (v, participation[v], limit(v))
+        if participation[v] > bound[v]:
+            return False, (v, participation[v], bound[v])
     return True, None

@@ -1,10 +1,13 @@
 """CLI surface: parsing, generators, subcommands, schemas, exit codes."""
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arborpack.cli import format_graph, main, parse_graph
 from arborpack.errors import InputError
@@ -221,6 +224,10 @@ class TestVerifyMalformedResults:
         '{"kind": "mincut", "cut": [1], "value": "1"}',
         '[1, 2]',
         'not json {',
+        '{"kind": "hierarchy", "n": Infinity}',
+        '{"kind": "hierarchy", "n": 5, "m": 12, "source": 0, "phi_target": Infinity,'
+        ' "levels": [], "partitions": [], "level_phis": []}',
+        pytest.param('[' * 100000 + ']' * 100000, id='deeply-nested'),
     ])
     def test_parameter_error_not_traceback(self, capsys, tmp_path, graph_file, text):
         result_file = tmp_path / "bad.json"
@@ -261,3 +268,128 @@ class TestLongCycle:
         payload = json.loads(out)
         validate(payload, "mincut.schema.json")
         assert payload["value"] == 1
+
+
+# Fields for a malformed line: small or negative integers and non-integers.
+_FIELDS = st.one_of(st.integers(-1, 9).map(str), st.sampled_from(["x", "2.5", "0x1", ""]))
+
+
+@st.composite
+def graph_texts(draw):
+    """Text in or near the graph format: a well-formed graph on at most 7
+    vertices, perhaps with one line of arbitrary fields inserted, or any
+    text at all."""
+    shape = draw(st.sampled_from(["graph", "mutated", "text"]))
+    if shape == "text":
+        return draw(st.text(max_size=80))
+    n = draw(st.integers(1, 7))
+    cap = st.integers(1, draw(st.sampled_from([1, 3])))
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), cap), max_size=16))
+    lines = ["c contract", f"p dmc {n} {len(arcs)} {draw(st.integers(1, n))}"]
+    lines += [f"a {u} {v} {c}" for u, v, c in arcs]
+    if shape == "mutated":
+        head = draw(st.sampled_from(["a", "p", "p dmc", "c", "q"]))
+        line = " ".join([head, *draw(st.lists(_FIELDS, max_size=5))])
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["arborescences", "cut", "1/16"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+_RESULT_KEYS = (
+    "kind", "k", "result", "trees", "congestion", "cut", "delta", "value", "n", "m",
+    "source", "phi_target", "levels", "partitions", "level_phis",
+)
+_SCHEMAS = {
+    "hierarchy": "hierarchy.schema.json",
+    "mincut": "mincut.schema.json",
+    "pack": "packing.schema.json",
+    "verify": "verify.schema.json",
+}
+
+
+def contract_call(argv: list) -> None:
+    """One CLI call: JSON that fits the subcommand's schema, or a JSON
+    error, and exit code 0, 1 or 2; an exception escaping `main` fails
+    the test."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    payload = json.loads(buf.getvalue())
+    if payload.get("kind") == "error":
+        assert code in (1, 2), (argv, payload)
+        validate(payload, "error.schema.json")
+    else:
+        assert code in (0, 1), (argv, payload)
+        validate(payload, _SCHEMAS[argv[0]])
+
+
+class TestContract:
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("contract")
+
+    @pytest.fixture(scope="class")
+    def results(self, work):
+        """A graph and its real `hierarchy`, `mincut` and `pack` outputs."""
+        graph = work / "g.dmc"
+        assert main(["gen", "known_packing", "--n", "6", "--k", "2", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        outs = {}
+        for name, argv in (("hierarchy", ["hierarchy", str(graph)]),
+                           ("mincut", ["mincut", str(graph)]),
+                           ("pack", ["pack", str(graph), "--k", "2"])):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            outs[name] = json.loads(buf.getvalue())
+        return graph, outs
+
+    @given(text=graph_texts(), k=st.integers(-1, 4))
+    @settings(max_examples=60)
+    def test_graph_text(self, work, text, k):
+        graph = work / "fuzz.dmc"
+        graph.write_text(text)
+        g = str(graph)
+        contract_call(["hierarchy", g])
+        contract_call(["mincut", g, "--verbose"])
+        contract_call(["mincut", g, "--exact"])
+        contract_call(["pack", g, f"--k={k}"])
+
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_verify_result_json(self, work, results, data):
+        # Any JSON value, or a real result with some fields replaced.
+        graph, outs = results
+        real = st.sampled_from(sorted(outs)).map(lambda name: outs[name])
+        changes = st.dictionaries(st.sampled_from(_RESULT_KEYS), _JSON, max_size=3)
+        payload = data.draw(_JSON | st.builds(lambda base, new: {**base, **new}, real, changes))
+        result = work / "result.json"
+        result.write_text(json.dumps(payload))
+        contract_call(["verify", str(result), str(graph)])
+
+    # Longer than a file name (255 bytes) and than a whole path (4,096
+    # bytes) may be on Linux.
+    @pytest.mark.parametrize(
+        "path", ["x" * 300, "d/" * 2100 + "g"], ids=["long-name", "long-path"]
+    )
+    def test_overlong_paths(self, results, path):
+        graph, _outs = results
+        for argv in (
+            ["hierarchy", path],
+            ["mincut", path],
+            ["mincut", path, "--exact"],
+            ["pack", path, "--k", "1"],
+            ["verify", path, str(graph)],
+            ["verify", str(graph), path],
+        ):
+            contract_call(argv)

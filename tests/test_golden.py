@@ -34,6 +34,12 @@ GOLDEN = {
     "two_cliques_bridge mincut": "124826a3e104e11efac92ba16ab1fd772a7af398062328a9882eb018b382263b",
     "two_cliques_bridge mincut --exact": "038b27ef0368150f89816adb1f10973bef4ea64d1fca55c518d424129442a8ee",
     "two_cliques_bridge pack": "206fbb8c9553c610b1718c18fd1027cdf37b701c3cf507a87e7579a65e2d27a3",
+    # `mincut --verbose`: the candidate order pins the order in which
+    # the search visits levels and components.
+    "known_packing mincut --verbose": "b81fc9def3b84c7b62c6bfbc67bb7e5b85592e889c8cb2941c2b1e4e47481c51",
+    "cycle_plus_chords mincut --verbose": "f42dff98e40a80b294e3c8fd6b03df8fc5f837d1510013c64fb80196c2f1c18d",
+    "cycle_plus_chords_weighted mincut --verbose": "e784935934396d6da4d0c8e94efa7e73a62d97274162d09d4732347622b30204",
+    "two_cliques_bridge mincut --verbose": "67776c7f76b0220d2df20441ca867ef6d060dc0ac7d867c339f52fbc42317f8b",
     # `verify` on the `mincut` and `pack` outputs above.
     "known_packing verify mincut": "feeb2a1a69bc74847ef403161bf71b88d5525c2df26e6ce4c70ce7492fc9f654",
     "known_packing verify pack": "bea888b6432f4c4205c8e4fdba8613a492c39bc0ca4f959231f042ee78c838b8",
@@ -64,6 +70,7 @@ def run_digests(capsys, tmp_path) -> dict:
         commands = {
             "hierarchy": ["hierarchy", graph, "--seed", "7"],
             "mincut": ["mincut", graph, "--seed", "7"],
+            "mincut --verbose": ["mincut", graph, "--seed", "7", "--verbose"],
             "mincut --exact": ["mincut", graph, "--exact"],
         }
         if k is not None:

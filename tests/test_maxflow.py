@@ -179,10 +179,9 @@ class TestDecomposePaths:
     def test_cycle_is_cancelled_not_emitted(self):
         # One unit along 0->1->2 plus a closed 1->3->1 circulation.
         g = normalize([(0, 1, 1), (1, 2, 1), (1, 3, 1), (3, 1, 1)], 4, 0)
-        flow = {0: 1, 1: 1, 2: 1, 3: 1}
         res = FlowResult(
             value=1,
-            flow=flow,
+            flow=[1, 1, 1, 1],
             min_cut_side=frozenset(),
             source_used={0: 1},
             sink_used={2: 1},
@@ -201,7 +200,7 @@ class TestDecomposePaths:
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
         res = FlowResult(
             value=1,
-            flow={0: 1, 1: 0},
+            flow=[1, 0],
             min_cut_side=frozenset(),
             source_used={0: 1},
             sink_used={2: 1},

@@ -10,7 +10,6 @@ from arborpack.graphcore import normalize, scc
 from arborpack.oracle import (
     bruteforce_cut_expansion,
     bruteforce_rooted_mincut,
-    exact_global_mincut,
     exact_rooted_mincut,
     verify_arborescence,
     verify_packing,
@@ -50,14 +49,6 @@ class TestExactRootedMincut:
         value, _ = exact_rooted_mincut(g)
         brute, _ = bruteforce_rooted_mincut(g)
         assert value == brute
-
-    def test_global_mincut_takes_both_directions(self):
-        # Forward rooted connectivity is 1 but reversing exposes rho({s}) = 0
-        # seen from the reversed graph's perspective of vertex 1, so the
-        # global cut is the smaller of the two sweeps.
-        g = normalize([(0, 1, 2), (1, 2, 1), (2, 1, 2)], 3, 0)
-        forward, _ = exact_rooted_mincut(g)
-        assert exact_global_mincut(g) <= forward
 
 
 class TestBruteforceCutExpansion:

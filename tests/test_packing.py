@@ -11,6 +11,7 @@ from arborpack.graphcore import cut_values, normalize
 from arborpack.oracle import exact_rooted_mincut, verify_packing
 from arborpack.packing import (
     ColorState,
+    CriticalEdges,
     CutFound,
     FlowCase,
     chain_demand_pairs,
@@ -146,11 +147,23 @@ class TestSplitColors:
             split_colors({1, 2, 3}, (1, 1, 0))
 
 
+def flow_inputs(g, level_edges, deltas):
+    """The level-edge in-degree list and a level-1 critical table in which
+    vertex v has deltas.get(v, 0) edges, as `run_level` hands them to
+    `component_flow` (which reads only the sizes of the table's sets)."""
+    indeg = [sum(1 for e in g.in_edges(v) if e in level_edges) for v in range(g.n)]
+    crit = CriticalEdges(
+        1, tuple(frozenset(range(deltas.get(v, 0))) for v in range(g.n))
+    )
+    return indeg, crit
+
+
 class TestComponentFlow:
     def test_no_z_colors_no_state_change(self):
         g = rooted_triangle()
+        indeg, crit = flow_inputs(g, g.edge_set(), {1: 1})
         outcome = component_flow(
-            g, g.edge_set(), 1, frozenset({1, 2, 3}), {1: 1}, set(), 2
+            g, indeg, 1, frozenset({1, 2, 3}), crit, set(), 2
         )
         assert isinstance(outcome, FlowCase)
         assert outcome.assignments == {}
@@ -161,8 +174,9 @@ class TestComponentFlow:
             (u, v, 1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v
         ]
         g = normalize(raw, 4, 0)
+        indeg, crit = flow_inputs(g, g.edge_set(), {1: 1})
         outcome = component_flow(
-            g, g.edge_set(), 1, frozenset({1, 2, 3}), {1: 1}, {1, 2}, 2
+            g, indeg, 1, frozenset({1, 2, 3}), crit, {1, 2}, 2
         )
         assert isinstance(outcome, CutFound)
         cstar = frozenset(range(g.n)) - outcome.source_side
@@ -174,8 +188,9 @@ class TestComponentFlow:
             [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (4, 1, 1)], 5, 0
         )
         level = frozenset({2, 3})  # the two edges into vertex 4
+        indeg, crit = flow_inputs(g, level, {1: 2})
         outcome = component_flow(
-            g, level, 1, frozenset({1, 2, 3, 4}), {1: 2}, {1, 2}, 2
+            g, indeg, 1, frozenset({1, 2, 3, 4}), crit, {1, 2}, 2
         )
         assert isinstance(outcome, FlowCase)
         assert sorted(p.vertices for p in outcome.assignments.values()) == [

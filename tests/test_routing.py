@@ -128,18 +128,18 @@ class TestRoute:
 class TestRespectingCheck:
     def test_empty_demand(self):
         g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
-        ok, violation = respecting_check(Demand((), scc(g)), {})
+        ok, violation = respecting_check(Demand((), scc(g)), [0, 0, 0])
         assert ok and violation is None
 
     def test_repeated_pair_exceeds_bound(self):
         g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
         demand = Demand(((1, 2), (1, 2)), scc(g))
-        ok, violation = respecting_check(demand, {1: 1, 2: 4})
+        ok, violation = respecting_check(demand, [0, 1, 4])
         assert not ok
         assert violation == (1, 2, 1)
 
     def test_bound_met(self):
         g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
         demand = Demand(((1, 2), (2, 1)), scc(g))
-        ok, violation = respecting_check(demand, {1: 2, 2: 2})
+        ok, violation = respecting_check(demand, [0, 2, 2])
         assert ok
