@@ -28,6 +28,11 @@ ResidualArcs = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ..
 #: overflow even when summed over every edge of a desk-scale graph.
 MAX_CAPACITY = 1 << 40
 
+#: Reject vertex counts above this bound: a graph allocates several
+#: n-entry tables before it reads an edge, and the algorithms here are
+#: meant for graphs far smaller.
+MAX_VERTICES = 1 << 20
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -115,11 +120,14 @@ def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedG
     """Build a normalized `DirectedGraph` from raw (tail, head, capacity) triples.
 
     Drops self-loops and every edge whose head is the source; preserves
-    the order of the surviving edges. Raises `InputError` for ids out of
-    range, non-positive capacities, or capacities above `MAX_CAPACITY`.
+    the order of the surviving edges. Raises `InputError` for a vertex
+    count outside 1..`MAX_VERTICES`, ids out of range, non-positive
+    capacities, or capacities above `MAX_CAPACITY`.
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds bound 2^20")
     if not 0 <= s < n:
         raise InputError(f"source {s} out of range for n={n}")
     kept: list[Edge] = []

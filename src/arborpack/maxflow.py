@@ -15,9 +15,10 @@ of vertices that get a supply or sink arc are copied and extended. The
 blocking-flow search keeps an explicit stack, so path length is not
 bounded by Python's recursion limit.
 
-An optional `flow_bound` stops augmentation early once the bound is
-reached; a result with `value < flow_bound` (or no bound) is a genuine
-maximum flow and its `min_cut_side` is a genuine minimum cut.
+An optional `flow_bound` stops augmentation as soon as the flow reaches
+it. Such a run is `capped`: it skips the final residual search, and its
+`min_cut_side` is None. Any other run (no bound, or `value < flow_bound`)
+is a genuine maximum flow and its `min_cut_side` a genuine minimum cut.
 
 Everything is deterministic: each vertex lists its arcs in edge-id order,
 then its supply arc, then its sink arc; the super-source and super-sink
@@ -86,12 +87,13 @@ class FlowResult:
     `flow[e]` is the flow on edge e in scaled capacity units, a list
     entry for every edge id (0 on edges outside the filter); `source_used`
     and `sink_used` record how much of each vertex's supply/sink capacity
-    the flow consumed.
+    the flow consumed. `capped` means the value reached `flow_bound`; the
+    run then stopped without a cut, and `min_cut_side` is None.
     """
 
     value: int
     flow: list = field(repr=False)
-    min_cut_side: frozenset
+    min_cut_side: frozenset | None
     source_used: dict = field(repr=False)
     sink_used: dict = field(repr=False)
     capped: bool = False
@@ -138,18 +140,19 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     adj.append(tuple(supply_arc.values()))
     adj.append(tuple(a + 1 for a in sink_arc.values()))
 
+    bound = problem.flow_bound
     total_supply = sum(problem.source_supply.values())
-    bound = total_supply if problem.flow_bound is None else min(problem.flow_bound, total_supply)
+    limit = total_supply if bound is None else min(bound, total_supply)
 
     flow_total = 0
-    while True:
-        # Once the bound is met, the last search labels everything the
-        # source reaches; a search that misses the sink does so anyway.
-        level = _levels(adj, head, cap, source, sink if flow_total < bound else -1)
-        if flow_total >= bound or level[sink] < 0:
+    while bound is None or flow_total < bound:
+        # Once the supply is used up, the last search labels everything
+        # the source reaches; a search that misses the sink does so anyway.
+        level = _levels(adj, head, cap, source, sink if flow_total < limit else -1)
+        if flow_total >= limit or level[sink] < 0:
             break
-        flow_total += _blocking_flow(adj, head, cap, level, source, sink, bound - flow_total)
-    unreachable = frozenset([v for v in range(n) if level[v] < 0])
+        flow_total += _blocking_flow(adj, head, cap, level, source, sink, limit - flow_total)
+    capped = flow_total == bound
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
     # flow on it.
@@ -158,10 +161,10 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     return FlowResult(
         value=flow_total,
         flow=cap[1 : len(base_cap) : 2],
-        min_cut_side=unreachable,
+        min_cut_side=None if capped else frozenset([v for v in range(n) if level[v] < 0]),
         source_used=source_used,
         sink_used=sink_used,
-        capped=(flow_total >= bound and problem.flow_bound is not None),
+        capped=capped,
     )
 
 

@@ -173,12 +173,14 @@ def verify_arborescence(g: DirectedGraph, tree: Iterable[int]) -> tuple[bool, st
 
 
 def verify_packing(g: DirectedGraph, result, k: int) -> dict:
-    """Validate a packing result against the exact oracle.
+    """Check the certificate a packing result carries, in O(k*n + m).
 
     Tree results must be k valid arborescences whose recomputed congestion
-    matches, with rooted connectivity at least k / congestion. Cut results
-    must contain the source, have delta less than k, and be corroborated
-    by exact connectivity below k. Returns a JSON-ready report.
+    c matches. Every arborescence has an edge entering any vertex set T
+    without the source, so they certify rooted connectivity >= k / c.
+    Cut results must be a proper vertex set S of valid ids that holds the
+    source and has delta(S) < k; then V - S is a sink side with
+    rho(V - S) = delta(S) < k. Returns a JSON-ready report.
     """
     checks: list[dict] = []
 
@@ -202,12 +204,10 @@ def verify_packing(g: DirectedGraph, result, k: int) -> dict:
             f"recomputed {congestion}, reported {result.congestion}",
         )
         if g.n >= 2:
-            exact, _ = exact_rooted_mincut(g)
-            certified = congestion > 0 and k <= exact * congestion
             check(
                 "certificate",
-                certified or g.m == 0,
-                f"k={k}, congestion={congestion}, exact connectivity={exact}",
+                congestion > 0 or g.m == 0,
+                f"k={k}, congestion={congestion}, certified connectivity >= k/congestion",
             )
     elif result.kind == "cut":
         cut = set(result.cut_vertices or ())
@@ -215,9 +215,8 @@ def verify_packing(g: DirectedGraph, result, k: int) -> dict:
         delta = cut_values(g, cut).delta
         check("delta_reeval", delta == result.cut_delta, f"recomputed delta {delta}")
         check("delta_below_k", delta < k, f"delta {delta} vs k {k}")
-        if g.n >= 2:
-            exact, _ = exact_rooted_mincut(g)
-            check("oracle_below_k", exact < k, f"exact connectivity {exact}")
+        check("ids_in_range", all(0 <= v < g.n for v in cut), f"ids in 0..{g.n - 1}")
+        check("side_proper", not cut.issuperset(range(g.n)), "some vertex lies outside")
     else:
         check("kind", False, f"unknown result kind {result.kind!r}")
     return {"kind": "verify", "ok": all(c["ok"] for c in checks), "checks": checks}

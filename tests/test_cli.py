@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from arborpack.cli import format_graph, main, parse_graph
 from arborpack.errors import InputError
 from arborpack.generators import generate
-from arborpack.graphcore import scc
+from arborpack.graphcore import MAX_VERTICES, scc
 from arborpack.oracle import exact_rooted_mincut
 
 from .conftest import digraphs
@@ -53,6 +53,10 @@ class TestParseGraph:
     def test_out_of_range_vertex_positioned(self):
         with pytest.raises(InputError, match="line 2"):
             parse_graph("p dmc 2 1 1\na 1 9\n")
+
+    def test_vertex_count_above_bound_rejected(self):
+        with pytest.raises(InputError, match="exceeds bound"):
+            parse_graph(f"p dmc {MAX_VERTICES + 1} 0 1\n")
 
     @given(digraphs(max_n=8, max_m=20, max_cap=5))
     @settings(max_examples=30)
@@ -238,6 +242,27 @@ class TestVerifyMalformedResults:
         validate(payload, "error.schema.json")
         assert payload["error_type"] == "parameter"
 
+
+    def test_huge_vertex_count_is_a_json_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.dmc"
+        path.write_text("p dmc 1000000000000000 0 1\n")
+        code, out = run_cli(capsys, "mincut", str(path))
+        assert code == 2
+        validate(json.loads(out), "error.schema.json")
+
+    def test_hierarchy_for_another_n_allocates_nothing(self, capsys, tmp_path, graph_file):
+        # The partitions would allocate n entries each: n is compared with
+        # the graph's first.
+        result_file = tmp_path / "h.json"
+        result_file.write_text(json.dumps({
+            "kind": "hierarchy", "n": 10**15, "m": 12, "source": 0, "phi_target": "1/16",
+            "levels": [list(range(12))], "partitions": [[[0]]], "level_phis": ["1/16"],
+        }))
+        code, out = run_cli(capsys, "verify", str(result_file), str(graph_file))
+        assert code == 1
+        report = json.loads(out)
+        validate(report, "verify.schema.json")
+        assert report["checks"][0]["detail"] == "hierarchy was not built on this graph"
 
     def test_missing_files(self, capsys, tmp_path, graph_file):
         missing = str(tmp_path / "missing")

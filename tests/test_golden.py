@@ -41,13 +41,13 @@ GOLDEN = {
     "cycle_plus_chords_weighted mincut --verbose": "e784935934396d6da4d0c8e94efa7e73a62d97274162d09d4732347622b30204",
     "two_cliques_bridge mincut --verbose": "67776c7f76b0220d2df20441ca867ef6d060dc0ac7d867c339f52fbc42317f8b",
     # `verify` on the `mincut` and `pack` outputs above.
-    "known_packing verify mincut": "feeb2a1a69bc74847ef403161bf71b88d5525c2df26e6ce4c70ce7492fc9f654",
-    "known_packing verify pack": "bea888b6432f4c4205c8e4fdba8613a492c39bc0ca4f959231f042ee78c838b8",
-    "cycle_plus_chords verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
-    "cycle_plus_chords verify pack": "40b9a663211b6741871b8659db5050a15be0ea0266074bffd8c0480fa030369d",
-    "cycle_plus_chords_weighted verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
-    "two_cliques_bridge verify mincut": "7be3479c15a4faaebcd6435b274207854f296dacec7854682b124bf5a480ccd4",
-    "two_cliques_bridge verify pack": "49b7b2050d1df57899e8358bad226a967bef9ad88d8f22e4ea0eb43ab092f6f8",
+    "known_packing verify mincut": "4b4d40573885ebc007d66504c4edd4eb9a1af0671e6f149a88ccead5d928ef41",
+    "known_packing verify pack": "1e45f8fe3cc77805dde3a012e5f7a08b3a28e19c2e884e8b7d1fe8577914b9ee",
+    "cycle_plus_chords verify mincut": "e2900554458411790ffe25e94d7d253ce91a34a88b10d9fb13a9b45eaac27370",
+    "cycle_plus_chords verify pack": "aff962ca3c8b9483337b86cd6655e3605e86c63a92902ac3c61d74e6217eb242",
+    "cycle_plus_chords_weighted verify mincut": "3cf4b54b0e866673775325ddc21b819e9ef07be55b2fe00444c2c2dcf4510d5a",
+    "two_cliques_bridge verify mincut": "3bea37c661a6559a07d188799222a493419a176a75bc242af7a7ddfbed8fbba0",
+    "two_cliques_bridge verify pack": "ff008999e96cdf7bd2c5fa72579fd1c297eadf17224bcc5e61bec6fe158be1a7",
     # `bench --seed 7` over a corpus of the known_packing and
     # two_cliques_bridge graphs.
     "bench": "b943ab35161be71a98696ac536c23279bbc0d7527623da62154d70448759dc67",

@@ -86,6 +86,18 @@ class TestMaxFlow:
         res = max_flow(FlowProblem(g, {0: 5}, {1: 5}, flow_bound=2))
         assert res.value == 2
         assert res.capped
+        assert res.min_cut_side is None
+
+    def test_supply_below_bound_is_not_capped(self):
+        # The supply runs out at 3, below the bound: the flow is maximum
+        # and its cut is genuine.
+        g = normalize([(0, 1, 5)], 2, 0)
+        problem = FlowProblem(g, {0: 3}, {1: 5}, flow_bound=5)
+        res = max_flow(problem)
+        assert res.value == 3
+        assert not res.capped
+        assert res.min_cut_side == frozenset({0, 1})
+        verify_flow(problem, res)
 
     def test_infeasible_supplies_give_smaller_value(self):
         g = normalize([(0, 1, 1)], 3, 0)
