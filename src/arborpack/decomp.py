@@ -54,16 +54,6 @@ def certification_trials(n: int) -> int:
     return max(1, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def _sub_sccs(g: DirectedGraph, comp: frozenset, banned: set) -> list[frozenset]:
-    """SCCs of the subgraph induced on `comp` with `banned` edges deleted."""
-    removed = set(banned)
-    for eid, (u, v, _c) in enumerate(g.edges):
-        if u not in comp or v not in comp:
-            removed.add(eid)
-    part = scc(g, frozenset(removed))
-    return sorted((c for c in part.components if c <= comp), key=min)
-
-
 def _grow_half(g, comp, deg, pivot, forward, threshold):
     """Deterministic BFS ball around `pivot` inside `comp`, grown until it
     holds `threshold` (at most half) of the component's terminal degree.
@@ -210,8 +200,11 @@ def decompose(
             pending.appendleft(comp)
             continue
         cut.update(chosen)
+        # `comp` was an SCC of G - B and B now cuts every edge one way
+        # between the sides, so each side's pieces are SCCs of G - B.
+        parts = scc(g, frozenset(cut)).components
         for side in (viol, comp - viol):
-            pending.extend(_sub_sccs(g, side, cut))
+            pending.extend(c for c in parts if c <= side)
     return DecompResult(frozenset(cut), phi, rounds)
 
 

@@ -1,17 +1,21 @@
 """Seeded graph generators for fixtures, corpora, and benchmarks.
 
-Every generator is a pure function of its parameters and seed; the same
-call always yields the same graph.
+Every `gen_*` function is a pure function of its parameters and seed;
+the same call always yields the same graph. Each one rejects a vertex
+count above `MAX_VERTICES` before it builds anything.
 """
 from __future__ import annotations
 
 import random
 
 from .errors import ParameterError
-from .graphcore import DirectedGraph, normalize
+from .graphcore import DirectedGraph, check_vertex_count, normalize
 from .seeds import derive_rng, derive_seed
 
-__all__ = ["generate", "instance_stream", "GENERATOR_KINDS"]
+__all__ = [
+    "gen_random_gnm", "gen_dag_layered", "gen_two_cliques_bridge",
+    "gen_cycle_plus_chords", "gen_known_packing", "instance_stream", "GENERATOR_KINDS",
+]
 
 
 def _caps(rng: random.Random, count: int, max_cap: int) -> list[int]:
@@ -26,6 +30,7 @@ def gen_random_gnm(n: int, m: int, seed: int = 0, max_cap: int = 1) -> DirectedG
         raise ParameterError("random_gnm needs n >= 2")
     if m < 0:
         raise ParameterError("random_gnm needs m >= 0")
+    check_vertex_count(n)
     rng = derive_rng(seed, "gnm", n, m, max_cap)
     edges = []
     caps = _caps(rng, m, max_cap)
@@ -39,16 +44,16 @@ def gen_random_gnm(n: int, m: int, seed: int = 0, max_cap: int = 1) -> DirectedG
     return normalize(edges, n, 0)
 
 
-def gen_dag_layered(
-    n: int, m: int, seed: int = 0, layers: int | None = None, max_cap: int = 1
-) -> DirectedGraph:
+def gen_dag_layered(n: int, m: int, seed: int = 0, max_cap: int = 1) -> DirectedGraph:
     """Layered DAG: the source alone on layer 0, every other vertex gets at
     least one incoming edge from the previous layer, plus random forward
     edges up to roughly m total."""
     if n < 2:
         raise ParameterError("dag_layered needs n >= 2")
-    rng = derive_rng(seed, "dag", n, m, layers, max_cap)
-    nlayers = layers or min(max(2, n // 3), 5)
+    check_vertex_count(n)
+    # The None is part of the seed tag; dropping it would change every graph.
+    rng = derive_rng(seed, "dag", n, m, None, max_cap)
+    nlayers = min(max(2, n // 3), 5)
     layer_of = [0] + sorted(rng.randint(1, nlayers) for _ in range(n - 1))
     by_layer: dict[int, list[int]] = {}
     for v, lay in enumerate(layer_of):
@@ -75,8 +80,9 @@ def gen_two_cliques_bridge(half: int, seed: int = 0, max_cap: int = 1) -> Direct
     separate source attached to the first clique by a single edge."""
     if half < 2:
         raise ParameterError("two_cliques_bridge needs half >= 2")
-    rng = derive_rng(seed, "cliques", half, max_cap)
     n = 2 * half + 1
+    check_vertex_count(n)
+    rng = derive_rng(seed, "cliques", half, max_cap)
     a = list(range(1, half + 1))
     b = list(range(half + 1, 2 * half + 1))
     edges: list[tuple[int, int, int]] = [(0, a[0], 1)]
@@ -98,6 +104,7 @@ def gen_cycle_plus_chords(
     chord edges."""
     if n < 3:
         raise ParameterError("cycle_plus_chords needs n >= 3")
+    check_vertex_count(n)
     rng = derive_rng(seed, "cycle", n, chords, max_cap)
     edges: list[tuple[int, int, int]] = [(0, 1, 1)]
     for v in range(1, n - 1):
@@ -121,6 +128,7 @@ def gen_known_packing(n: int, k: int, seed: int = 0) -> DirectedGraph:
         raise ParameterError("known_packing needs n >= 2")
     if k < 1:
         raise ParameterError("known_packing needs k >= 1")
+    check_vertex_count(n)
     rng = derive_rng(seed, "known", n, k)
     edges: list[tuple[int, int, int]] = []
     for _tree in range(k):
@@ -141,33 +149,6 @@ GENERATOR_KINDS = (
     "cycle_plus_chords",
     "known_packing",
 )
-
-
-def generate(kind: str, seed: int = 0, **params) -> DirectedGraph:
-    """Dispatch to a generator by kind name."""
-    try:
-        if kind == "random_gnm":
-            return gen_random_gnm(
-                params["n"], params["m"], seed, params.get("max_cap", 1)
-            )
-        if kind == "dag_layered":
-            return gen_dag_layered(
-                params["n"], params["m"], seed,
-                params.get("layers"), params.get("max_cap", 1),
-            )
-        if kind == "two_cliques_bridge":
-            return gen_two_cliques_bridge(
-                params["half"], seed, params.get("max_cap", 1)
-            )
-        if kind == "cycle_plus_chords":
-            return gen_cycle_plus_chords(
-                params["n"], params["chords"], seed, params.get("max_cap", 1)
-            )
-        if kind == "known_packing":
-            return gen_known_packing(params["n"], params["k"], seed)
-    except KeyError as exc:
-        raise ParameterError(f"generator {kind} is missing parameter {exc}") from exc
-    raise ParameterError(f"unknown generator kind {kind!r}")
 
 
 def instance_stream(
@@ -194,7 +175,7 @@ def instance_stream(
             g = gen_random_gnm(n, m, derive_seed(seed, idx), cap)
         elif kind == "dag_layered":
             m = min(m_max, rng.randint(n, 3 * n))
-            g = gen_dag_layered(n, m, derive_seed(seed, idx), None, cap)
+            g = gen_dag_layered(n, m, derive_seed(seed, idx), cap)
         elif kind == "two_cliques_bridge":
             half = max(2, min((n_max - 1) // 2, n // 2, 6))
             g = gen_two_cliques_bridge(half, derive_seed(seed, idx), cap)

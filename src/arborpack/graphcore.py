@@ -116,6 +116,12 @@ class DirectedGraph:
         return all(c == 1 for _, _, c in self.edges)
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise `InputError` for a vertex count above `MAX_VERTICES`."""
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds bound 2^20")
+
+
 def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedGraph:
     """Build a normalized `DirectedGraph` from raw (tail, head, capacity) triples.
 
@@ -126,8 +132,7 @@ def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedG
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
-    if n > MAX_VERTICES:
-        raise InputError(f"vertex count {n} exceeds bound 2^20")
+    check_vertex_count(n)
     if not 0 <= s < n:
         raise InputError(f"source {s} out of range for n={n}")
     kept: list[Edge] = []
@@ -156,9 +161,6 @@ class Partition:
 
     comp_of: tuple[int, ...]
     components: tuple[frozenset, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
 
     def component(self, v: VertexId) -> frozenset:
         return self.components[self.comp_of[v]]
@@ -267,17 +269,6 @@ class DegreeTable:
     def deg(self, v: VertexId) -> int:
         return self.in_deg[v] + self.out_deg[v]
 
-    def vol(self, vertices: Iterable[int]) -> int:
-        return sum(self.deg(v) for v in vertices)
-
-    @property
-    def total_in(self) -> int:
-        return sum(self.in_deg)
-
-    @property
-    def total_out(self) -> int:
-        return sum(self.out_deg)
-
 
 def restricted_degrees(g: DirectedGraph, edge_filter: Iterable[EdgeId]) -> DegreeTable:
     """Per-vertex degrees counting only capacities of edges in `edge_filter`."""
@@ -298,15 +289,13 @@ def edges_within(g: DirectedGraph, vertices: Iterable[int]) -> EdgeSet:
     )
 
 
-def reachable_from(g: DirectedGraph, start: VertexId, allowed: EdgeSet | None = None) -> frozenset:
-    """Vertices reachable from `start`, optionally restricted to `allowed` edges."""
+def reachable_from(g: DirectedGraph, start: VertexId) -> frozenset:
+    """Vertices reachable from `start` along edges of g."""
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
         for eid in g.out_edges(u):
-            if allowed is not None and eid not in allowed:
-                continue
             v = g.head(eid)
             if v not in seen:
                 seen.add(v)

@@ -172,16 +172,17 @@ def verify_arborescence(g: DirectedGraph, tree: Iterable[int]) -> tuple[bool, st
     return True, None
 
 
-def verify_packing(g: DirectedGraph, result, k: int) -> dict:
+def verify_packing(g: DirectedGraph, result) -> dict:
     """Check the certificate a packing result carries, in O(k*n + m).
 
-    Tree results must be k valid arborescences whose recomputed congestion
-    c matches. Every arborescence has an edge entering any vertex set T
-    without the source, so they certify rooted connectivity >= k / c.
-    Cut results must be a proper vertex set S of valid ids that holds the
-    source and has delta(S) < k; then V - S is a sink side with
-    rho(V - S) = delta(S) < k. Returns a JSON-ready report.
+    With k = `result.k`, tree results must be k valid arborescences whose
+    recomputed congestion c matches. Every arborescence has an edge
+    entering any vertex set T without the source, so they certify rooted
+    connectivity >= k / c. Cut results must be a proper vertex set S of
+    valid ids that holds the source and has delta(S) < k; then V - S is a
+    sink side with rho(V - S) = delta(S) < k. Returns a JSON-ready report.
     """
+    k = result.k
     checks: list[dict] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:

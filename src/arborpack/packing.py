@@ -36,7 +36,7 @@ rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -54,7 +54,7 @@ from .graphcore import (
     edges_within,
     reachable_from,
 )
-from .maxflow import FlowPath, FlowProblem, decompose_paths, max_flow
+from .maxflow import FlowProblem, decompose_paths, max_flow
 from .routing import Demand, respecting_check, route
 from .seeds import derive_seed
 
@@ -62,7 +62,6 @@ __all__ = [
     "ColorState",
     "CriticalEdges",
     "CutFound",
-    "FlowCase",
     "PackingResult",
     "critical_edges",
     "init_base_colors",
@@ -78,17 +77,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriticalEdges:
-    """Per-vertex critical incoming edges at one level: edges arriving
-    from another component of that level plus higher-level incoming
-    edges."""
-
-    level: int
-    sets: tuple[frozenset, ...]
-
-    def delta(self, v: int) -> int:
-        return len(self.sets[v])
+#: Critical incoming edges per vertex at one level: edges from another
+#: component of that level, and higher-level edges. delta(v) = len(crit[v]).
+CriticalEdges = tuple[frozenset, ...]
 
 
 def critical_edges(g: DirectedGraph, hierarchy: Hierarchy, i: int) -> CriticalEdges:
@@ -98,7 +89,7 @@ def critical_edges(g: DirectedGraph, hierarchy: Hierarchy, i: int) -> CriticalEd
     for eid, (u, v, _c) in enumerate(g.edges):
         if part.comp_of[u] != part.comp_of[v] or eid in above:
             sets[v].add(eid)
-    return CriticalEdges(i, tuple(frozenset(s) for s in sets))
+    return tuple(frozenset(s) for s in sets)
 
 
 @dataclass
@@ -121,14 +112,6 @@ class CutFound:
     source and has outgoing capacity below k."""
 
     source_side: frozenset
-
-
-@dataclass(frozen=True)
-class FlowCase:
-    """Successful component flow: one path and one leader per Z color."""
-
-    assignments: Mapping[int, FlowPath]
-    leaders: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,7 @@ def partition_critical(
     above_prev = hierarchy.edges_above(i - 1)
     level_i = hierarchy.level_edges(i)
 
-    ex = crit_i.sets[v]
+    ex = crit_i[v]
     ey = frozenset(
         e
         for e in g.in_edges(v)
@@ -210,7 +193,7 @@ def partition_critical(
     )
     ez = frozenset(e for e in g.in_edges(v) if e in level_i) - ex - ey
     union = ex | ey | ez
-    if union != crit_prev.sets[v] or len(ex) + len(ey) + len(ez) != len(union):
+    if union != crit_prev[v] or len(ex) + len(ey) + len(ez) != len(union):
         raise InternalError(
             f"(E_X, E_Y, E_Z) do not partition the critical set of vertex {v}"
         )
@@ -252,11 +235,12 @@ def component_flow(
     A short flow exposes a vertex set with fewer than k incoming edges
     (returned as a cut); otherwise the flow decomposes into edge-disjoint
     paths inside the component and the first |Z| of them are assigned to
-    the Z colors in ascending order.
+    the Z colors in ascending order. The result maps each Z color to its
+    path, whose last vertex is that color's leader.
     """
     z = sorted(z_colors)
     if not z:
-        return FlowCase({}, {})
+        return {}
     members = sorted(comp)
     sinks = {v: i * indeg[v] for v in members if indeg[v]}
     total_sink = sum(sinks.values())
@@ -265,7 +249,7 @@ def component_flow(
         raise InternalError(
             f"{len(z)} colors need wiring but the flow bound is only {bound}"
         )
-    supplies = {v: crit.delta(v) for v in members if crit.delta(v)}
+    supplies = {v: len(crit[v]) for v in members if crit[v]}
     intra = edges_within(g, comp)
     res = max_flow(
         FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=intra)
@@ -285,9 +269,7 @@ def component_flow(
         raise InternalError(
             f"flow decomposed into {len(paths)} paths but {len(z)} colors need one"
         )
-    assignments = {gamma: paths[j] for j, gamma in enumerate(z)}
-    leaders = {gamma: assignments[gamma].vertices[-1] for gamma in z}
-    return FlowCase(assignments, leaders)
+    return {gamma: paths[j] for j, gamma in enumerate(z)}
 
 
 def chain_demand_pairs(
@@ -358,7 +340,7 @@ def run_level(
         outcome = component_flow(g, indeg, i, comp, crit_i, zc, k)
         if isinstance(outcome, CutFound):
             return outcome
-        for gamma, path in sorted(outcome.assignments.items()):
+        for gamma, path in sorted(outcome.items()):
             for e in path.edges:
                 edge_colors[e].add(gamma)
             vertex_colors[path.vertices[0]].add(gamma)
@@ -366,7 +348,7 @@ def run_level(
         # Step 3: chain each color's leader through its breakpoints.
         for gamma in sorted(zc):
             breakpoints = [v for v in members if gamma in z_of[v]]
-            for pair in chain_demand_pairs(outcome.leaders[gamma], breakpoints):
+            for pair in chain_demand_pairs(outcome[gamma].vertices[-1], breakpoints):
                 pairs.append(pair)
                 tags.append(gamma)
 
@@ -428,7 +410,7 @@ def check_invariants(
         if v == s:
             continue
         have = len(state.vertex_colors.get(v, ()))
-        allowed = crit.delta(v) * (i + 1)
+        allowed = len(crit[v]) * (i + 1)
         if have > allowed:
             violations.append(
                 f"vertex {v} holds {have} colors, bound is {allowed} (invariant 2)"
@@ -487,7 +469,7 @@ def finalize_coloring(
         colors = sorted(state.vertex_colors.get(v, ()))
         if not colors:
             continue
-        targets = sorted(crit.sets[v])
+        targets = sorted(crit[v])
         if not targets:
             raise InvariantError(
                 f"vertex {v} still holds colors but has no critical incoming edge"
@@ -611,11 +593,4 @@ def pack(
     coloring = finalize_coloring(g, hierarchy, state, crit)
     bound = 5 * hierarchy.L * hierarchy.L * state.route_factor + hierarchy.L + 1
     result = extract_arborescences(g, coloring, k, bound)
-    return PackingResult(
-        kind="arborescences",
-        k=k,
-        trees=result.trees,
-        congestion=result.congestion,
-        levels=hierarchy.L,
-        level_log=state.level_log,
-    )
+    return replace(result, levels=hierarchy.L, level_log=state.level_log)

@@ -41,18 +41,14 @@ class Demand:
                     f"demand pair ({src}, {dst}) crosses components"
                 )
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True, eq=False)
 class RoutingOutcome:
-    """Routed paths (aligned with the demand's pair order), exact per-edge
-    loads, and the resulting congestion."""
+    """Routed paths (aligned with the demand's pair order) and their
+    congestion, the most paths that share one edge."""
 
     paths_vertices: tuple[tuple[int, ...], ...]
     paths_edges: tuple[tuple[int, ...], ...]
-    loads: dict
     congestion: int
 
 
@@ -149,7 +145,6 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     return RoutingOutcome(
         paths_vertices=tuple(paths_v),
         paths_edges=tuple(paths_e),
-        loads={e: load for e, load in enumerate(loads) if load > 0},
         congestion=congestion,
     )
 

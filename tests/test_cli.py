@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from arborpack.cli import format_graph, main, parse_graph
 from arborpack.errors import InputError
-from arborpack.generators import generate
+from arborpack.generators import (
+    gen_cycle_plus_chords,
+    gen_dag_layered,
+    gen_known_packing,
+    gen_random_gnm,
+    gen_two_cliques_bridge,
+)
 from arborpack.graphcore import MAX_VERTICES, scc
 from arborpack.oracle import exact_rooted_mincut
 
@@ -67,18 +73,42 @@ class TestParseGraph:
 
 class TestGenerators:
     def test_gen_deterministic_bytes(self):
-        a = format_graph(generate("random_gnm", seed=7, n=10, m=30))
-        b = format_graph(generate("random_gnm", seed=7, n=10, m=30))
+        a = format_graph(gen_random_gnm(10, 30, seed=7))
+        b = format_graph(gen_random_gnm(10, 30, seed=7))
         assert a == b
 
     def test_known_packing_connectivity(self):
-        g = generate("known_packing", seed=3, n=8, k=3)
+        g = gen_known_packing(8, 3, seed=3)
         exact, _ = exact_rooted_mincut(g)
         assert exact >= 3
 
     def test_dag_is_acyclic(self):
-        g = generate("dag_layered", seed=5, n=10, m=20)
+        g = gen_dag_layered(10, 20, seed=5)
         assert all(len(c) == 1 for c in scc(g).components)
+
+    def test_huge_vertex_count_is_a_json_error(self, capsys):
+        code, out = run_cli(capsys, "gen", "known_packing", "--n", str(10**15), "--k", "1")
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["message"] == f"vertex count {10**15} exceeds bound 2^20"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: gen_random_gnm(10**15, 10**15), id="random_gnm"),
+            pytest.param(lambda: gen_dag_layered(10**15, 10**15), id="dag_layered"),
+            pytest.param(lambda: gen_cycle_plus_chords(10**15, 10**15),
+                         id="cycle_plus_chords"),
+            pytest.param(lambda: gen_known_packing(10**15, 10**15), id="known_packing"),
+            # 2 * half + 1 vertices: one past the bound.
+            pytest.param(lambda: gen_two_cliques_bridge(MAX_VERTICES // 2),
+                         id="two_cliques_bridge"),
+        ],
+    )
+    def test_every_generator_rejects_a_vertex_count_past_the_bound(self, build):
+        with pytest.raises(InputError, match=r"exceeds bound 2\^20"):
+            build()
 
 
 def run_cli(capsys, *argv):

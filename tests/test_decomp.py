@@ -3,7 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arborpack.decomp import build_hierarchy, decompose, hierarchy_from_json
 from arborpack.errors import ParameterError
@@ -21,7 +22,63 @@ def bidirected_clique(n):
     return normalize(raw, n, 0)
 
 
+
+def sub_sccs(g, comp, banned):
+    """SCCs of the subgraph induced on `comp` with `banned` edges deleted,
+    ordered by smallest member: the reference for the pieces a split
+    component leaves."""
+    removed = set(banned)
+    for eid, (u, v, _c) in enumerate(g.edges):
+        if u not in comp or v not in comp:
+            removed.add(eid)
+    part = scc(g, frozenset(removed))
+    return sorted((c for c in part.components if c <= comp), key=min)
+
+
+class TestSplit:
+    @given(digraphs(max_n=8, max_m=30), st.data())
+    @settings(max_examples=100)
+    def test_one_scc_pass_gives_the_pieces_of_each_side(self, g, data):
+        # An SCC C of G - B, split into S and C - S with every crossing
+        # edge of one direction added to B, as `decompose` splits it.
+        cut = set(
+            data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
+        ) & g.edge_set()
+        comps = [c for c in scc(g, frozenset(cut)).components if len(c) > 1]
+        assume(comps)
+        comp = data.draw(st.sampled_from(comps))
+        side = frozenset(
+            data.draw(st.sets(st.sampled_from(sorted(comp)), min_size=1,
+                              max_size=len(comp) - 1))
+        )
+        rest = comp - side
+        tails, heads = (side, rest) if data.draw(st.booleans()) else (rest, side)
+        cut |= {e for e, (u, v, _c) in enumerate(g.edges) if u in tails and v in heads}
+        parts = scc(g, frozenset(cut)).components
+        for piece in (side, rest):
+            assert sub_sccs(g, piece, cut) == [c for c in parts if c <= piece]
+
+
 class TestDecompose:
+    def test_ring_of_cliques_examines_every_piece(self):
+        # Three bidirected 5-cliques in a ring, joined both ways by single
+        # edges. The first split cuts {1..5} off, the second splits the
+        # rest, and each clique is then certified: 2 + 3 rounds. A piece
+        # read off G minus only the newest cut edges would merge with the
+        # other side through the older ones and never be examined.
+        raw = [(0, 1, 1)]
+        for k in range(3):
+            first, last, nxt = 1 + 5 * k, 5 + 5 * k, 1 + 5 * ((k + 1) % 3)
+            raw += [(u, v, 1) for u in range(first, last + 1)
+                    for v in range(first, last + 1) if u != v]
+            raw += [(last, nxt, 1), (nxt, last, 1)]
+        g = normalize(raw, 16, 0)
+        res = decompose(g, g.edge_set(), PHI, seed=1)
+        assert [sorted(c) for c in scc(g, res.cut_edges).components] == [
+            [0], list(range(1, 6)), list(range(6, 11)), list(range(11, 16))
+        ]
+        assert res.rounds == 5
+
     def test_clique_needs_no_cut(self):
         g = bidirected_clique(5)
         res = decompose(g, g.edge_set(), PHI, seed=1)

@@ -95,3 +95,55 @@ def test_fixed_seed_outputs_match_recorded_digests(capsys, tmp_path):
     changed = sorted(key for key in GOLDEN if digests.get(key) != GOLDEN[key])
     assert not changed, f"output changed for: {changed}"
     assert digests.keys() == GOLDEN.keys()
+
+
+# `gen` stdout of every kind, and the errors for a missing argument:
+# (`gen` arguments, exit code, digest).
+GEN_GOLDEN = {
+    "random_gnm": (
+        ["random_gnm", "--n", "12", "--m", "40", "--max-cap", "3", "--seed", "4"], 0,
+        "28bdc960ef77b6d494541162190639ed2e3b65f97b1ce392b1a68c1ae6301a74",
+    ),
+    "dag_layered": (
+        ["dag_layered", "--n", "12", "--m", "30", "--max-cap", "3", "--seed", "6"], 0,
+        "be47fc112acb5f7da336fecec5be30e943d39132b9609d3c095c7c9911c44849",
+    ),
+    "known_packing": (
+        INSTANCES[0][1], 0,
+        "719e8a5d992d957e53234a6ba28386aa67feafddc2df5b7c92fa26a10abe65e6",
+    ),
+    "cycle_plus_chords": (
+        INSTANCES[1][1], 0,
+        "01ee5802ea45e332bb464cc4138bb1d22a4c14f4f4d1b051351cb87203d0397e",
+    ),
+    "cycle_plus_chords_weighted": (
+        INSTANCES[2][1], 0,
+        "ac498d62f24a519f59ad471295a89df80890bbe8d88c2e6e3be92d7c7ed0eb99",
+    ),
+    "two_cliques_bridge": (
+        INSTANCES[3][1], 0,
+        "1c042bc820d5a7788c03db881fdcae3592d4d0b98e33fe3d58ed33651665fe97",
+    ),
+    "missing --n": (
+        ["random_gnm", "--m", "10", "--seed", "1"], 2,
+        "26911f8bffcbd90bba5168cf91ffd96b18075c6ef7cf17a445427a26418fa4e7",
+    ),
+    "missing --m": (
+        ["dag_layered", "--n", "10", "--seed", "1"], 2,
+        "78e57ffdb544f1ed35ccef04ac43dbf6af9e0a038345d5031a2efe6fe9e0e1ab",
+    ),
+    "missing --k": (
+        ["known_packing", "--n", "10", "--seed", "1"], 2,
+        "a5f093d1fc201acd27dc4bf0490a45362aed4587f1ebbe4a1772f959c4a929f9",
+    ),
+}
+
+
+def test_gen_outputs_match_recorded_digests(capsys):
+    changed = []
+    for label, (gen_args, code, digest) in GEN_GOLDEN.items():
+        got = main(["gen", *gen_args])
+        out = capsys.readouterr().out
+        if got != code or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(label)
+    assert not changed, f"gen output changed for: {changed}"

@@ -64,13 +64,11 @@ class TestRoute:
         a = route(g, Demand(pairs, part), seed=9)
         b = route(g, Demand(pairs, part), seed=9)
         assert a.paths_edges == b.paths_edges
-        assert a.loads == b.loads
         recount = {}
         for path in a.paths_edges:
             for e in path:
                 recount[e] = recount.get(e, 0) + 1
-        assert recount == a.loads
-        assert max(a.loads.values()) == a.congestion
+        assert max(recount.values()) == a.congestion
 
     def test_paths_are_simple_and_match_endpoints(self):
         g = bidirected_cycle(7)
