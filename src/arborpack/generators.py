@@ -2,14 +2,15 @@
 
 Every `gen_*` function is a pure function of its parameters and seed;
 the same call always yields the same graph. Each one rejects a vertex
-count above `MAX_VERTICES` before it builds anything.
+count above `MAX_VERTICES`, and then a count of the edges it would build
+above `MAX_EDGES`, before it builds anything.
 """
 from __future__ import annotations
 
 import random
 
 from .errors import ParameterError
-from .graphcore import DirectedGraph, check_vertex_count, normalize
+from .graphcore import DirectedGraph, check_edge_count, check_vertex_count, normalize
 from .seeds import derive_rng, derive_seed
 
 __all__ = [
@@ -31,6 +32,7 @@ def gen_random_gnm(n: int, m: int, seed: int = 0, max_cap: int = 1) -> DirectedG
     if m < 0:
         raise ParameterError("random_gnm needs m >= 0")
     check_vertex_count(n)
+    check_edge_count(m)
     rng = derive_rng(seed, "gnm", n, m, max_cap)
     edges = []
     caps = _caps(rng, m, max_cap)
@@ -51,6 +53,7 @@ def gen_dag_layered(n: int, m: int, seed: int = 0, max_cap: int = 1) -> Directed
     if n < 2:
         raise ParameterError("dag_layered needs n >= 2")
     check_vertex_count(n)
+    check_edge_count(max(m, n - 1))
     # The None is part of the seed tag; dropping it would change every graph.
     rng = derive_rng(seed, "dag", n, m, None, max_cap)
     nlayers = min(max(2, n // 3), 5)
@@ -82,6 +85,7 @@ def gen_two_cliques_bridge(half: int, seed: int = 0, max_cap: int = 1) -> Direct
         raise ParameterError("two_cliques_bridge needs half >= 2")
     n = 2 * half + 1
     check_vertex_count(n)
+    check_edge_count(2 * half * (half - 1) + 3)
     rng = derive_rng(seed, "cliques", half, max_cap)
     a = list(range(1, half + 1))
     b = list(range(half + 1, 2 * half + 1))
@@ -105,6 +109,7 @@ def gen_cycle_plus_chords(
     if n < 3:
         raise ParameterError("cycle_plus_chords needs n >= 3")
     check_vertex_count(n)
+    check_edge_count(n + chords)
     rng = derive_rng(seed, "cycle", n, chords, max_cap)
     edges: list[tuple[int, int, int]] = [(0, 1, 1)]
     for v in range(1, n - 1):
@@ -129,6 +134,7 @@ def gen_known_packing(n: int, k: int, seed: int = 0) -> DirectedGraph:
     if k < 1:
         raise ParameterError("known_packing needs k >= 1")
     check_vertex_count(n)
+    check_edge_count(k * (n - 1))
     rng = derive_rng(seed, "known", n, k)
     edges: list[tuple[int, int, int]] = []
     for _tree in range(k):

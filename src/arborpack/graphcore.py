@@ -33,6 +33,10 @@ MAX_CAPACITY = 1 << 40
 #: meant for graphs far smaller.
 MAX_VERTICES = 1 << 20
 
+#: Reject edge counts above this bound: a graph keeps an edge triple and
+#: eight table entries per edge, so 2^24 edges already fill gigabytes.
+MAX_EDGES = 1 << 24
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -120,6 +124,12 @@ def check_vertex_count(n: int) -> None:
     """Raise `InputError` for a vertex count above `MAX_VERTICES`."""
     if n > MAX_VERTICES:
         raise InputError(f"vertex count {n} exceeds bound 2^20")
+
+
+def check_edge_count(m: int) -> None:
+    """Raise `InputError` for an edge count above `MAX_EDGES`."""
+    if m > MAX_EDGES:
+        raise InputError(f"edge count {m} exceeds bound 2^24")
 
 
 def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedGraph:

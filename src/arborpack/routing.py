@@ -7,11 +7,16 @@ random order along shortest paths under the exponential edge length
 2^load (capped at 2^20), then up to three rerouting sweeps move the paths
 that sit on the most congested edges. Congestion is measured and reported
 exactly; no asymptotic bound is promised.
+
+`route` builds each vertex's out-edges once per call, as (edge id, head)
+pairs in edge-id order, and keeps a per-edge length list beside the
+loads, updated whenever a path is placed or removed. Dijkstra reads only
+these two lists, so an edge relaxation touches no graph method.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import InternalError, ParameterError, RoutingError
@@ -53,61 +58,69 @@ class RoutingOutcome:
 
 
 def _shortest_path(
-    g: DirectedGraph, src: int, dst: int, loads: list[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Deterministic Dijkstra under length 2^min(load, cap)."""
-    inf = float("inf")
-    dist: list[float] = [inf] * g.n
-    parent: list[int] = [-1] * g.n
+    adj: list[list[tuple[int, int]]], length: list[int], src: int, dst: int
+) -> list[int] | None:
+    """Deterministic Dijkstra from src that stops once dst is settled.
+
+    `adj[u]` lists u's out-edges as (edge id, head) pairs in edge-id
+    order and `length[e]` is edge e's current length, so one relaxation
+    is a few list reads. Heap keys are (distance, vertex) and a vertex's
+    distance changes only on strict improvement. Every length is at least
+    1, so an entry whose key exceeds its vertex's distance is stale and a
+    settled vertex is never improved. Returns the parent-edge list
+    (`parent[v]` is the edge that reached v) or None if dst is unreachable.
+    """
+    n = len(adj)
+    # A shortest path has at most n - 1 edges, each at most 2^cap long.
+    dist = [(n + 1) << _LENGTH_EXP_CAP] * n
+    parent = [-1] * n
     dist[src] = 0
-    heap: list[tuple[int, int]] = [(0, src)]
-    done = [False] * g.n
+    heap = [(0, src)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
+        d, u = heappop(heap)
+        if d > dist[u]:
             continue
-        done[u] = True
         if u == dst:
-            break
-        for eid in g.out_edges(u):
-            v = g.head(eid)
-            if done[v]:
-                continue
-            nd = d + (1 << min(loads[eid], _LENGTH_EXP_CAP))
+            return parent
+        for eid, v in adj[u]:
+            nd = d + length[eid]
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = eid
-                heapq.heappush(heap, (nd, v))
-    if dist[dst] == inf:
-        return None
-    edges: list[int] = []
-    cur = dst
-    while cur != src:
-        eid = parent[cur]
-        edges.append(eid)
-        cur = g.tail(eid)
-    edges.reverse()
-    vertices = [src] + [g.head(e) for e in edges]
-    return tuple(vertices), tuple(edges)
+                heappush(heap, (nd, v))
+    return None
 
 
 def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     """Route every demand pair along a simple path in g."""
     npairs = len(demand.pairs)
+    edges = g.edges
     loads = [0] * g.m
+    length = [1] * g.m  # 2^min(loads[e], cap), kept in step with loads
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v, _c) in enumerate(edges):
+        adj[u].append((eid, v))
     paths_v: list[tuple[int, ...] | None] = [None] * npairs
     paths_e: list[tuple[int, ...] | None] = [None] * npairs
 
     def place(idx: int) -> None:
         src, dst = demand.pairs[idx]
-        found = _shortest_path(g, src, dst, loads)
-        if found is None:
+        parent = _shortest_path(adj, length, src, dst)
+        if parent is None:
             raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
-        vs, es = found
-        paths_v[idx] = vs
-        paths_e[idx] = es
+        vs = [dst]
+        es: list[int] = []
+        while vs[-1] != src:
+            eid = parent[vs[-1]]
+            es.append(eid)
+            vs.append(edges[eid][0])
+        vs.reverse()
+        es.reverse()
+        paths_v[idx] = tuple(vs)
+        paths_e[idx] = tuple(es)
         for e in es:
             loads[e] += 1
+            length[e] = 1 << min(loads[e], _LENGTH_EXP_CAP)
 
     order = list(range(npairs))
     derive_rng(seed, "route-order").shuffle(order)
@@ -125,6 +138,7 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
         for idx in victims:
             for e in paths_e[idx]:
                 loads[e] -= 1
+                length[e] = 1 << min(loads[e], _LENGTH_EXP_CAP)
             place(idx)
 
     congestion = max(loads, default=0)

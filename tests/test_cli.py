@@ -18,7 +18,7 @@ from arborpack.generators import (
     gen_random_gnm,
     gen_two_cliques_bridge,
 )
-from arborpack.graphcore import MAX_VERTICES, scc
+from arborpack.graphcore import MAX_EDGES, MAX_VERTICES, check_edge_count, scc
 from arborpack.oracle import exact_rooted_mincut
 
 from .conftest import digraphs
@@ -109,6 +109,35 @@ class TestGenerators:
     def test_every_generator_rejects_a_vertex_count_past_the_bound(self, build):
         with pytest.raises(InputError, match=r"exceeds bound 2\^20"):
             build()
+
+    @pytest.mark.parametrize(
+        ("argv", "count"),
+        [
+            pytest.param(["random_gnm", "--n", "10", "--m", str(10**15)], 10**15,
+                         id="random_gnm"),
+            pytest.param(["dag_layered", "--n", "10", "--m", str(10**15)], 10**15,
+                         id="dag_layered"),
+            pytest.param(["cycle_plus_chords", "--n", "10", "--chords", str(10**15)],
+                         10 + 10**15, id="cycle_plus_chords"),
+            # 2 * half + 1 vertices pass their bound; 2 * half * (half - 1) + 3
+            # edges do not.
+            pytest.param(["two_cliques_bridge", "--half", "500000"],
+                         2 * 500000 * 499999 + 3, id="two_cliques_bridge"),
+            pytest.param(["known_packing", "--n", "10", "--k", str(10**15)], 9 * 10**15,
+                         id="known_packing"),
+        ],
+    )
+    def test_every_generator_rejects_an_edge_count_past_the_bound(self, capsys, argv, count):
+        code, out = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["message"] == f"edge count {count} exceeds bound 2^24"
+
+    def test_edge_count_at_the_bound_is_accepted(self):
+        check_edge_count(MAX_EDGES)
+        with pytest.raises(InputError, match=r"edge count 16777217 exceeds bound 2\^24"):
+            check_edge_count(MAX_EDGES + 1)
 
 
 def run_cli(capsys, *argv):

@@ -147,3 +147,30 @@ def test_gen_outputs_match_recorded_digests(capsys):
         if got != code or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(label)
     assert not changed, f"gen output changed for: {changed}"
+
+
+# `pack` and `verify` on an instance whose level 1 routes 322 demand
+# pairs at congestion 9, so the digests pin the router's tie-breaking
+# and reroute sweeps; the instances above route only a handful of pairs.
+ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
+ROUTED_GOLDEN = {
+    "pack": "fb33b22f62d651c90bed6c55a2c3ab8e59eb91fcad7e4c02100cf231b640a0e6",
+    "verify pack": "ba74d587984b9000842664a8745f90a0d7e2674d38fc4f8a0f865dba4ed63b43",
+}
+
+
+def test_pack_under_routing_load_matches_recorded_digests(capsys, tmp_path):
+    graph = str(tmp_path / "routed.dmc")
+    assert main(["gen", *ROUTED_GEN, "--out", graph]) == 0
+    capsys.readouterr()
+    assert main(["pack", graph, "--k", "6", "--seed", "1"]) == 0
+    packed = capsys.readouterr().out
+    result = tmp_path / "routed-pack.json"
+    result.write_text(packed)
+    assert main(["verify", str(result), graph]) == 0
+    verified = capsys.readouterr().out
+    digests = {
+        "pack": hashlib.sha256(packed.encode()).hexdigest(),
+        "verify pack": hashlib.sha256(verified.encode()).hexdigest(),
+    }
+    assert digests == ROUTED_GOLDEN

@@ -1,11 +1,128 @@
 """Demand routing: exactness, simplicity, congestion accounting, quality."""
+import heapq
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arborpack.errors import ParameterError, RoutingError
-from arborpack.graphcore import normalize, scc
-from arborpack.routing import Demand, respecting_check, route
+from arborpack.generators import gen_two_cliques_bridge
+from arborpack.graphcore import DirectedGraph, normalize, scc
+from arborpack.routing import (
+    _LENGTH_EXP_CAP,
+    _REROUTE_SWEEPS,
+    Demand,
+    RoutingOutcome,
+    respecting_check,
+    route,
+)
+from arborpack.seeds import derive_rng
+
+
+def reference_shortest_path(
+    g: DirectedGraph, src: int, dst: int, loads: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The earlier Dijkstra, which reads the graph through its methods and
+    recomputes each length from the load: the reference for `route`."""
+    inf = float("inf")
+    dist: list[float] = [inf] * g.n
+    parent: list[int] = [-1] * g.n
+    dist[src] = 0
+    heap: list[tuple[int, int]] = [(0, src)]
+    done = [False] * g.n
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == dst:
+            break
+        for eid in g.out_edges(u):
+            v = g.head(eid)
+            if done[v]:
+                continue
+            nd = d + (1 << min(loads[eid], _LENGTH_EXP_CAP))
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = eid
+                heapq.heappush(heap, (nd, v))
+    if dist[dst] == inf:
+        return None
+    edges: list[int] = []
+    cur = dst
+    while cur != src:
+        eid = parent[cur]
+        edges.append(eid)
+        cur = g.tail(eid)
+    edges.reverse()
+    vertices = [src] + [g.head(e) for e in edges]
+    return tuple(vertices), tuple(edges)
+
+
+def reference_route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
+    """The earlier routing loop over `reference_shortest_path`."""
+    npairs = len(demand.pairs)
+    loads = [0] * g.m
+    paths_v: list[tuple[int, ...] | None] = [None] * npairs
+    paths_e: list[tuple[int, ...] | None] = [None] * npairs
+
+    def place(idx: int) -> None:
+        src, dst = demand.pairs[idx]
+        found = reference_shortest_path(g, src, dst, loads)
+        if found is None:
+            raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
+        vs, es = found
+        paths_v[idx] = vs
+        paths_e[idx] = es
+        for e in es:
+            loads[e] += 1
+
+    order = list(range(npairs))
+    derive_rng(seed, "route-order").shuffle(order)
+    for idx in order:
+        place(idx)
+
+    for _sweep in range(_REROUTE_SWEEPS):
+        congestion = max(loads, default=0)
+        if congestion <= 1:
+            break
+        hot = {e for e, load in enumerate(loads) if load == congestion}
+        victims = [i for i in range(npairs) if hot.intersection(paths_e[i])]
+        if not victims:
+            break
+        for idx in victims:
+            for e in paths_e[idx]:
+                loads[e] -= 1
+            place(idx)
+
+    return RoutingOutcome(
+        paths_vertices=tuple(paths_v),
+        paths_edges=tuple(paths_e),
+        congestion=max(loads, default=0),
+    )
+
+
+def same_outcome(a: RoutingOutcome, b: RoutingOutcome) -> bool:
+    return (a.paths_vertices, a.paths_edges, a.congestion) == (
+        b.paths_vertices, b.paths_edges, b.congestion
+    )
+
+
+@st.composite
+def routing_cases(draw):
+    """A strongly connected multigraph on 1..n-1 fed by the source 0, and
+    a seeded demand of pairs inside it."""
+    n = draw(st.integers(3, 9))
+    ring = draw(st.permutations(range(1, n)))
+    raw = [(0, ring[0], 1)]
+    raw += [(ring[i], ring[(i + 1) % len(ring)], 1) for i in range(len(ring))]
+    vertex = st.integers(1, n - 1)
+    raw += draw(st.lists(st.tuples(vertex, vertex, st.just(1)), max_size=3 * n))
+    g = normalize(raw, n, 0)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    pairs = tuple(draw(st.lists(pair, max_size=4 * n)))
+    return g, Demand(pairs, scc(g)), draw(st.integers(0, 2**32))
 
 
 def bidirected_cycle(n):
@@ -121,6 +238,26 @@ class TestRoute:
                 worst = max(loads.values(), default=0)
                 best = worst if best is None else min(best, worst)
             assert out.congestion <= 2 * best
+
+
+class TestAgainstReference:
+    @given(routing_cases())
+    @settings(max_examples=150)
+    def test_outcome_equals_the_earlier_router(self, case):
+        g, demand, seed = case
+        assert same_outcome(route(g, demand, seed), reference_route(g, demand, seed))
+
+    def test_loads_past_the_length_cap(self):
+        # Every pair from one clique to the other crosses the single
+        # bridge edge, whose load climbs past the exponent cap to 25.
+        g = gen_two_cliques_bridge(5)
+        side_a, side_b = range(1, 6), range(6, 11)
+        pairs = tuple((u, v) for u in side_a for v in side_b)
+        demand = Demand(pairs, scc(g))
+        out = route(g, demand, seed=4)
+        assert len(pairs) == 25 > _LENGTH_EXP_CAP
+        assert out.congestion == 25
+        assert same_outcome(out, reference_route(g, demand, seed=4))
 
 
 class TestRespectingCheck:
