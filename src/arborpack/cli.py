@@ -130,6 +130,13 @@ def _phi(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"invalid phi value {text!r}") from exc
+    # sigma = floor(1/phi) stops mattering past the total terminal degree,
+    # at most 2^65 under MAX_CAPACITY and MAX_EDGES; the bound also keeps
+    # the hierarchy's phi strings under Python's int-to-str digit limit.
+    if not 0 < value <= 1 or value.denominator > 1 << 128:
+        raise ParameterError(
+            f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
+        )
     return value
 
 
@@ -153,7 +160,10 @@ def _cmd_gen(args) -> int:
         g = generators.gen_known_packing(args.n, args.k, seed)
     text = format_graph(g, comment=f"kind={kind} seed={seed}")
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write graph file: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -414,9 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Inside the try: each --seed default reads ARBOR_SEED.
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ParameterError) as exc:
         _emit({"kind": "error", "error_type": "parameter", "message": str(exc)})

@@ -1,10 +1,16 @@
 """Exact references and verifiers.
 
 These are the ground-truth counterparts of the approximate machinery:
-an exact rooted min-cut (a sweep of exact max-flows), an exhaustive
-cut-expansion certifier for small graphs, and structural validators for
-arborescences and packing results. Every function is pure and safe to
-run concurrently.
+an exact rooted min-cut (a sweep of exact max-flows), exhaustive
+rooted min-cut and cut-expansion oracles for small graphs, and
+structural validators for arborescences and packing results. Every
+function is pure and safe to run concurrently.
+
+The exhaustive oracles are pure Python. Both build each vertex mask T
+(bit v = vertex v) from T' = T - v, v being T's lowest vertex, as
+delta[T] = delta[T'] + out(v) - c(v<->T'), rho[T] = rho[T'] + in(v) - c(v<->T'),
+with c(v<->T') the capacity between v and T' either way: exact, since
+`normalize` drops self-loops, in O(2^n * deg).
 """
 from __future__ import annotations
 
@@ -12,10 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .errors import InternalError, ParameterError, ScaleError
-from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values
+from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values, restricted_degrees
 from .maxflow import FlowProblem, max_flow
 
 __all__ = [
@@ -58,22 +62,38 @@ def exact_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
     return best, witness
 
 
-def bruteforce_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
-    """Min over every nonempty S avoiding the source of rho(S), by full
-    enumeration; cross-checks `exact_rooted_mincut` at small n."""
+def _subset_cuts(g: DirectedGraph) -> tuple[list[int], list[int]]:
+    """delta[T] and rho[T] for every vertex mask T, by the recurrence in the
+    module docstring; T' lies above v, so v keeps only neighbours above it."""
     if g.n > _BRUTE_LIMIT:
         raise ScaleError(f"enumeration limited to n <= {_BRUTE_LIMIT}, got {g.n}")
+    degrees = restricted_degrees(g, range(g.m))
+    above: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v, c in g.edges:
+        low, high = min(u, v), max(u, v)
+        above[low][1 << high] = above[low].get(1 << high, 0) + c
+    size = 1 << g.n
+    delta = [0] * size
+    rho = [0] * size
+    for t in range(1, size):
+        low = t & -t
+        v = low.bit_length() - 1
+        rest = t ^ low
+        inner = sum([c for bit, c in above[v].items() if rest & bit])
+        delta[t] = delta[rest] + degrees.out_deg[v] - inner
+        rho[t] = rho[rest] + degrees.in_deg[v] - inner
+    return delta, rho
+
+
+def bruteforce_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
+    """Min over every nonempty S avoiding the source of rho(S), by full
+    enumeration; cross-checks `exact_rooted_mincut` at small n. The witness
+    is the first minimum in ascending mask order."""
+    rho = _subset_cuts(g)[1]
     if g.n < 2:
         raise ParameterError("rooted min-cut needs at least one non-source vertex")
-    others = [v for v in range(g.n) if v != g.source]
-    best = None
-    witness = None
-    for mask in range(1, 1 << len(others)):
-        subset = frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
-        rho = cut_values(g, subset).rho
-        if best is None or rho < best:
-            best, witness = rho, subset
-    return best, witness
+    best = min((t for t in range(1, 1 << g.n) if not t >> g.source & 1), key=rho.__getitem__)
+    return rho[best], frozenset(v for v in range(g.n) if best >> v & 1)
 
 
 def bruteforce_cut_expansion(
@@ -86,50 +106,29 @@ def bruteforce_cut_expansion(
     certified phi is min over such (C, T) of
     min(delta(T), rho(T)) / deg_estar(C & T). Returns +inf when no
     constraint binds (for instance when the terminal set is empty).
+
+    delta[T] and rho[T] come from adding T's lowest vertex v to T - v (see
+    the module docstring). The terminal degree follows the same recurrence,
+    term[T] = term[T - v] + deg_estar(v), so deg_estar(C & T) = term[T & C].
+    Ratios are compared exactly, by cross-multiplying.
     """
-    n = g.n
-    if n > _BRUTE_LIMIT:
-        raise ScaleError(f"enumeration limited to n <= {_BRUTE_LIMIT}, got {n}")
-    size = 1 << n
-    subsets = np.arange(size, dtype=np.int64)
-    in_t = ((subsets[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
-
-    delta = np.zeros(size, dtype=np.int64)
-    rho = np.zeros(size, dtype=np.int64)
-    for u, v, c in g.edges:
-        tin = in_t[:, u]
-        hin = in_t[:, v]
-        delta += c * (tin & ~hin)
-        rho += c * (hin & ~tin)
-    min_side = np.minimum(delta, rho)
-
-    deg = np.zeros(n, dtype=np.int64)
-    for eid in estar:
-        u, v, c = g.edges[eid]
-        deg[u] += c
-        deg[v] += c
-
-    best_num: int | None = None
-    best_den: int | None = None
+    delta, rho = _subset_cuts(g)
+    table = restricted_degrees(g, estar)
+    size = 1 << g.n
+    term = [0] * size
+    for t in range(1, size):
+        low = t & -t
+        term[t] = term[t ^ low] + table.deg(low.bit_length() - 1)
+    best_num = best_den = None
     for comp in partition.components:
-        members = sorted(comp)
-        comp_deg = deg[members]
-        total = int(comp_deg.sum())
-        if total == 0:
-            continue
-        deg_in_t = in_t[:, members] @ comp_deg
-        valid = (deg_in_t > 0) & (2 * deg_in_t <= total)
-        if not valid.any():
-            continue
-        nums = min_side[valid]
-        dens = deg_in_t[valid]
-        # Float pass to shortlist candidates, exact comparison to decide.
-        ratios = nums / dens
-        cutoff = ratios.min() * (1 + 1e-9) + 1e-12
-        for idx in np.nonzero(ratios <= cutoff)[0]:
-            a, b = int(nums[idx]), int(dens[idx])
-            if best_num is None or a * best_den < best_num * b:
-                best_num, best_den = a, b
+        comp_mask = sum(1 << v for v in comp)
+        total = term[comp_mask]
+        for t in range(1, size):
+            d = term[t & comp_mask]
+            if d and 2 * d <= total:
+                a = min(delta[t], rho[t])
+                if best_num is None or a * best_den < best_num * d:
+                    best_num, best_den = a, d
     if best_num is None:
         return math.inf
     return Fraction(best_num, best_den)

@@ -243,6 +243,29 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["seed"] == 17
 
+    def test_env_seed_invalid(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARBOR_SEED", "abc")
+        code, out = run_cli(capsys, "gen", "random_gnm", "--n", "5", "--m", "5")
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert "ARBOR_SEED" in payload["message"]
+
+    # 1e-5000 has a 5,001-digit denominator, past Python's int-to-str
+    # limit. phi = 0 must be rejected before `pack`, which answers a graph
+    # with an unreachable vertex without building a hierarchy.
+    @pytest.mark.parametrize("argv", [["hierarchy", "--phi", "1e-5000"],
+                                      ["pack", "--k", "1", "--phi", "0"]],
+                             ids=["tiny", "zero"])
+    def test_phi_out_of_range(self, capsys, tmp_path, argv):
+        path = tmp_path / "p.dmc"
+        path.write_text("p dmc 3 1 1\na 1 2\n")
+        code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert "phi" in payload["message"]
+
 
 class TestVerifyOtherKinds:
     def test_verify_hierarchy_json(self, capsys, tmp_path):
@@ -475,5 +498,7 @@ class TestContract:
             ["pack", path, "--k", "1"],
             ["verify", path, str(graph)],
             ["verify", str(graph), path],
+            ["gen", "random_gnm", "--n", "5", "--m", "5", "--out", path],
+            ["gen", "random_gnm", "--n", "5", "--m", "5", "--out", str(graph.parent)],
         ):
             contract_call(argv)

@@ -1,12 +1,17 @@
 """Exact oracles and verifiers."""
+import itertools
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arborpack.errors import ParameterError, ScaleError
-from arborpack.graphcore import normalize, scc
+from arborpack.graphcore import cut_values, normalize, restricted_degrees, scc
 from arborpack.oracle import (
     bruteforce_cut_expansion,
     bruteforce_rooted_mincut,
@@ -47,8 +52,10 @@ class TestExactRootedMincut:
     @settings(max_examples=40)
     def test_matches_enumeration(self, g):
         value, _ = exact_rooted_mincut(g)
-        brute, _ = bruteforce_rooted_mincut(g)
+        brute, side = bruteforce_rooted_mincut(g)
         assert value == brute
+        assert g.source not in side
+        assert cut_values(g, side).rho == brute
 
 
 class TestBruteforceCutExpansion:
@@ -76,33 +83,42 @@ class TestBruteforceCutExpansion:
         with pytest.raises(ScaleError):
             bruteforce_cut_expansion(g, scc(g), frozenset())
 
-    def test_matches_naive_enumeration(self):
-        import itertools
-
-        from arborpack.graphcore import cut_values, restricted_degrees
-
-        g = normalize(
-            [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 1, 1), (1, 3, 1), (3, 2, 1)], 4, 0
-        )
-        part = scc(g)
-        estar = g.edge_set()
+    @given(data=st.data())
+    def test_matches_naive_enumeration(self, data):
+        # Partitions are the SCCs of g minus a drawn edge subset.
+        g = data.draw(digraphs(max_n=7, max_cap=3))
+        edge_subsets = st.frozensets(st.integers(0, g.m - 1)) if g.m else st.just(frozenset())
+        part = scc(g, data.draw(edge_subsets))
+        estar = data.draw(edge_subsets)
         table = restricted_degrees(g, estar)
-        best = None
+        best = math.inf
         for comp in part.components:
             total = sum(table.deg(v) for v in comp)
-            if total == 0:
-                continue
             for r in range(1, g.n + 1):
                 for combo in itertools.combinations(range(g.n), r):
-                    t = set(combo)
-                    deg_t = sum(table.deg(v) for v in comp & t)
+                    deg_t = sum(table.deg(v) for v in comp.intersection(combo))
                     if deg_t == 0 or 2 * deg_t > total:
                         continue
-                    dv = cut_values(g, t)
-                    ratio = Fraction(min(dv.delta, dv.rho), deg_t)
-                    if best is None or ratio < best:
-                        best = ratio
+                    dv = cut_values(g, combo)
+                    best = min(best, Fraction(min(dv.delta, dv.rho), deg_t))
         assert bruteforce_cut_expansion(g, part, estar) == best
+
+
+def test_oracles_run_without_numpy(tmp_path):
+    graph = tmp_path / "p.dmc"
+    graph.write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+    script = textwrap.dedent(f"""
+        import sys
+        from fractions import Fraction
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        from arborpack import bruteforce_cut_expansion, normalize, scc
+        from arborpack.cli import main
+        g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
+        assert bruteforce_cut_expansion(g, scc(g), g.edge_set()) == Fraction(1, 2)
+        sys.exit(main(["mincut", {str(graph)!r}, "--exact"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestVerifyArborescence:
