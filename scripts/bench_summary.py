@@ -11,27 +11,45 @@ import sys
 from collections import Counter
 
 
+def fail(message: str) -> int:
+    print(f"bench_summary.py: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("records", help="bench .jsonl file, or - for stdin")
     args = parser.parse_args()
 
-    stream = sys.stdin if args.records == "-" else open(args.records)
     ratios = []
     congestions = []
     outcomes = Counter()
     count = 0
-    with stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            count += 1
-            ratios.append(rec["ratio"])
-            outcomes[rec["pack_result"] or "skipped"] += 1
-            if rec["congestion"] is not None:
-                congestions.append(rec["congestion"])
+    try:
+        stream = sys.stdin if args.records == "-" else open(args.records)
+        with stream:
+            for lineno, line in enumerate(stream, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    ratio, result, congestion = (
+                        rec["ratio"], rec["pack_result"], rec["congestion"]
+                    )
+                except ValueError:
+                    return fail(f"line {lineno} is not JSON")
+                except KeyError as exc:
+                    return fail(f"line {lineno}: bench record lacks key {exc}")
+                except TypeError:
+                    return fail(f"line {lineno} is not a JSON object")
+                count += 1
+                ratios.append(ratio)
+                outcomes[result or "skipped"] += 1
+                if congestion is not None:
+                    congestions.append(congestion)
+    except (OSError, UnicodeDecodeError) as exc:
+        return fail(f"cannot read {args.records}: {exc}")
     if not count:
         print("no records")
         return 1

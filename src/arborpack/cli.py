@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -125,7 +126,23 @@ def _default_seed() -> int:
         raise ParameterError(f"ARBOR_SEED must be an integer, got {raw!r}")
 
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
 def _phi(text: str) -> Fraction:
+    out_of_range = ParameterError(
+        f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
+    )
+    # Fraction(text) builds 10**exponent first. A phi in (0, 1] whose
+    # denominator is at most 2^128 < 10^39 has an exponent of magnitude at
+    # most len(text) + 39, since the mantissa cancels at most as many
+    # powers of ten as it has digits; a larger one is rejected unbuilt.
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        limit = len(text) + 39
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise out_of_range
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -134,9 +151,7 @@ def _phi(text: str) -> Fraction:
     # at most 2^65 under MAX_CAPACITY and MAX_EDGES; the bound also keeps
     # the hierarchy's phi strings under Python's int-to-str digit limit.
     if not 0 < value <= 1 or value.denominator > 1 << 128:
-        raise ParameterError(
-            f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
-        )
+        raise out_of_range
     return value
 
 

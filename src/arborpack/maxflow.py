@@ -1,11 +1,20 @@
 """Exact integral max-flow with multi-source/multi-sink boundaries.
 
-The solver is Dinic's algorithm (BFS level graph + blocking flow along
-current-arc pointers) over a residual network that attaches a virtual
-super-source and super-sink for the per-vertex supply and sink-capacity
-functions. Virtual vertices are never visible to callers: `min_cut_side`
-is always a set of real vertices (those unreachable from the super-source
-in the final residual graph).
+The solver is Dinic's algorithm over a residual network that attaches a
+virtual super-source and super-sink for the per-vertex supply and
+sink-capacity functions. Virtual vertices are never visible to callers:
+`min_cut_side` is always a set of real vertices (those unreachable from
+the super-source in the final residual graph).
+
+Each phase labels vertices by their distance to the super-sink, with one
+backward BFS that stops once it labels the super-source. The blocking
+flow then walks from the super-source along current-arc pointers and
+takes only arcs whose head is one step closer to the sink, so every walk
+reaches the sink unless arcs saturated earlier in the phase. After an
+augmentation the walk resumes at the tail of the first saturated arc.
+These are the arcs a source-side level graph offers minus its dead ends,
+so the augmenting paths and their order are those of the textbook
+forward labelling.
 
 The arcs that come from the graph's edges are built once per graph
 (`DirectedGraph.residual_arcs`) and shared by every call. A call copies
@@ -18,7 +27,8 @@ bounded by Python's recursion limit.
 An optional `flow_bound` stops augmentation as soon as the flow reaches
 it. Such a run is `capped`: it skips the final residual search, and its
 `min_cut_side` is None. Any other run (no bound, or `value < flow_bound`)
-is a genuine maximum flow and its `min_cut_side` a genuine minimum cut.
+is a genuine maximum flow: one forward search over the final residual
+graph gives its `min_cut_side`, a genuine minimum cut.
 
 Everything is deterministic: each vertex lists its arcs in edge-id order,
 then its supply arc, then its sink arc; the super-source and super-sink
@@ -101,6 +111,44 @@ class FlowResult:
 
 def max_flow(problem: FlowProblem) -> FlowResult:
     """Exact integral maximum flow, optionally capped at `flow_bound`."""
+    n = problem.graph.n
+    source, sink = n, n + 1
+    head, cap, adj, supply_arc, sink_arc = _residual_network(problem)
+    bound = problem.flow_bound
+    limit = sum(problem.source_supply.values())
+    if bound is not None:
+        limit = min(limit, bound)
+
+    flow_total = 0
+    while flow_total < limit:
+        dist = _distances_to_sink(adj, head, cap, source, sink)
+        if dist[source] < 0:
+            break
+        flow_total += _blocking_flow(adj, head, cap, dist, source, sink, limit - flow_total)
+    capped = flow_total == bound
+    if capped:
+        cut_side = None
+    else:
+        reached = _reached(adj, head, cap, source)
+        cut_side = frozenset([v for v in range(n) if not reached[v]])
+
+    # The reverse arc of an edge (or of a supply or sink arc) holds the
+    # flow on it.
+    return FlowResult(
+        value=flow_total,
+        flow=cap[1 : 2 * problem.graph.m : 2],
+        min_cut_side=cut_side,
+        source_used={v: cap[a ^ 1] for v, a in supply_arc.items()},
+        sink_used={v: cap[a ^ 1] for v, a in sink_arc.items()},
+        capped=capped,
+    )
+
+
+def _residual_network(problem: FlowProblem):
+    """The residual network of a fresh run: `(head, cap, adj, supply_arc,
+    sink_arc)`, with the super-source at n and the super-sink at n + 1.
+    `supply_arc[v]` and `sink_arc[v]` are the forward arcs of v's supply
+    and sink; each arc's partner `a ^ 1` runs the other way."""
     g = problem.graph
     n = g.n
     source, sink = n, n + 1
@@ -139,65 +187,58 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         adj[v] = base_adj[v] + tuple(arcs)
     adj.append(tuple(supply_arc.values()))
     adj.append(tuple(a + 1 for a in sink_arc.values()))
-
-    bound = problem.flow_bound
-    total_supply = sum(problem.source_supply.values())
-    limit = total_supply if bound is None else min(bound, total_supply)
-
-    flow_total = 0
-    while bound is None or flow_total < bound:
-        # Once the supply is used up, the last search labels everything
-        # the source reaches; a search that misses the sink does so anyway.
-        level = _levels(adj, head, cap, source, sink if flow_total < limit else -1)
-        if flow_total >= limit or level[sink] < 0:
-            break
-        flow_total += _blocking_flow(adj, head, cap, level, source, sink, limit - flow_total)
-    capped = flow_total == bound
-
-    # The reverse arc of an edge (or of a supply or sink arc) holds the
-    # flow on it.
-    source_used = {v: cap[a ^ 1] for v, a in supply_arc.items()}
-    sink_used = {v: cap[a ^ 1] for v, a in sink_arc.items()}
-    return FlowResult(
-        value=flow_total,
-        flow=cap[1 : len(base_cap) : 2],
-        min_cut_side=None if capped else frozenset([v for v in range(n) if level[v] < 0]),
-        source_used=source_used,
-        sink_used=sink_used,
-        capped=capped,
-    )
+    return head, cap, adj, supply_arc, sink_arc
 
 
-def _levels(adj, head, cap, source: int, stop: int) -> list[int]:
-    """BFS distances from `source` over arcs with residual capacity; -1
-    marks a vertex not reached. The search ends as soon as it labels
-    `stop`: no vertex at that distance or beyond lies on a shortest path
-    to it."""
-    level = [-1] * len(adj)
-    level[source] = 0
-    dq = deque([source])
+def _distances_to_sink(adj, head, cap, source: int, sink: int) -> list[int]:
+    """BFS distances to `sink` over arcs with residual capacity; -1 marks
+    a vertex not reached. The search runs backwards: an arc b leaving w
+    has a partner b ^ 1 that enters w from head[b]. It ends as soon as it
+    labels `source`: no vertex at that distance or beyond lies on a
+    shortest path from it."""
+    dist = [-1] * len(adj)
+    dist[sink] = 0
+    dq = deque([sink])
     while dq:
-        u = dq.popleft()
-        nxt = level[u] + 1
+        w = dq.popleft()
+        nxt = dist[w] + 1
+        for b in adj[w]:
+            if cap[b ^ 1] > 0:
+                v = head[b]
+                if dist[v] < 0:
+                    dist[v] = nxt
+                    if v == source:
+                        return dist
+                    dq.append(v)
+    return dist
+
+
+def _reached(adj, head, cap, source: int) -> list[bool]:
+    """Which vertices `source` reaches over arcs with residual capacity."""
+    seen = [False] * len(adj)
+    seen[source] = True
+    stack = [source]
+    while stack:
+        u = stack.pop()
         for a in adj[u]:
             if cap[a] > 0:
                 w = head[a]
-                if level[w] < 0:
-                    level[w] = nxt
-                    if w == stop:
-                        return level
-                    dq.append(w)
-    return level
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return seen
 
 
-def _blocking_flow(adj, head, cap, level, source: int, sink: int, limit: int) -> int:
+def _blocking_flow(adj, head, cap, dist, source: int, sink: int, limit: int) -> int:
     """Augment along shortest paths until none is left or `limit` is met.
 
     An explicit stack of arcs walks from the source along each vertex's
-    current arc (`it`). A vertex with no usable arc left is dead for the
-    rest of the phase (level -1). After each augmentation the walk
-    starts again from the source and the current arcs are kept, so paths
-    are found in the order of a recursive search.
+    current arc (`it`), taking only arcs whose head is one step closer to
+    the sink. At the start of the phase every such walk ends at the sink;
+    a vertex whose arcs have all saturated since is dead for the rest of
+    the phase (distance -1). After an augmentation the walk resumes at
+    the tail of the first saturated arc: the current arcs before it are
+    unchanged, so paths are found in the order of a recursive search.
     """
     it = [0] * len(adj)
     path: list[int] = []
@@ -215,15 +256,18 @@ def _blocking_flow(adj, head, cap, level, source: int, sink: int, limit: int) ->
             pushed += d
             if pushed == limit:
                 return pushed
-            path.clear()
-            u = source
+            i = 0
+            while cap[path[i]]:
+                i += 1
+            u = head[path[i] ^ 1]
+            del path[i:]
             continue
         arcs = adj[u]
         i = it[u]
-        want = level[u] + 1
+        want = dist[u] - 1
         while i < len(arcs):
             a = arcs[i]
-            if cap[a] > 0 and level[head[a]] == want:
+            if cap[a] > 0 and dist[head[a]] == want:
                 break
             i += 1
         it[u] = i
@@ -231,7 +275,7 @@ def _blocking_flow(adj, head, cap, level, source: int, sink: int, limit: int) ->
             path.append(a)
             u = head[a]
             continue
-        level[u] = -1
+        dist[u] = -1
         if not path:
             return pushed
         u = head[path.pop() ^ 1]

@@ -123,6 +123,10 @@ def bruteforce_cut_expansion(
     for comp in partition.components:
         comp_mask = sum(1 << v for v in comp)
         total = term[comp_mask]
+        # A binding T needs 0 < d <= total / 2, so d < total: a component
+        # with one vertex (d is 0 or total) or no terminal degree has none.
+        if len(comp) < 2 or not total:
+            continue
         for t in range(1, size):
             d = term[t & comp_mask]
             if d and 2 * d <= total:

@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import time
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -265,6 +267,28 @@ class TestSubcommands:
         payload = json.loads(out)
         validate(payload, "error.schema.json")
         assert "phi" in payload["message"]
+
+    # Fraction would build 10**10000000 (seconds of CPU) before the range
+    # check; the exponent alone rules this phi out.
+    @pytest.mark.parametrize("phi", ["1e-10000000", "1e-1_000_000_0", "1E+10000000"])
+    def test_phi_huge_exponent_rejected_unbuilt(self, capsys, tmp_path, phi):
+        path = tmp_path / "p.dmc"
+        path.write_text("p dmc 3 1 1\na 1 2\n")
+        started = time.process_time()
+        code, out = run_cli(capsys, "hierarchy", str(path), "--phi", phi)
+        assert time.process_time() - started < 0.5
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert "phi" in payload["message"]
+
+    @pytest.mark.parametrize("phi", ["5e-39", "0.0001e4", "1000e-3"])
+    def test_phi_with_exponent_accepted(self, capsys, tmp_path, phi):
+        path = tmp_path / "p.dmc"
+        path.write_text("p dmc 3 1 1\na 1 2\n")
+        code, out = run_cli(capsys, "hierarchy", str(path), "--phi", phi)
+        assert code == 0
+        assert json.loads(out)["level_phis"][0] == str(Fraction(phi))
 
 
 class TestVerifyOtherKinds:

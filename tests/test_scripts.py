@@ -1,0 +1,65 @@
+"""The helper scripts: corpus -> `arborpack bench` -> summary, and the
+summary's errors."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def run(*argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_corpus_bench_summary(tmp_path):
+    made = run(SCRIPTS / "make_corpus.py", "--out", "corpus", "--count", "5",
+               "--seed", "1", cwd=tmp_path)
+    assert made.returncode == 0, made.stderr
+    assert len(list((tmp_path / "corpus").glob("*.dmc"))) == 5
+
+    bench = run("-m", "arborpack", "bench", "corpus", "--seed", "1", cwd=tmp_path)
+    assert bench.returncode == 0, bench.stderr
+    records = [json.loads(line) for line in bench.stdout.splitlines()]
+    assert len(records) == 5
+    assert all(r["kind"] == "bench" and r["ratio"] >= 1 for r in records)
+    (tmp_path / "bench.jsonl").write_text(bench.stdout)
+
+    summary = run(SCRIPTS / "bench_summary.py", "bench.jsonl", cwd=tmp_path)
+    assert summary.returncode == 0, summary.stderr
+    assert "instances:        5" in summary.stdout
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        ('{"kind": "bench"}\n', "lacks key 'ratio'"),
+        ("not json\n", "is not JSON"),
+        ("[1, 2]\n", "is not a JSON object"),
+    ],
+    ids=["missing_file", "no_ratio", "not_json", "not_object"],
+)
+def test_summary_errors_are_one_line(tmp_path, content, message):
+    if content is not None:
+        (tmp_path / "bench.jsonl").write_text(content)
+    res = run(SCRIPTS / "bench_summary.py", "bench.jsonl", cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and message in res.stderr
+    assert "Traceback" not in res.stderr
