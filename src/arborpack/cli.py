@@ -8,7 +8,8 @@ Text format (DIMACS-flavored, 1-based vertex ids):
 
 All JSON written to stdout uses 0-based vertex and edge ids and sorted
 keys; diagnostics go to stderr. Exit codes: 0 success, 1 operation
-error (including a failed verification), 2 parse or parameter error.
+error (including a failed verification), 2 parse or parameter error
+(including a malformed command line).
 The ARBOR_SEED environment variable supplies the default seed.
 """
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _cmd_mincut(args) -> int:
         data.update(method="exact", value=value, cut=sorted(side))
     else:
         hier = build_hierarchy(g, _phi(args.phi), args.seed)
-        report = approx_rooted_mincut(g, hier, args.seed, args.trials_mult)
+        report = approx_rooted_mincut(g, hier, args.seed)
         best = report.best
         data.update(
             method="approx",
@@ -348,7 +349,7 @@ def _cmd_bench(args) -> int:
             "seed": args.seed,
         }
         hier = build_hierarchy(g, _phi(args.phi), args.seed)
-        report = approx_rooted_mincut(g, hier, args.seed, args.trials_mult)
+        report = approx_rooted_mincut(g, hier, args.seed)
         exact, _ = exact_rooted_mincut(g)
         record["value"] = report.best.rho
         record["exact"] = exact
@@ -368,8 +369,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `ParameterError`, which `main` emits as
+    a JSON error with exit code 2; `--help` still prints and exits 0."""
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arborpack",
         description="Rooted min-cut approximation and arborescence packing "
         "over directed expander hierarchies.",
@@ -404,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mincut", help="approximate (or exact) rooted min-cut")
     p.add_argument("graph")
-    p.add_argument("--trials-mult", type=int, default=4,
-                   help="sampling trials per component are ceil(mult*log2 n)")
     p.add_argument("--exact", action="store_true", help="run the exact oracle")
     p.add_argument("--ratio", action="store_true",
                    help="also compute the exact value and the ratio")
@@ -429,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run mincut+pack over a corpus directory")
     p.add_argument("corpus")
-    p.add_argument("--trials-mult", type=int, default=4)
     p.add_argument("--timing", action="store_true",
                    help="include wall time (breaks byte-stability)")
     add_phi(p)

@@ -30,6 +30,10 @@ it. Such a run is `capped`: it skips the final residual search, and its
 is a genuine maximum flow: one forward search over the final residual
 graph gives its `min_cut_side`, a genuine minimum cut.
 
+`verify_flow` re-derives every invariant of a result against its
+problem. `decompose_paths` takes the same pair, checks it with
+`verify_flow`, and then traces the flow into unit paths.
+
 Everything is deterministic: each vertex lists its arcs in edge-id order,
 then its supply arc, then its sink arc; the super-source and super-sink
 list theirs in ascending vertex order, and the search routines scan
@@ -338,41 +342,22 @@ class FlowPath:
     edges: tuple[int, ...]
 
 
-def decompose_paths(
-    g: DirectedGraph,
-    result: FlowResult,
-    supplies: Mapping[int, int],
-    sinks: Mapping[int, int],
-) -> list[FlowPath]:
-    """Decompose an integral flow into `value` unit paths.
+def decompose_paths(problem: FlowProblem, result: FlowResult) -> list[FlowPath]:
+    """Decompose an integral flow of `problem` into `value` unit paths.
 
-    Trace order is deterministic: repeatedly start from the lowest-id
-    vertex with remaining injection and follow the lowest-id edge with
-    positive remaining flow. Cycles encountered along the way are
-    cancelled in full and never emitted. Each edge e appears in at most
-    flow(e) paths; at most supplies[u] paths start at u and at most
-    sinks[v] paths end at v.
+    The flow is first checked with `verify_flow`. Trace order is
+    deterministic: repeatedly start from the lowest-id vertex with
+    remaining injection and follow the lowest-id edge with positive
+    remaining flow. Cycles encountered along the way are cancelled in
+    full and never emitted. Each edge e appears in at most flow(e) paths;
+    at most `source_supply[u]` paths start at u and at most
+    `sink_capacity[v]` paths end at v.
     """
-    for v, used in result.source_used.items():
-        if used > supplies.get(v, 0):
-            raise InternalError(f"vertex {v}: flow uses more supply than granted")
-    for v, used in result.sink_used.items():
-        if used > sinks.get(v, 0):
-            raise InternalError(f"vertex {v}: flow uses more sink capacity than granted")
-
+    verify_flow(problem, result)
+    g = problem.graph
     rem = {eid: f for eid, f in enumerate(result.flow) if f > 0}
     inject = {v: amt for v, amt in result.source_used.items() if amt > 0}
     absorb = {v: amt for v, amt in result.sink_used.items() if amt > 0}
-
-    # Conservation check on the remaining-flow picture.
-    balance = [0] * g.n
-    for eid, f in rem.items():
-        u, v, _c = g.edges[eid]
-        balance[u] -= f
-        balance[v] += f
-    for v in range(g.n):
-        if balance[v] + inject.get(v, 0) != absorb.get(v, 0):
-            raise InternalError(f"vertex {v}: flow is not conservative")
 
     out_sorted = {
         v: sorted(e for e in g.out_edges(v) if e in rem) for v in range(g.n)

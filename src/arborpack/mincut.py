@@ -36,6 +36,9 @@ __all__ = [
     "approx_rooted_mincut",
 ]
 
+# Each probed component draws ceil(4 log2 n) endpoint samples.
+_TRIALS_PER_LOG2_N = 4
+
 
 @dataclass(frozen=True)
 class CutCandidate:
@@ -108,7 +111,7 @@ def mincut_into_component(
 
 
 def approx_rooted_mincut(
-    g: DirectedGraph, hierarchy: Hierarchy, seed: int = 0, trials_mult: int = 4
+    g: DirectedGraph, hierarchy: Hierarchy, seed: int = 0
 ) -> MincutReport:
     """Approximate rooted min-cut via the hierarchy; returns the best
     candidate plus every candidate examined."""
@@ -116,10 +119,8 @@ def approx_rooted_mincut(
         raise ParameterError("hierarchy does not match this graph")
     if g.n < 2:
         raise ParameterError("rooted min-cut needs at least one non-source vertex")
-    if trials_mult < 1:
-        raise ParameterError("trials_mult must be positive")
     s = g.source
-    trials = max(1, math.ceil(trials_mult * math.log2(max(g.n, 2))))
+    trials = max(1, math.ceil(_TRIALS_PER_LOG2_N * math.log2(max(g.n, 2))))
     candidates: list[CutCandidate] = []
     best: CutCandidate | None = None
 

@@ -20,6 +20,11 @@ measured congestion.
 
 `pack` builds each level's table of critical incoming edges once, as
 the climb reaches that level, and hands it to every step that reads it.
+Step 1 reads each vertex's split off the tables of levels i and i-1:
+E_X is its level-i critical set, and the rest of its level-(i-1)
+critical set divides into the level-i edges (E_Z) and the others (E_Y).
+Step 2 decomposes its flow with `decompose_paths`, which checks the flow
+against its problem with `verify_flow` first.
 Each level also counts every vertex's level-edge in-degree once; the
 counts set the flow sinks and the bound on the chain demands.
 
@@ -170,34 +175,25 @@ def partition_critical(
 ) -> tuple[frozenset, frozenset, frozenset]:
     """Split v's level-(i-1) critical incoming edges into (E_X, E_Y, E_Z).
 
-    E_X are the level-i critical edges (`crit_i`), E_Y the lower-level
-    incoming edges whose tails joined v's component only at level i, and
-    E_Z the rest (incoming level-i edges from inside the old component).
-    The three sets are asserted to partition the level-(i-1) critical set
-    (`crit_prev`).
+    E_X are the level-i critical edges (`crit_i`). The rest of the
+    level-(i-1) critical set (`crit_prev`) became internal at level i:
+    E_Z are those that are level-i edges, E_Y the lower-level edges whose
+    tails joined v's component only at level i. Partitions refine upward
+    and the edges above level i are among those above level i-1, so
+    `crit_i[v]` must be a subset of `crit_prev[v]`.
     """
     if not 1 <= i <= hierarchy.L:
         raise ParameterError(f"level {i} out of range 1..{hierarchy.L}")
     if v == g.source:
         raise ParameterError("the source has no critical incoming edges")
-    comp_i = hierarchy.partition(i).component(v)
-    comp_prev = hierarchy.partition(i - 1).component(v)
-    above_prev = hierarchy.edges_above(i - 1)
-    level_i = hierarchy.level_edges(i)
-
     ex = crit_i[v]
-    ey = frozenset(
-        e
-        for e in g.in_edges(v)
-        if g.tail(e) in comp_i and g.tail(e) not in comp_prev and e not in above_prev
-    )
-    ez = frozenset(e for e in g.in_edges(v) if e in level_i) - ex - ey
-    union = ex | ey | ez
-    if union != crit_prev[v] or len(ex) + len(ey) + len(ez) != len(union):
+    if not ex <= crit_prev[v]:
         raise InternalError(
-            f"(E_X, E_Y, E_Z) do not partition the critical set of vertex {v}"
+            f"level-{i} critical edges of vertex {v} are not critical at level {i - 1}"
         )
-    return ex, ey, ez
+    rest = crit_prev[v] - ex
+    ez = rest & hierarchy.level_edges(i)
+    return ex, rest - ez, ez
 
 
 def split_colors(
@@ -251,9 +247,8 @@ def component_flow(
         )
     supplies = {v: len(crit[v]) for v in members if crit[v]}
     intra = edges_within(g, comp)
-    res = max_flow(
-        FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=intra)
-    )
+    problem = FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=intra)
+    res = max_flow(problem)
     if res.value < bound:
         cstar = frozenset(res.min_cut_side & comp)
         if not cstar:
@@ -264,11 +259,7 @@ def component_flow(
                 f"component cut side has {rho} incoming edges, expected fewer than {k}"
             )
         return CutFound(frozenset(range(g.n)) - cstar)
-    paths = decompose_paths(g, res, supplies, sinks)
-    if len(paths) < len(z):
-        raise InternalError(
-            f"flow decomposed into {len(paths)} paths but {len(z)} colors need one"
-        )
+    paths = decompose_paths(problem, res)
     return {gamma: paths[j] for j, gamma in enumerate(z)}
 
 

@@ -49,10 +49,9 @@ class Demand:
 
 @dataclass(frozen=True, eq=False)
 class RoutingOutcome:
-    """Routed paths (aligned with the demand's pair order) and their
-    congestion, the most paths that share one edge."""
+    """Routed paths as edge-id tuples (aligned with the demand's pair
+    order) and their congestion, the most paths that share one edge."""
 
-    paths_vertices: tuple[tuple[int, ...], ...]
     paths_edges: tuple[tuple[int, ...], ...]
     congestion: int
 
@@ -100,7 +99,6 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid, (u, v, _c) in enumerate(edges):
         adj[u].append((eid, v))
-    paths_v: list[tuple[int, ...] | None] = [None] * npairs
     paths_e: list[tuple[int, ...] | None] = [None] * npairs
 
     def place(idx: int) -> None:
@@ -108,15 +106,13 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
         parent = _shortest_path(adj, length, src, dst)
         if parent is None:
             raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
-        vs = [dst]
         es: list[int] = []
-        while vs[-1] != src:
-            eid = parent[vs[-1]]
+        v = dst
+        while v != src:
+            eid = parent[v]
             es.append(eid)
-            vs.append(edges[eid][0])
-        vs.reverse()
+            v = edges[eid][0]
         es.reverse()
-        paths_v[idx] = tuple(vs)
         paths_e[idx] = tuple(es)
         for e in es:
             loads[e] += 1
@@ -143,10 +139,12 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
 
     congestion = max(loads, default=0)
 
-    # Exactness checks: endpoints, simplicity, and load accounting.
+    # Exactness checks: endpoints and simplicity of the vertices read off
+    # each path's edges, and load accounting.
     recount = [0] * g.m
     for idx in range(npairs):
-        vs, es = paths_v[idx], paths_e[idx]
+        es = paths_e[idx]
+        vs = [edges[es[0]][0]] + [edges[e][1] for e in es]
         if len(set(vs)) != len(vs):
             raise InternalError(f"path for pair {idx} repeats a vertex")
         if (vs[0], vs[-1]) != demand.pairs[idx]:
@@ -156,11 +154,7 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     if recount != loads:
         raise InternalError("per-edge loads do not match the emitted paths")
 
-    return RoutingOutcome(
-        paths_vertices=tuple(paths_v),
-        paths_edges=tuple(paths_e),
-        congestion=congestion,
-    )
+    return RoutingOutcome(paths_edges=tuple(paths_e), congestion=congestion)
 
 
 def respecting_check(

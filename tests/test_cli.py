@@ -229,6 +229,36 @@ class TestSubcommands:
         for line in lines:
             validate(json.loads(line), "bench.schema.json")
 
+    # "{graph}" stands for a valid graph file, "{dir}" for its directory,
+    # so only the arguments themselves are wrong.
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nosuch"],
+        ["mincut", "{graph}", "--bogus"],
+        ["mincut", "{graph}", "--trials-mult", "4"],
+        ["bench", "{dir}", "--trials-mult", "4"],
+        ["pack", "{graph}", "--k", "abc"],
+        ["pack", "{graph}"],
+        ["hierarchy"],
+        ["gen", "no_such_kind"],
+        ["hierarchy", "{graph}", "--seed", "1.5"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_error_is_a_json_error(self, capsys, graph_file, argv):
+        argv = [a.format(graph=graph_file, dir=graph_file.parent) for a in argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["error_type"] == "parameter"
+        assert payload["message"].startswith("arborpack")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pack", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arborpack")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.dmc"
         bad.write_text("p dmc 2 1 1\na 1 5\n")

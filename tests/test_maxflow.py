@@ -316,14 +316,13 @@ class TestDecomposePaths:
     def test_unit_path(self):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
         problem = FlowProblem(g, {0: 1}, {2: 1})
-        res = max_flow(problem)
-        paths = decompose_paths(g, res, {0: 1}, {2: 1})
+        paths = decompose_paths(problem, max_flow(problem))
         assert [p.vertices for p in paths] == [(0, 1, 2)]
 
     def test_diamond_two_disjoint_paths(self):
         g = normalize([(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], 4, 0)
-        res = max_flow(FlowProblem(g, {0: 2}, {3: 2}))
-        paths = decompose_paths(g, res, {0: 2}, {3: 2})
+        problem = FlowProblem(g, {0: 2}, {3: 2})
+        paths = decompose_paths(problem, max_flow(problem))
         assert sorted(p.vertices for p in paths) == [(0, 1, 3), (0, 2, 3)]
         used = [e for p in paths for e in p.edges]
         assert len(used) == len(set(used))
@@ -338,13 +337,13 @@ class TestDecomposePaths:
             source_used={0: 1},
             sink_used={2: 1},
         )
-        paths = decompose_paths(g, res, {0: 1}, {2: 1})
+        paths = decompose_paths(FlowProblem(g, {0: 1}, {2: 1}), res)
         assert [p.vertices for p in paths] == [(0, 1, 2)]
 
     def test_trivial_path_at_supply_sink_vertex(self):
         g = normalize([(0, 1, 1)], 2, 0)
-        res = max_flow(FlowProblem(g, {1: 2}, {1: 2}))
-        paths = decompose_paths(g, res, {1: 2}, {1: 2})
+        problem = FlowProblem(g, {1: 2}, {1: 2})
+        paths = decompose_paths(problem, max_flow(problem))
         assert [p.vertices for p in paths] == [(1,), (1,)]
         assert all(p.edges == () for p in paths)
 
@@ -357,8 +356,52 @@ class TestDecomposePaths:
             source_used={0: 1},
             sink_used={2: 1},
         )
-        with pytest.raises(InternalError):
-            decompose_paths(g, res, {0: 1}, {2: 1})
+        with pytest.raises(InternalError, match="conservation"):
+            decompose_paths(FlowProblem(g, {0: 1}, {2: 1}), res)
+
+    def test_rejects_flow_outside_the_edge_filter(self):
+        # Two parallel routes 0->1->3 and 0->2->3; the problem allows only
+        # the first, but the flow takes the second.
+        g = normalize([(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)], 4, 0)
+        res = FlowResult(
+            value=1,
+            flow=[0, 0, 1, 1],
+            min_cut_side=None,
+            source_used={0: 1},
+            sink_used={3: 1},
+            capped=True,
+        )
+        problem = FlowProblem(g, {0: 1}, {3: 1}, flow_bound=1, edge_filter={0, 1})
+        with pytest.raises(InternalError, match="filtered-out edge 2"):
+            decompose_paths(problem, res)
+
+    def test_rejects_flow_above_capacity(self):
+        g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
+        res = FlowResult(
+            value=2,
+            flow=[2, 2],
+            min_cut_side=None,
+            source_used={0: 2},
+            sink_used={2: 2},
+            capped=True,
+        )
+        problem = FlowProblem(g, {0: 2}, {2: 2}, flow_bound=2)
+        with pytest.raises(InternalError, match=r"edge 0: flow 2 outside \[0, 1\]"):
+            decompose_paths(problem, res)
+
+    def test_rejects_supply_above_its_budget(self):
+        g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
+        res = FlowResult(
+            value=1,
+            flow=[1, 1],
+            min_cut_side=None,
+            source_used={0: 1},
+            sink_used={2: 1},
+            capped=True,
+        )
+        problem = FlowProblem(g, {1: 1}, {2: 1}, flow_bound=1)
+        with pytest.raises(InternalError, match="exceeds its budget"):
+            decompose_paths(problem, res)
 
     @given(digraphs(max_n=6, max_m=14, max_cap=3), st.data())
     def test_path_counts_respect_flow_and_endpoints(self, g, data):
@@ -366,8 +409,9 @@ class TestDecomposePaths:
             v: data.draw(st.integers(0, 3)) for v in range(g.n)
         }
         sinks = {v: data.draw(st.integers(0, 3)) for v in range(g.n)}
-        res = max_flow(FlowProblem(g, supplies, sinks))
-        paths = decompose_paths(g, res, supplies, sinks)
+        problem = FlowProblem(g, supplies, sinks)
+        res = max_flow(problem)
+        paths = decompose_paths(problem, res)
         assert len(paths) == res.value
         per_edge = {}
         starts = {}

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arborpack.decomp import DEFAULT_PHI, Hierarchy, build_hierarchy, scc_for_levels
-from arborpack.errors import ParameterError, UnsupportedGraphError
-from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
+from arborpack.errors import InternalError, ParameterError, UnsupportedGraphError
+from arborpack.generators import gen_known_packing, gen_two_cliques_bridge, instance_stream
 from arborpack.graphcore import cut_values, normalize
 from arborpack.oracle import exact_rooted_mincut, verify_packing
 from arborpack.packing import (
@@ -54,6 +55,46 @@ def manual_hierarchy(g, levels, phi=DEFAULT_PHI):
 def level_tables(g, h, i):
     """The critical-edge tables of levels i and i-1, as `run_level` takes them."""
     return critical_edges(g, h, i), critical_edges(g, h, i - 1)
+
+
+def reference_partition_critical(g, hierarchy, i, v, crit_i, crit_prev):
+    """The earlier split, derived again from partition lookups and in-edge
+    scans and checked to partition `crit_prev[v]`: the reference for
+    `partition_critical`."""
+    comp_i = hierarchy.partition(i).component(v)
+    comp_prev = hierarchy.partition(i - 1).component(v)
+    above_prev = hierarchy.edges_above(i - 1)
+    level_i = hierarchy.level_edges(i)
+
+    ex = crit_i[v]
+    ey = frozenset(
+        e
+        for e in g.in_edges(v)
+        if g.tail(e) in comp_i and g.tail(e) not in comp_prev and e not in above_prev
+    )
+    ez = frozenset(e for e in g.in_edges(v) if e in level_i) - ex - ey
+    union = ex | ey | ez
+    if union != crit_prev[v] or len(ex) + len(ey) + len(ez) != len(union):
+        raise InternalError(
+            f"(E_X, E_Y, E_Z) do not partition the critical set of vertex {v}"
+        )
+    return ex, ey, ez
+
+
+def assert_splits_match_reference(g, h) -> list:
+    """Compare both splits on every level and non-source vertex of h;
+    returns the splits compared."""
+    splits = []
+    crit = critical_edges(g, h, 0)
+    for i in range(1, h.L + 1):
+        crit_prev, crit = crit, critical_edges(g, h, i)
+        for v in range(g.n):
+            if v == g.source:
+                continue
+            got = partition_critical(g, h, i, v, crit, crit_prev)
+            assert got == reference_partition_critical(g, h, i, v, crit, crit_prev), (i, v)
+            splits.append(got)
+    return splits
 
 
 class TestInitBaseColors:
@@ -108,6 +149,33 @@ class TestPartitionCritical:
         ex, ey, ez = partition_critical(g, h, 1, 1, crit, critical_edges(g, h, 0))
         assert ex == crit[1]
         assert ey == frozenset()
+
+    @given(digraphs(min_n=2, max_n=9, max_m=30, max_cap=3), st.integers(0, 2**16))
+    @settings(max_examples=60)
+    def test_matches_reference_on_random_hierarchies(self, g, seed):
+        assert_splits_match_reference(g, build_hierarchy(g, seed=seed))
+
+    def test_matches_reference_on_instance_stream(self):
+        splits = []
+        for seed in (1, 2, 3):
+            for _name, g in instance_stream(100, seed=seed, n_max=40, m_max=200, max_cap=4):
+                splits += assert_splits_match_reference(g, build_hierarchy(g, seed=seed))
+        # Every part of the split occurs, so each was compared nonempty.
+        assert len(splits) > 3000
+        assert all(any(split[part] for split in splits) for part in range(3))
+
+    def test_level_set_outside_the_lower_level_set_is_rejected(self):
+        g = rooted_triangle()
+        h = build_hierarchy(g, seed=1)
+        crit_prev = critical_edges(g, h, 0)  # every in-edge, at level 0
+        into_2 = next(e for e in range(g.m) if g.head(e) == 2)
+        grown = tuple(
+            c | {into_2} if v == 1 else c for v, c in enumerate(critical_edges(g, h, 1))
+        )
+        shrunk = tuple(frozenset() for _ in range(g.n))
+        for crit_i, crit_before in ((grown, crit_prev), (crit_prev, shrunk)):
+            with pytest.raises(InternalError, match="not critical at level 0"):
+                partition_critical(g, h, 1, 1, crit_i, crit_before)
 
 
 class TestCriticalTables:
