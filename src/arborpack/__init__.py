@@ -11,7 +11,13 @@ from .graphcore import (
     scc,
 )
 from .maxflow import FlowProblem, FlowResult, decompose_paths, max_flow
-from .mincut import CutCandidate, approx_rooted_mincut, mincut_into_component, sample_endpoints
+from .mincut import (
+    CutCandidate,
+    approx_rooted_mincut,
+    mincut_into_component,
+    probe_inputs,
+    sample_endpoints,
+)
 from .oracle import (
     bruteforce_cut_expansion,
     exact_rooted_mincut,
@@ -46,6 +52,7 @@ __all__ = [
     "mincut_into_component",
     "normalize",
     "pack",
+    "probe_inputs",
     "respecting_check",
     "restricted_degrees",
     "route",

@@ -7,8 +7,10 @@ sink-capacity functions. Virtual vertices are never visible to callers:
 the super-source in the final residual graph).
 
 Each phase labels vertices by their distance to the super-sink, with one
-backward BFS that stops once it labels the super-source. The blocking
-flow then walks from the super-source along current-arc pointers and
+backward BFS that stops at the first source it labels: here the
+super-source, while the exact rooted min-cut in `oracle` runs the same
+BFS and blocking flow with a growing set of real sources. The blocking
+flow then walks from that source along current-arc pointers and
 takes only arcs whose head is one step closer to the sink, so every walk
 reaches the sink unless arcs saturated earlier in the phase. After an
 augmentation the walk resumes at the tail of the first saturated arc.
@@ -123,12 +125,14 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     if bound is not None:
         limit = min(limit, bound)
 
+    is_source = [False] * (n + 2)
+    is_source[source] = True
     flow_total = 0
     while flow_total < limit:
-        dist = _distances_to_sink(adj, head, cap, source, sink)
-        if dist[source] < 0:
+        dist, start = _distances_to_sink(adj, head, cap, is_source, sink)
+        if start < 0:
             break
-        flow_total += _blocking_flow(adj, head, cap, dist, source, sink, limit - flow_total)
+        flow_total += _blocking_flow(adj, head, cap, dist, start, sink, limit - flow_total)
     capped = flow_total == bound
     if capped:
         cut_side = None
@@ -194,12 +198,13 @@ def _residual_network(problem: FlowProblem):
     return head, cap, adj, supply_arc, sink_arc
 
 
-def _distances_to_sink(adj, head, cap, source: int, sink: int) -> list[int]:
-    """BFS distances to `sink` over arcs with residual capacity; -1 marks
-    a vertex not reached. The search runs backwards: an arc b leaving w
-    has a partner b ^ 1 that enters w from head[b]. It ends as soon as it
-    labels `source`: no vertex at that distance or beyond lies on a
-    shortest path from it."""
+def _distances_to_sink(adj, head, cap, is_source, sink: int) -> tuple[list[int], int]:
+    """BFS distances to `sink` over arcs with residual capacity, and the
+    first vertex labelled with `is_source[v]` true (-1 if none is
+    reached); -1 in the distance list marks a vertex not reached. The
+    search runs backwards: an arc b leaving w has a partner b ^ 1 that
+    enters w from head[b]. It ends as soon as it labels a source: no
+    vertex at that distance or beyond lies on a shortest path from it."""
     dist = [-1] * len(adj)
     dist[sink] = 0
     dq = deque([sink])
@@ -211,10 +216,10 @@ def _distances_to_sink(adj, head, cap, source: int, sink: int) -> list[int]:
                 v = head[b]
                 if dist[v] < 0:
                     dist[v] = nxt
-                    if v == source:
-                        return dist
+                    if is_source[v]:
+                        return dist, v
                     dq.append(v)
-    return dist
+    return dist, -1
 
 
 def _reached(adj, head, cap, source: int) -> list[bool]:
@@ -359,10 +364,11 @@ def decompose_paths(problem: FlowProblem, result: FlowResult) -> list[FlowPath]:
     inject = {v: amt for v, amt in result.source_used.items() if amt > 0}
     absorb = {v: amt for v, amt in result.sink_used.items() if amt > 0}
 
-    out_sorted = {
-        v: sorted(e for e in g.out_edges(v) if e in rem) for v in range(g.n)
-    }
-    out_ptr = {v: 0 for v in out_sorted}
+    # Each tail's edges that carry flow, in ascending id (as `rem` is).
+    out_sorted: dict[int, list[int]] = {}
+    for eid in rem:
+        out_sorted.setdefault(g.tail(eid), []).append(eid)
+    out_ptr = dict.fromkeys(out_sorted, 0)
 
     def next_edge(v: int) -> int:
         lst = out_sorted.get(v, ())

@@ -8,8 +8,9 @@ holds such edges is probed, in component order, with capacity-weighted
 samples of them: a sampled endpoint v yields the exact minimum over
 sets T with v in T inside the component of the capacity entering T,
 computed by contracting everything outside the component into a
-virtual super-source and running one exact max-flow. The global minimum
-candidate wins.
+virtual super-source and running one exact max-flow. A component's
+supplies and inside edges are found once, before its first probe. The
+global minimum candidate wins.
 
 The RNG is split per (level, component), so the outcome is independent
 of any processing order.
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .decomp import Hierarchy
 from .errors import EmptySampleError, InternalError, ParameterError
-from .graphcore import DirectedGraph, cut_values, edges_within
+from .graphcore import DirectedGraph, EdgeSet, cut_values, edges_within
 from .maxflow import FlowProblem, max_flow
 from .seeds import derive_rng
 
@@ -32,6 +33,7 @@ __all__ = [
     "CutCandidate",
     "MincutReport",
     "sample_endpoints",
+    "probe_inputs",
     "mincut_into_component",
     "approx_rooted_mincut",
 ]
@@ -81,25 +83,36 @@ def sample_endpoints(
     return out
 
 
+def probe_inputs(g: DirectedGraph, comp: frozenset) -> tuple[dict[int, int], EdgeSet, int]:
+    """What every probe of `comp` shares: the capacity entering each
+    vertex from outside the component (its supply), the edges inside the
+    component, and a sink capacity above any cut."""
+    supplies: dict[int, int] = {}
+    edges = g.edges
+    for w in comp:
+        for eid in g.in_edges(w):
+            u, _w, c = edges[eid]
+            if u not in comp:
+                supplies[w] = supplies.get(w, 0) + c
+    intra = edges_within(g, comp)
+    return supplies, intra, sum(supplies.values()) + g.edge_capacity(intra) + 1
+
+
 def mincut_into_component(
-    g: DirectedGraph, comp: frozenset, v: int, level: int = -1
+    g: DirectedGraph, comp: frozenset, v: int, inputs: tuple, level: int = -1
 ) -> CutCandidate:
     """Exact min over {T : v in T subseteq comp} of the capacity entering T.
 
     Everything outside the component is contracted into the flow source:
     each edge entering the component becomes supply at its head, edges
-    leaving the component are dropped, and v is the sink.
+    leaving the component are dropped, and v is the sink. `inputs` is
+    `probe_inputs(g, comp)`.
     """
     if v not in comp:
         raise ParameterError(f"sample vertex {v} is not in the component")
     if g.source in comp:
         raise ParameterError("component must not contain the source")
-    supplies: dict[int, int] = {}
-    for eid, (u, w, c) in enumerate(g.edges):
-        if w in comp and u not in comp:
-            supplies[w] = supplies.get(w, 0) + c
-    intra = edges_within(g, comp)
-    big = sum(supplies.values()) + g.edge_capacity(intra) + 1
+    supplies, intra, big = inputs
     res = max_flow(FlowProblem(g, supplies, {v: big}, edge_filter=intra))
     side = frozenset(res.min_cut_side & comp)
     if v not in side:
@@ -147,10 +160,11 @@ def approx_rooted_mincut(
         for comp_id in sorted(inside):
             comp = part.components[comp_id]
             rng = derive_rng(seed, "mincut", i, comp_id)
+            inputs = probe_inputs(g, comp)
             computed: dict[int, CutCandidate] = {}
             for v in sample_endpoints(g, inside[comp_id], trials, rng):
                 if v not in computed:
-                    computed[v] = mincut_into_component(g, comp, v, i)
+                    computed[v] = mincut_into_component(g, comp, v, inputs, i)
                 consider(computed[v])
     assert best is not None
     return MincutReport(best, tuple(candidates))

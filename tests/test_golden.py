@@ -159,6 +159,33 @@ ROUTED_GOLDEN = {
 }
 
 
+# `mincut --exact` on larger instances, where the order in which the
+# oracle meets its sinks decides which minimum cut is the witness.
+EXACT_GOLDEN = {
+    "cycle_plus_chords n=1200": (
+        ["cycle_plus_chords", "--n", "1200", "--chords", "4", "--seed", "3"],
+        "1f1371d13e92a5508696c87c51a7d47a2d0e03065edf25e9a89ba5c1aa0d19d5",
+    ),
+    "known_packing n=200": (
+        ["known_packing", "--n", "200", "--k", "5", "--seed", "2"],
+        "97a24af328e9d21cefb2540b5fd6e963731a92f0767be9d6e2a6615a12b1415b",
+    ),
+}
+
+
+def test_exact_mincut_at_scale_matches_recorded_digests(capsys, tmp_path):
+    changed = []
+    for label, (gen_args, digest) in EXACT_GOLDEN.items():
+        graph = str(tmp_path / "g.dmc")
+        assert main(["gen", *gen_args, "--out", graph]) == 0
+        capsys.readouterr()
+        assert main(["mincut", graph, "--exact"]) == 0
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(label)
+    assert not changed, f"exact min-cut output changed for: {changed}"
+
+
 def test_pack_under_routing_load_matches_recorded_digests(capsys, tmp_path):
     graph = str(tmp_path / "routed.dmc")
     assert main(["gen", *ROUTED_GEN, "--out", graph]) == 0

@@ -10,6 +10,7 @@ from arborpack.graphcore import cut_values, normalize
 from arborpack.mincut import (
     approx_rooted_mincut,
     mincut_into_component,
+    probe_inputs,
     sample_endpoints,
 )
 from arborpack.oracle import exact_rooted_mincut
@@ -46,7 +47,7 @@ class TestSampleEndpoints:
 class TestMincutIntoComponent:
     def test_singleton_component(self):
         g = normalize([(0, 1, 2), (0, 1, 1)], 2, 0)
-        cand = mincut_into_component(g, frozenset({1}), 1)
+        cand = mincut_into_component(g, frozenset({1}), 1, probe_inputs(g, frozenset({1})))
         assert cand.vertex_set == frozenset({1})
         assert cand.rho == 3
 
@@ -54,7 +55,8 @@ class TestMincutIntoComponent:
         # x -> a -> v and x -> v, unit capacities: both {v} and {a, v}
         # have two incoming edges.
         g = normalize([(0, 1, 1), (1, 2, 1), (0, 2, 1)], 3, 0)
-        cand = mincut_into_component(g, frozenset({1, 2}), 2)
+        comp = frozenset({1, 2})
+        cand = mincut_into_component(g, comp, 2, probe_inputs(g, comp))
         assert cand.rho == 2
         assert cand.vertex_set in (frozenset({2}), frozenset({1, 2}))
         assert cut_values(g, cand.vertex_set).rho == 2
@@ -62,14 +64,15 @@ class TestMincutIntoComponent:
     def test_inner_bottleneck(self):
         # x -> a with capacity 5, a -> v with capacity 1.
         g = normalize([(0, 1, 5), (1, 2, 1)], 3, 0)
-        cand = mincut_into_component(g, frozenset({1, 2}), 2)
+        comp = frozenset({1, 2})
+        cand = mincut_into_component(g, comp, 2, probe_inputs(g, comp))
         assert cand.vertex_set == frozenset({2})
         assert cand.rho == 1
 
     def test_requires_membership(self):
         g = normalize([(0, 1, 1)], 3, 0)
         with pytest.raises(ParameterError):
-            mincut_into_component(g, frozenset({1}), 2)
+            mincut_into_component(g, frozenset({1}), 2, probe_inputs(g, frozenset({1})))
 
 
 class TestApproxRootedMincut:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arborpack.oracle
 from arborpack.errors import ParameterError, ScaleError
 from arborpack.graphcore import cut_values, normalize, restricted_degrees, scc
+from arborpack.maxflow import FlowProblem, max_flow
 from arborpack.oracle import (
     bruteforce_cut_expansion,
     bruteforce_rooted_mincut,
@@ -22,6 +24,43 @@ from arborpack.oracle import (
 from arborpack.packing import PackingResult
 
 from .conftest import digraphs
+
+
+def reference_exact_rooted_mincut(g):
+    """The earlier oracle: one max-flow s -> t per sink t, by ascending
+    in-capacity, each capped at the best value so far; the first sink
+    that improves on it gives the witness."""
+    s = g.source
+    big = g.total_capacity() + 1
+    best = witness = None
+    for t in sorted((v for v in range(g.n) if v != s), key=lambda v: (g.in_capacity(v), v)):
+        if best == 0:
+            break
+        res = max_flow(FlowProblem(g, {s: big}, {t: big}, flow_bound=best))
+        if best is None or res.value < best:
+            best, witness = res.value, res.min_cut_side
+    return best, witness
+
+
+@st.composite
+def sweep_graphs(draw):
+    """Weighted multigraphs with n from 2 to 12, some with vertices the
+    source cannot reach (value 0). A bidirected copy or an added cycle
+    through every vertex makes several sinks tie at the minimum."""
+    n = draw(st.integers(2, 12))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
+            min_size=n,
+            max_size=4 * n,
+        )
+    )
+    shape = draw(st.sampled_from(["random", "bidirected", "cycle"]))
+    if shape == "bidirected":
+        edges += [(v, u, c) for u, v, c in edges]
+    elif shape == "cycle":
+        edges += [(v, (v + 1) % n, 1) for v in range(n)]
+    return normalize(edges, n, 0)
 
 
 class TestExactRootedMincut:
@@ -48,14 +87,55 @@ class TestExactRootedMincut:
         with pytest.raises(ParameterError):
             exact_rooted_mincut(g)
 
-    @given(digraphs(min_n=2, max_n=8, max_m=18, max_cap=3))
-    @settings(max_examples=40)
+    @given(st.one_of(digraphs(min_n=2, max_n=8, max_m=18, max_cap=3), sweep_graphs()))
+    @settings(max_examples=140)
     def test_matches_enumeration(self, g):
         value, _ = exact_rooted_mincut(g)
         brute, side = bruteforce_rooted_mincut(g)
         assert value == brute
         assert g.source not in side
         assert cut_values(g, side).rho == brute
+
+    @given(sweep_graphs())
+    @settings(max_examples=200)
+    def test_matches_one_flow_per_sink(self, g):
+        # Same value and the same witness: the first minimising sink in
+        # in-capacity order, and its minimal source side.
+        assert exact_rooted_mincut(g) == reference_exact_rooted_mincut(g)
+
+    @pytest.mark.parametrize(
+        "edges, n, expected",
+        [
+            # Parallel edges; the first sink, 1, holds the minimum.
+            ([(0, 1, 3), (0, 2, 1), (0, 2, 1), (1, 2, 4)], 3, (3, frozenset({1}))),
+            # Every sink of a directed cycle ties at 1; vertex 1 comes first.
+            ([(v, (v + 1) % 5, 1) for v in range(5)], 5, (1, frozenset({1, 2, 3, 4}))),
+            # Vertex 3 is unreachable.
+            ([(0, 1, 2), (1, 2, 2), (3, 2, 1)], 4, (0, frozenset({3}))),
+            # n = 2.
+            ([(0, 1, 4), (1, 0, 1)], 2, (4, frozenset({1}))),
+        ],
+    )
+    def test_known_witnesses(self, edges, n, expected):
+        g = normalize(edges, n, 0)
+        assert exact_rooted_mincut(g) == expected == reference_exact_rooted_mincut(g)
+
+    def test_one_max_flow_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return max_flow(problem)
+
+        monkeypatch.setattr(arborpack.oracle, "max_flow", counted)
+        graphs = [
+            normalize([(v, (v + 1) % 8, 1) for v in range(8)], 8, 0),
+            normalize([(u, v, 1) for u in range(5) for v in range(5) if u != v], 5, 0),
+            normalize([(0, 1, 1)], 2, 0),
+        ]
+        for g in graphs:
+            exact_rooted_mincut(g)
+        assert len(calls) == len(graphs)
 
 
 class TestBruteforceCutExpansion:
