@@ -54,14 +54,14 @@ def certification_trials(n: int) -> int:
     return max(1, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def _grow_half(g, comp, deg, pivot, forward, threshold):
+def _grow_half(g, comp, deg, total, pivot, forward, threshold):
     """Deterministic BFS ball around `pivot` inside `comp`, grown until it
-    holds `threshold` (at most half) of the component's terminal degree.
+    holds `threshold` (at most half) of the component's terminal degree
+    `total`.
 
     The threshold is randomized by the caller so that a natural boundary
     sitting just under one half is still hit rather than overgrown.
     """
-    total = sum(deg[v] for v in comp)
     ball = {pivot}
     mass = deg[pivot]
     frontier = [pivot]
@@ -95,9 +95,9 @@ def _certify_component(g, comp, deg, phi, rng, trials):
     if len(active) < 2:
         return None
     sigma = max(1, int(Fraction(1) / phi))
+    total = sum(deg[v] for v in active)
 
     def pick_pivot() -> int:
-        total = sum(deg[v] for v in active)
         x = rng.randrange(total)
         for v in active:
             x -= deg[v]
@@ -118,7 +118,7 @@ def _certify_component(g, comp, deg, phi, rng, trials):
         else:
             threshold = rng.uniform(0.7, 1.0)
             ball = _grow_half(
-                g, comp, deg, pick_pivot(), forward=(style == 1), threshold=threshold
+                g, comp, deg, total, pick_pivot(), forward=(style == 1), threshold=threshold
             )
             for v in active:
                 if (v in ball) == (style == 1):
@@ -176,16 +176,9 @@ def decompose(
         viol = _certify_component(g, comp, deg, phi, rng, trials)
         if viol is None:
             continue
-        outgoing = []
-        incoming = []
-        for eid in range(g.m):
-            if eid in cut:
-                continue
-            u, v, _c = g.edges[eid]
-            if u in viol and v in comp and v not in viol:
-                outgoing.append(eid)
-            elif v in viol and u in comp and u not in viol:
-                incoming.append(eid)
+        rest = comp - viol
+        outgoing = [e for u in viol for e in g.out_edges(u) if g.head(e) in rest and e not in cut]
+        incoming = [e for v in viol for e in g.in_edges(v) if g.tail(e) in rest and e not in cut]
         out_cap = g.edge_capacity(outgoing)
         in_cap = g.edge_capacity(incoming)
         chosen = outgoing if out_cap <= in_cap else incoming
@@ -203,7 +196,7 @@ def decompose(
         # `comp` was an SCC of G - B and B now cuts every edge one way
         # between the sides, so each side's pieces are SCCs of G - B.
         parts = scc(g, frozenset(cut)).components
-        for side in (viol, comp - viol):
+        for side in (viol, rest):
             pending.extend(c for c in parts if c <= side)
     return DecompResult(frozenset(cut), phi, rounds)
 

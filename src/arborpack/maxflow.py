@@ -18,13 +18,16 @@ These are the arcs a source-side level graph offers minus its dead ends,
 so the augmenting paths and their order are those of the textbook
 forward labelling.
 
-The arcs that come from the graph's edges are built once per graph
-(`DirectedGraph.residual_arcs`) and shared by every call. A call copies
-their capacities into a fresh list: `capacity_scale` multiplies them and
-edges outside `edge_filter` get capacity 0 both ways. Only the arc lists
-of vertices that get a supply or sink arc are copied and extended. The
-blocking-flow search keeps an explicit stack, so path length is not
-bounded by Python's recursion limit.
+Every arc a call can use is built once per graph, at its first flow
+(`DirectedGraph.residual_arcs`): the two arcs of each edge, and a supply
+and a sink arc pair for each vertex at fixed ids, with capacity 0. Every
+call shares the `head` tuple. A call copies one capacity template (the
+unscaled one, or the graph's kept copy at `capacity_scale`), writes its
+supplies and sink capacities into it, and gives edges outside
+`edge_filter` capacity 0 both ways. Only the arc lists of vertices that
+get a supply or sink arc are extended. The blocking-flow search keeps an
+explicit stack, so path length is not bounded by Python's recursion
+limit.
 
 An optional `flow_bound` stops augmentation as soon as the flow reaches
 it. Such a run is `capped`: it skips the final residual search, and its
@@ -155,44 +158,39 @@ def max_flow(problem: FlowProblem) -> FlowResult:
 def _residual_network(problem: FlowProblem):
     """The residual network of a fresh run: `(head, cap, adj, supply_arc,
     sink_arc)`, with the super-source at n and the super-sink at n + 1.
-    `supply_arc[v]` and `sink_arc[v]` are the forward arcs of v's supply
-    and sink; each arc's partner `a ^ 1` runs the other way."""
+    `head` is the graph's shared tuple (`DirectedGraph.residual_arcs`);
+    `cap` and `adj` are this run's own. `supply_arc[v]` and `sink_arc[v]`
+    are the forward arcs of v's supply and sink; each arc's partner
+    `a ^ 1` runs the other way."""
     g = problem.graph
-    n = g.n
-    source, sink = n, n + 1
-    base_head, base_cap, base_adj = g.residual_arcs
-    scale = problem.capacity_scale
+    head, _cap, base_adj = g.residual_arcs
+    template = g.scaled_capacities(problem.capacity_scale)
     allowed = problem.edge_filter
     if allowed is None:
-        cap = list(base_cap) if scale == 1 else [c * scale for c in base_cap]
+        cap = list(template)
     else:
-        cap = [0] * len(base_cap)
+        cap = [0] * len(template)
         for eid in allowed:
-            cap[2 * eid] = base_cap[2 * eid] * scale
-    head = list(base_head)
+            cap[2 * eid] = template[2 * eid]
 
     # Supply arcs leave the source and sink arcs enter the sink. A real
     # vertex lists its own after its real arcs, supply before sink.
-    extra: dict[int, list[int]] = {}
+    first = 2 * g.m
+    adj = list(base_adj)
     supply_arc: dict[int, int] = {}
     for v in sorted(problem.source_supply):
         amt = problem.source_supply[v]
         if amt > 0:
-            supply_arc[v] = a = len(cap)
-            cap += (amt, 0)
-            head += (v, source)
-            extra.setdefault(v, []).append(a + 1)
+            supply_arc[v] = a = first + 4 * v
+            cap[a] = amt
+            adj[v] = base_adj[v] + (a + 1,)
     sink_arc: dict[int, int] = {}
     for v in sorted(problem.sink_capacity):
         amt = problem.sink_capacity[v]
         if amt > 0:
-            sink_arc[v] = a = len(cap)
-            cap += (amt, 0)
-            head += (sink, v)
-            extra.setdefault(v, []).append(a)
-    adj = list(base_adj)
-    for v, arcs in extra.items():
-        adj[v] = base_adj[v] + tuple(arcs)
+            sink_arc[v] = a = first + 4 * v + 2
+            cap[a] = amt
+            adj[v] += (a,)
     adj.append(tuple(supply_arc.values()))
     adj.append(tuple(a + 1 for a in sink_arc.values()))
     return head, cap, adj, supply_arc, sink_arc
@@ -273,14 +271,15 @@ def _blocking_flow(adj, head, cap, dist, source: int, sink: int, limit: int) -> 
             continue
         arcs = adj[u]
         i = it[u]
+        k = len(arcs)
         want = dist[u] - 1
-        while i < len(arcs):
+        while i < k:
             a = arcs[i]
             if cap[a] > 0 and dist[head[a]] == want:
                 break
             i += 1
         it[u] = i
-        if i < len(arcs):
+        if i < k:
             path.append(a)
             u = head[a]
             continue

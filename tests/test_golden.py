@@ -159,6 +159,35 @@ ROUTED_GOLDEN = {
 }
 
 
+# `hierarchy` and `mincut` at `--phi 1 --seed 1`. Both decompositions
+# halve phi (level phis 1, 1/8, 1, 1 and 1, 1, 1, 1/2), so the flows on
+# one graph run at capacity scales 1, 2, 4 and 8; the digests above run
+# only at scale 16.
+PHI1_GOLDEN = {
+    "two_cliques_bridge hierarchy":
+        "056c8e11905b12ca19022b4c042adf441bcea68ece44ba872e2b5c4820be4aeb",
+    "two_cliques_bridge mincut":
+        "eeb685446ae70c03dadf9e170f82dcdfb0c21bdc00f12201a1e1827f49cb23a3",
+    "cycle_plus_chords_weighted hierarchy":
+        "93a6bdfb9fe5af91f3336ab840b810427e0635e0628bf1fde7b971718458cf41",
+    "cycle_plus_chords_weighted mincut":
+        "7540b96b642642816a323680a67ed71223ffdcc9792f0784fd8dabdb93d63bd0",
+}
+
+
+def test_phi_one_outputs_match_recorded_digests(capsys, tmp_path):
+    digests = {}
+    for name, gen_args, _k in (INSTANCES[3], INSTANCES[2]):
+        graph = str(tmp_path / f"{name}.dmc")
+        assert main(["gen", *gen_args, "--out", graph]) == 0
+        capsys.readouterr()
+        for command in ("hierarchy", "mincut"):
+            assert main([command, graph, "--phi", "1", "--seed", "1"]) == 0
+            out = capsys.readouterr().out
+            digests[f"{name} {command}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PHI1_GOLDEN
+
+
 # `mincut --exact` on larger instances, where the order in which the
 # oracle meets its sinks decides which minimum cut is the witness.
 EXACT_GOLDEN = {

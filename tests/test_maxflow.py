@@ -12,7 +12,6 @@ from arborpack.graphcore import normalize
 from arborpack.maxflow import (
     FlowProblem,
     FlowResult,
-    _residual_network,
     decompose_paths,
     max_flow,
     verify_flow,
@@ -46,17 +45,52 @@ def brute_min_cut(g, supplies, sinks, edge_filter=None, scale=1):
     return best
 
 
+def reference_network(problem):
+    """A fresh residual network built from the graph's edges alone:
+    `(head, cap, adj, supply_arc, sink_arc)`. Arc 2e runs along edge e and
+    2e+1 back; supply and sink arcs follow in ascending vertex order, and
+    each vertex lists its edge arcs in edge-id order, then its supply
+    partner, then its sink arc. It reads nothing the graph caches."""
+    g = problem.graph
+    n = g.n
+    source, sink = n, n + 1
+    allowed = problem.edge_filter
+    head, cap = [], []
+    adj = [[] for _ in range(n + 2)]
+    for eid, (u, v, c) in enumerate(g.edges):
+        head += (v, u)
+        cap += (c * problem.capacity_scale if allowed is None or eid in allowed else 0, 0)
+        adj[u].append(2 * eid)
+        adj[v].append(2 * eid + 1)
+    supply_arc, sink_arc = {}, {}
+    for v in sorted(problem.source_supply):
+        if problem.source_supply[v] > 0:
+            supply_arc[v] = a = len(cap)
+            head += (v, source)
+            cap += (problem.source_supply[v], 0)
+            adj[v].append(a + 1)
+            adj[source].append(a)
+    for v in sorted(problem.sink_capacity):
+        if problem.sink_capacity[v] > 0:
+            sink_arc[v] = a = len(cap)
+            head += (sink, v)
+            cap += (problem.sink_capacity[v], 0)
+            adj[v].append(a)
+            adj[sink].append(a + 1)
+    return head, cap, adj, supply_arc, sink_arc
+
+
 def reference_max_flow(problem):
     """Dinic with the textbook forward labelling, kept as a cross-check.
 
     Each phase labels vertices by BFS distance from the super-source and
     stops at the super-sink; the blocking flow restarts from the source
     after every augmentation and walks into dead ends. The last search of
-    an uncapped run gives the cut side. It shares only the residual
-    network with `max_flow`."""
+    an uncapped run gives the cut side. It shares no code with
+    `max_flow`: its network comes from `reference_network`."""
     g = problem.graph
     source, sink = g.n, g.n + 1
-    head, cap, adj, supply_arc, sink_arc = _residual_network(problem)
+    head, cap, adj, supply_arc, sink_arc = reference_network(problem)
     bound = problem.flow_bound
     total_supply = sum(problem.source_supply.values())
     limit = total_supply if bound is None else min(bound, total_supply)
@@ -149,12 +183,18 @@ def result_fields(res):
 
 
 @st.composite
-def flow_problems(draw, g):
+def flow_problems(draw, g, scales=st.integers(1, 3), both_ends=False):
     """A problem on g with several supplies and sinks, an optional edge
-    filter and flow bound, and capacities scaled by 1-3."""
+    filter and flow bound, and capacities scaled by a draw from `scales`.
+    With `both_ends`, some vertex has both a positive supply and a
+    positive sink capacity."""
     vertices = st.integers(0, g.n - 1)
     supplies = draw(st.dictionaries(vertices, st.integers(0, 5), min_size=1, max_size=3))
     sinks = draw(st.dictionaries(vertices, st.integers(0, 5), min_size=1, max_size=3))
+    if both_ends:
+        v = draw(vertices)
+        supplies[v] = draw(st.integers(1, 5))
+        sinks[v] = draw(st.integers(1, 5))
     edge_ids = st.sampled_from(range(g.m)) if g.m else st.nothing()
     edge_filter = draw(st.none() | st.frozensets(edge_ids))
     return FlowProblem(
@@ -163,7 +203,7 @@ def flow_problems(draw, g):
         sinks,
         flow_bound=draw(st.none() | st.integers(0, 8)),
         edge_filter=edge_filter,
-        capacity_scale=draw(st.integers(1, 3)),
+        capacity_scale=draw(scales),
     )
 
 
@@ -286,6 +326,28 @@ class TestMaxFlow:
             res = max_flow(problem)
             assert result_fields(res) == result_fields(reference_max_flow(problem))
             verify_flow(problem, res)
+
+    @given(digraphs(max_n=10, max_m=30, max_cap=4), st.data())
+    def test_problem_sequences_on_one_graph_match_reference(self, g, data):
+        # The network and the scaled capacity template are kept on the
+        # graph, so scales 1, 2 and 16 interleave here, with filters,
+        # bounds and a vertex that both supplies and absorbs flow.
+        for scale in (2, 16, 1, 16, 2):
+            problem = data.draw(flow_problems(g, scales=st.just(scale), both_ends=True))
+            res = max_flow(problem)
+            assert result_fields(res) == result_fields(reference_max_flow(problem))
+            verify_flow(problem, res)
+
+    def test_capped_run_leaves_no_state_behind(self):
+        edges = [(0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 3), (3, 1, 1)]
+        g = normalize(edges, 4, 0)
+        capped = max_flow(FlowProblem(g, {0: 9, 1: 2}, {3: 9, 1: 1}, flow_bound=2,
+                                      capacity_scale=2))
+        assert capped.capped and capped.value == 2
+        res = max_flow(FlowProblem(g, {0: 9}, {3: 9}, capacity_scale=2))
+        fresh = max_flow(FlowProblem(normalize(edges, 4, 0), {0: 9}, {3: 9}, capacity_scale=2))
+        assert result_fields(res) == result_fields(fresh)
+        assert res.value == 6 and not res.capped
 
     def test_broom_matches_reference(self):
         # A complete binary tree of 2,047 dead-end vertices hangs off the
