@@ -9,7 +9,18 @@ smaller-direction crossing edges join the cut set B and both sides are
 re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
 not hoped for: if B grows past the budget, phi is halved and the
 offending component re-runs (routing always succeeds once the congestion
-allowance exceeds the total terminal degree, so this terminates).
+allowance exceeds the total terminal degree, so this terminates). A
+violated component is split with one SCC pass over its own vertices.
+
+The trial flows of one `decompose` call run on a contracted copy of the
+graph, built once per call: every maximal path through terminal-free
+vertices with one edge in and one out becomes a single edge of the
+path's least capacity. Supplies and sinks sit only on terminal
+vertices, so each trial's flow value is the one the full graph gives;
+a trial that falls short is run again on the full graph, whose residual
+graph yields the violating side. The output is therefore exactly that
+of running every trial on the full graph, while on a long ring with a
+few terminals each trial walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
 in as the next terminal set until no cut is needed, and records the SCC
@@ -25,10 +36,17 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import HalvingViolation, InternalError, ParameterError
-from .graphcore import DirectedGraph, EdgeSet, Partition, restricted_degrees, scc
+from .graphcore import (
+    DirectedGraph,
+    EdgeSet,
+    Partition,
+    induced_sccs,
+    restricted_degrees,
+    scc,
+)
 from .maxflow import FlowProblem, max_flow
 from .seeds import derive_rng, derive_seed
 
@@ -81,7 +99,75 @@ def _grow_half(g, comp, deg, total, pivot, forward, threshold):
     return ball
 
 
-def _certify_component(g, comp, deg, phi, rng, trials):
+def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequence[int]]:
+    """The graph the certification flows of one `decompose` call run on,
+    and the id each kept vertex of g has there (-1 for the others).
+
+    A vertex is inner when it has no terminal degree and exactly one
+    in-edge and one out-edge. Each maximal path u -> x1 -> ... -> xk -> w
+    through inner vertices becomes one edge u -> w of the path's least
+    capacity; a path with w = u is dropped, and so is a cycle of inner
+    vertices, which no kept vertex reaches. Kept vertices keep their
+    order. Without inner vertices the result is g itself.
+
+    No supply or sink sits on an inner vertex, so a flow crosses a path
+    of them as it would cross a single edge of the path's bottleneck:
+    every max-flow value between kept vertices is the same on both graphs.
+    """
+    inner = [
+        not deg[v] and len(g.in_edges(v)) == 1 and len(g.out_edges(v)) == 1
+        for v in range(g.n)
+    ]
+    if not any(inner):
+        return g, range(g.n)
+    new_id = [-1] * g.n
+    kept = 0
+    for v in range(g.n):
+        if not inner[v]:
+            new_id[v] = kept
+            kept += 1
+    edges = []
+    for u, v, c in g.edges:
+        if inner[u]:
+            continue
+        while inner[v]:
+            _x, v, c_next = g.edges[g.out_edges(v)[0]]
+            c = min(c, c_next)
+        if v != u:
+            edges.append((new_id[u], new_id[v], c))
+    contracted = DirectedGraph(
+        n=kept,
+        edges=tuple(edges),
+        source=new_id[g.source],
+        W=max((c for _u, _v, c in edges), default=1),
+    )
+    return contracted, new_id
+
+
+def _trial_flow(g, contracted, supplies, sinks, target, sigma):
+    """One trial's max-flow, capped at `target`: on the contracted graph
+    h first and, unless it reaches the target there, on g, whose result
+    is returned. Raises `InternalError` if the two values differ."""
+    h, new_id = contracted
+    if h is not g:
+        res = max_flow(FlowProblem(
+            h,
+            {new_id[v]: amt for v, amt in supplies.items()},
+            {new_id[v]: amt for v, amt in sinks.items()},
+            flow_bound=target,
+            capacity_scale=sigma,
+        ))
+        if res.value == target:
+            return res
+    full = max_flow(FlowProblem(g, supplies, sinks, flow_bound=target, capacity_scale=sigma))
+    if h is not g and full.value != res.value:
+        raise InternalError(
+            f"the contracted graph routes {res.value} units, the graph {full.value}"
+        )
+    return full
+
+
+def _certify_component(g, comp, deg, phi, rng, trials, contracted):
     """Try to certify `comp`; return None on success or a violating
     proper nonempty subset of comp on failure.
 
@@ -89,13 +175,24 @@ def _certify_component(g, comp, deg, phi, rng, trials):
     splits around degree-weighted pivots; the latter align with
     structured bottlenecks (bridges, long cycles) that coin flips almost
     never isolate. Both are degree-respecting demands, so a component
-    that truly routes at congestion 1/phi passes every trial.
+    that truly routes at congestion 1/phi passes every trial. A demand
+    that already passed in this call is not routed again; its random
+    draws are still made, so later trials see the same draws.
+
+    Each trial flow runs on `contracted = (h, new_id)` from
+    `_contract_inner_paths`: supplies and sinks sit on terminal vertices,
+    which h keeps, so the flow value is the one g gives, and a trial that
+    reaches its target passes as it would on g. A trial that falls short
+    is run again on g, whose residual graph gives the violating side;
+    the two values must agree. So the result is exactly the one of
+    running every trial on g.
     """
     active = [v for v in sorted(comp) if deg[v] > 0]
     if len(active) < 2:
         return None
     sigma = max(1, int(Fraction(1) / phi))
     total = sum(deg[v] for v in active)
+    passed: set[frozenset] = set()
 
     def pick_pivot() -> int:
         x = rng.randrange(total)
@@ -126,16 +223,16 @@ def _certify_component(g, comp, deg, phi, rng, trials):
                 else:
                     sinks[v] = deg[v]
         target = min(sum(supplies.values()), sum(sinks.values()))
-        if target == 0:
+        demand = frozenset(supplies)
+        if target == 0 or demand in passed:
             continue
-        res = max_flow(
-            FlowProblem(g, supplies, sinks, flow_bound=target, capacity_scale=sigma)
-        )
+        res = _trial_flow(g, contracted, supplies, sinks, target, sigma)
         if res.value < target:
             viol = res.min_cut_side & comp
             if not viol or viol == comp:
                 raise InternalError("trial flow produced a degenerate cut side")
             return frozenset(viol)
+        passed.add(demand)
     return None
 
 
@@ -158,6 +255,7 @@ def decompose(
     degrees = restricted_degrees(g, terminals)
     deg = [degrees.deg(v) for v in range(g.n)]
     trials = certification_trials(g.n)
+    contracted = _contract_inner_paths(g, deg)
 
     phi = phi_target
     halvings = 0
@@ -173,7 +271,7 @@ def decompose(
         rounds += 1
         rng = derive_rng(seed, "certify", halvings, counter)
         counter += 1
-        viol = _certify_component(g, comp, deg, phi, rng, trials)
+        viol = _certify_component(g, comp, deg, phi, rng, trials, contracted)
         if viol is None:
             continue
         rest = comp - viol
@@ -194,8 +292,9 @@ def decompose(
             continue
         cut.update(chosen)
         # `comp` was an SCC of G - B and B now cuts every edge one way
-        # between the sides, so each side's pieces are SCCs of G - B.
-        parts = scc(g, frozenset(cut)).components
+        # between the sides, so the SCCs of comp minus B are SCCs of
+        # G - B, and each lies inside one side.
+        parts = induced_sccs(g, comp, cut)
         for side in (viol, rest):
             pending.extend(c for c in parts if c <= side)
     return DecompResult(frozenset(cut), phi, rounds)

@@ -1,16 +1,27 @@
 """Decomposition contract and hierarchy invariants."""
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arborpack.decomp import build_hierarchy, decompose, hierarchy_from_json
-from arborpack.errors import ParameterError
+from arborpack.decomp import (
+    DecompResult,
+    _contract_inner_paths,
+    _grow_half,
+    build_hierarchy,
+    certification_trials,
+    decompose,
+    hierarchy_from_json,
+)
+from arborpack.errors import InternalError, ParameterError
 from arborpack.generators import gen_two_cliques_bridge
-from arborpack.graphcore import normalize, scc
+from arborpack.graphcore import induced_sccs, normalize, restricted_degrees, scc
+from arborpack.maxflow import FlowProblem, max_flow
 from arborpack.oracle import bruteforce_cut_expansion
+from arborpack.seeds import derive_rng
 
 from .conftest import digraphs
 
@@ -54,7 +65,8 @@ class TestSplit:
         rest = comp - side
         tails, heads = (side, rest) if data.draw(st.booleans()) else (rest, side)
         cut |= {e for e, (u, v, _c) in enumerate(g.edges) if u in tails and v in heads}
-        parts = scc(g, frozenset(cut)).components
+        parts = induced_sccs(g, comp, frozenset(cut))
+        assert parts == [c for c in scc(g, frozenset(cut)).components if c <= comp]
         for piece in (side, rest):
             assert sub_sccs(g, piece, cut) == [c for c in parts if c <= piece]
 
@@ -193,3 +205,193 @@ class TestBuildHierarchy:
         h = build_hierarchy(g, PHI, seed=7)
         assert_hierarchy_invariants(g, h)
         h.validate(g)
+
+
+@st.composite
+def chain_rich(draw):
+    """A small graph whose edges are subdivided into chains, plus chains
+    that return to their start, cycles of fresh vertices and parallel
+    edges, with capacities 1..5 and a sparse terminal set, so that many
+    vertices are terminal-free with one edge in and one out."""
+    cap = st.integers(1, 5)
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    raw = []
+    fresh = n
+
+    def chain(first, last, inner):
+        nonlocal fresh
+        path = [first, *range(fresh, fresh + inner), last]
+        fresh += inner
+        raw.extend((u, v, draw(cap)) for u, v in zip(path, path[1:]))
+
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), min_size=2, max_size=12)):
+        chain(u, v, draw(st.integers(0, 3)))
+    for u in draw(st.lists(vertex, max_size=2)):
+        chain(u, u, draw(st.integers(1, 3)))
+    for size in draw(st.lists(st.integers(2, 3), max_size=1)):
+        ring = range(fresh, fresh + size)
+        fresh += size
+        raw.extend((v, ring[(i + 1) % size], draw(cap)) for i, v in enumerate(ring))
+    raw += [raw[i] for i in draw(st.lists(st.integers(0, len(raw) - 1), max_size=3))]
+    g = normalize(raw, fresh, 0)
+    terminals = frozenset(
+        draw(st.sets(st.integers(0, g.m - 1), min_size=1, max_size=6)) if g.m else ()
+    )
+    return g, terminals
+
+
+def reference_certify(g, comp, deg, phi, rng, trials):
+    """The trial loop with every flow on g itself and every demand routed
+    however often it repeats: the reference for `_certify_component`."""
+    active = [v for v in sorted(comp) if deg[v] > 0]
+    if len(active) < 2:
+        return None
+    sigma = max(1, int(Fraction(1) / phi))
+    total = sum(deg[v] for v in active)
+
+    def pick_pivot():
+        x = rng.randrange(total)
+        for v in active:
+            x -= deg[v]
+            if x < 0:
+                return v
+        return active[-1]
+
+    for t in range(trials):
+        supplies, sinks = {}, {}
+        style = t % 3
+        if style == 0:
+            for v in active:
+                if rng.random() < 0.5:
+                    supplies[v] = deg[v]
+                else:
+                    sinks[v] = deg[v]
+        else:
+            threshold = rng.uniform(0.7, 1.0)
+            ball = _grow_half(
+                g, comp, deg, total, pick_pivot(), forward=(style == 1), threshold=threshold
+            )
+            for v in active:
+                if (v in ball) == (style == 1):
+                    supplies[v] = deg[v]
+                else:
+                    sinks[v] = deg[v]
+        target = min(sum(supplies.values()), sum(sinks.values()))
+        if target == 0:
+            continue
+        res = max_flow(
+            FlowProblem(g, supplies, sinks, flow_bound=target, capacity_scale=sigma)
+        )
+        if res.value < target:
+            return frozenset(res.min_cut_side & comp)
+    return None
+
+
+def reference_decompose(g, terminals, phi, seed):
+    """`decompose` with `reference_certify` and each split read off an
+    SCC pass over the whole graph."""
+    if not terminals:
+        return DecompResult(frozenset(), phi, 0)
+    estar_cap = g.edge_capacity(terminals)
+    degrees = restricted_degrees(g, terminals)
+    deg = [degrees.deg(v) for v in range(g.n)]
+    trials = certification_trials(g.n)
+    halvings = rounds = counter = 0
+    cut = set()
+    pending = deque(sorted(scc(g).components, key=min))
+    while pending:
+        comp = pending.popleft()
+        if len(comp) < 2:
+            continue
+        rounds += 1
+        rng = derive_rng(seed, "certify", halvings, counter)
+        counter += 1
+        viol = reference_certify(g, comp, deg, phi, rng, trials)
+        if viol is None:
+            continue
+        rest = comp - viol
+        outgoing = [e for u in viol for e in g.out_edges(u) if g.head(e) in rest and e not in cut]
+        incoming = [e for v in viol for e in g.in_edges(v) if g.tail(e) in rest and e not in cut]
+        chosen = outgoing if g.edge_capacity(outgoing) <= g.edge_capacity(incoming) else incoming
+        if 2 * (g.edge_capacity(cut) + g.edge_capacity(chosen)) > estar_cap:
+            halvings += 1
+            phi = phi / 2
+            pending.appendleft(comp)
+            continue
+        cut.update(chosen)
+        parts = scc(g, frozenset(cut)).components
+        for side in (viol, rest):
+            pending.extend(c for c in parts if c <= side)
+    return DecompResult(frozenset(cut), phi, rounds)
+
+
+class TestContraction:
+    @given(chain_rich(), st.sampled_from([Fraction(1, 16), Fraction(1)]),
+           st.integers(0, 3))
+    @settings(max_examples=150)
+    def test_decompose_matches_flows_on_the_whole_graph(self, case, phi, seed):
+        g, terminals = case
+        assert decompose(g, terminals, phi, seed) == reference_decompose(
+            g, terminals, phi, seed
+        )
+
+    @given(chain_rich(), st.sampled_from([1, 16]), st.data())
+    @settings(max_examples=150)
+    def test_contracted_graph_keeps_every_flow_value(self, case, scale, data):
+        g, terminals = case
+        degrees = restricted_degrees(g, terminals)
+        h, new_id = _contract_inner_paths(g, [degrees.deg(v) for v in range(g.n)])
+        kept = [v for v in range(g.n) if new_id[v] >= 0]
+        assert [new_id[v] for v in kept] == list(range(h.n))
+        assert (h is g) == (h.n == g.n)
+        amounts = st.dictionaries(st.sampled_from(kept), st.integers(1, 6), max_size=3)
+        supplies, sinks = data.draw(amounts), data.draw(amounts)
+        on_g = max_flow(FlowProblem(g, supplies, sinks, capacity_scale=scale))
+        on_h = max_flow(FlowProblem(
+            h,
+            {new_id[v]: a for v, a in supplies.items()},
+            {new_id[v]: a for v, a in sinks.items()},
+            capacity_scale=scale,
+        ))
+        assert on_h.value == on_g.value
+
+    def test_ring_contracts_to_its_terminals(self):
+        # 0 -> 1, a ring 1 -> 2 -> ... -> 8 -> 1 with terminals at 1 and
+        # 5, a chain 5 -> 9 -> 5 back to its start and a cycle 10 <-> 11.
+        ring = [3, 2, 4, 5, 4, 3, 5, 4]
+        raw = [(0, 1, 1)] + [(v, v % 8 + 1, c) for v, c in enumerate(ring, 1)]
+        raw += [(5, 9, 1), (9, 5, 1), (10, 11, 1), (11, 10, 1)]
+        g = normalize(raw, 12, 0)
+        deg = [1 if v in (1, 5) else 0 for v in range(12)]
+        h, new_id = _contract_inner_paths(g, deg)
+        assert [v for v in range(12) if new_id[v] >= 0] == [0, 1, 5]
+        assert h.edges == ((0, 1, 1), (1, 2, 2), (2, 1, 3))
+        assert h.source == 0
+        # With a terminal on every vertex nothing is inner.
+        assert _contract_inner_paths(g, [1] * 12)[0] is g
+
+    def test_short_trial_value_mismatch_is_an_internal_error(self, monkeypatch):
+        # Two bidirected 4-cliques joined both ways by two-edge chains,
+        # with the clique edges as terminals. If the contracted graph ever
+        # routed another value than g, the re-run would expose it rather
+        # than cut at a wrong side.
+        raw = [(0, 1, 1), (4, 9, 1), (9, 5, 1), (8, 10, 1), (10, 1, 1)]
+        for first in (1, 5):
+            raw += [(u, v, 1) for u in range(first, first + 4)
+                    for v in range(first, first + 4) if u != v]
+        g = normalize(raw, 11, 0)
+        terminals = frozenset(
+            e for e, (u, v, _c) in enumerate(g.edges) if 0 < u < 9 and v < 9
+        )
+        assert decompose(g, terminals, PHI, seed=1).cut_edges
+
+        def lying(problem):
+            res = max_flow(problem)
+            if problem.graph is not g and res.value < problem.flow_bound:
+                object.__setattr__(res, "value", res.value + 1)
+            return res
+
+        monkeypatch.setattr("arborpack.decomp.max_flow", lying)
+        with pytest.raises(InternalError):
+            decompose(g, terminals, PHI, seed=1)

@@ -215,6 +215,29 @@ def test_exact_mincut_at_scale_matches_recorded_digests(capsys, tmp_path):
     assert not changed, f"exact min-cut output changed for: {changed}"
 
 
+# `hierarchy` and `mincut --verbose` at `--seed 1` on the n = 1200 ring
+# above. Its level-2 terminals are a handful of ring edges, so the
+# certification flows there run on the ring with its terminal-free
+# stretches contracted to single edges.
+CONTRACTED_GEN = EXACT_GOLDEN["cycle_plus_chords n=1200"][0]
+CONTRACTED_GOLDEN = {
+    "hierarchy": "58fe4b02e80ece31627a6a5137264dd9b493dd79fe1ef752df9c0301941ad50d",
+    "mincut --verbose": "51291f0dd3e9531f02cc0a73b2eac07d68c054011b78ffa6099af24bccd84c58",
+}
+
+
+def test_contracted_level_outputs_match_recorded_digests(capsys, tmp_path):
+    graph = str(tmp_path / "ring.dmc")
+    assert main(["gen", *CONTRACTED_GEN, "--out", graph]) == 0
+    capsys.readouterr()
+    digests = {}
+    for label in CONTRACTED_GOLDEN:
+        command, *flags = label.split()
+        assert main([command, graph, "--seed", "1", *flags]) == 0
+        digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == CONTRACTED_GOLDEN
+
+
 def test_pack_under_routing_load_matches_recorded_digests(capsys, tmp_path):
     graph = str(tmp_path / "routed.dmc")
     assert main(["gen", *ROUTED_GEN, "--out", graph]) == 0
