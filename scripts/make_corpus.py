@@ -35,7 +35,8 @@ def main() -> int:
     ):
         path = out / f"{name}.dmc"
         path.write_text(format_graph(g, comment=f"{name} seed={args.seed}"))
-        print(f"{path}  n={g.n} m={g.m} W={g.W}")
+        w = max((c for _u, _v, c in g.edges), default=1)
+        print(f"{path}  n={g.n} m={g.m} W={w}")
     return 0
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generators
-from .decomp import DEFAULT_PHI, build_hierarchy, hierarchy_from_json
+from .decomp import DEFAULT_PHI, build_hierarchy, hierarchy_from_json, phi_exponent_fits
 from .errors import ArborError, InputError, ParameterError, UnsupportedGraphError
 from .graphcore import DirectedGraph, cut_values, normalize
 from .mincut import approx_rooted_mincut
@@ -127,23 +126,12 @@ def _default_seed() -> int:
         raise ParameterError(f"ARBOR_SEED must be an integer, got {raw!r}")
 
 
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
-
-
 def _phi(text: str) -> Fraction:
     out_of_range = ParameterError(
         f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
     )
-    # Fraction(text) builds 10**exponent first. A phi in (0, 1] whose
-    # denominator is at most 2^128 < 10^39 has an exponent of magnitude at
-    # most len(text) + 39, since the mantissa cancels at most as many
-    # powers of ten as it has digits; a larger one is rejected unbuilt.
-    match = _EXPONENT.search(text)
-    if match:
-        digits = match.group(1).replace("_", "").lstrip("0")
-        limit = len(text) + 39
-        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
-            raise out_of_range
+    if not phi_exponent_fits(text):
+        raise out_of_range
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -253,7 +241,7 @@ def _read_result(path: str) -> dict:
         raise ParameterError(f"cannot read result file: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ParameterError(f"result file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParameterError("result file nests JSON too deeply") from exc
@@ -311,23 +299,16 @@ def _cmd_verify(args) -> int:
         report = {"kind": "verify", "ok": all(c["ok"] for c in checks), "checks": checks}
     elif kind == "hierarchy":
         try:
-            # Compare n first: the partitions allocate n entries each.
-            hier = hierarchy_from_json(payload) if int(payload["n"]) == g.n else None
+            hierarchy_from_json(payload, g)
+            ok, detail = True, ""
         except (
             KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError
         ) as exc:
             raise ParameterError(f"malformed hierarchy result: {exc!r}") from exc
-        try:
-            if hier is None:
-                raise ParameterError("hierarchy was not built on this graph")
-            hier.validate(g)
-            report = {"kind": "verify", "ok": True, "checks": [
-                {"name": "hierarchy_invariants", "ok": True, "detail": ""}
-            ]}
         except ArborError as exc:
-            report = {"kind": "verify", "ok": False, "checks": [
-                {"name": "hierarchy_invariants", "ok": False, "detail": str(exc)}
-            ]}
+            ok, detail = False, str(exc)
+        check = {"name": "hierarchy_invariants", "ok": ok, "detail": detail}
+        report = {"kind": "verify", "ok": ok, "checks": [check]}
     else:
         raise ParameterError(f"cannot verify result of kind {kind!r}")
     _emit(report)

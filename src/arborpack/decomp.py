@@ -23,8 +23,10 @@ of running every trial on the full graph, while on a long ring with a
 few terminals each trial walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
-in as the next terminal set until no cut is needed, and records the SCC
-partition of the graph minus all higher-level edges for every level.
+in as the next terminal set until no cut is needed. The `Hierarchy` it
+builds on the graph checks the levels and then derives, with one SCC
+pass each, the partition of the graph minus all higher-level edges for
+every level; `hierarchy_from_json` compares a result's with those.
 
 Flow-based certification is a heuristic stand-in for the real expansion
 property; the exhaustive cut-expansion check in `oracle` is the ground
@@ -33,10 +35,11 @@ truth at small n.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HalvingViolation, InternalError, ParameterError
 from .graphcore import (
@@ -55,6 +58,9 @@ __all__ = ["DecompResult", "Hierarchy", "decompose", "build_hierarchy", "DEFAULT
 DEFAULT_PHI = Fraction(1, 16)
 
 _MAX_PHI_HALVINGS = 64
+
+#: phi_target / phi for every phi that `decompose` can end at.
+_HALVING_RATIOS = frozenset(1 << h for h in range(_MAX_PHI_HALVINGS + 1))
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,6 @@ def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequenc
         n=kept,
         edges=tuple(edges),
         source=new_id[g.source],
-        W=max((c for _u, _v, c in edges), default=1),
     )
     return contracted, new_id
 
@@ -302,25 +307,38 @@ def decompose(
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Level edge sets E_1..E_L plus the SCC partition of the graph minus
-    all higher-level edges, for every level 0..L.
+    """Level edge sets E_1..E_L of `graph` and the phi each level ended
+    at, plus the SCC partition of the graph minus all higher-level edges
+    for every level 0..L, which the constructor derives after `validate`
+    passes, and in which it checks that the source is a singleton.
 
     Level 0 has no edge set; its partition is all singletons because every
     edge counts as higher-level there. Partitions refine upward (a laminar
-    family) and the source is a singleton component at every level.
+    family): the edges above level i - 1 include those above level i.
     """
 
-    n: int
-    m: int
-    source: int
+    graph: InitVar[DirectedGraph]
     phi_target: Fraction
     levels: tuple[frozenset, ...]
-    partitions: tuple[Partition, ...]
     level_phis: tuple[Fraction, ...]
+    n: int = field(init=False)
+    m: int = field(init=False)
+    source: int = field(init=False)
+    partitions: tuple[Partition, ...] = field(init=False)
     _above: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_above", _suffix_unions(self.levels))
+    def __post_init__(self, graph: DirectedGraph) -> None:
+        object.__setattr__(self, "n", graph.n)
+        object.__setattr__(self, "m", graph.m)
+        object.__setattr__(self, "source", graph.source)
+        self.validate(graph)
+        # Entry i is the union of E_j for j > i; validate bounds L.
+        above = tuple(frozenset().union(*self.levels[i:]) for i in range(self.L + 1))
+        object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "partitions", tuple(scc(graph, up) for up in above))
+        for i, part in enumerate(self.partitions):
+            if part.component(self.source) != frozenset({self.source}):
+                raise InternalError(f"source is not a singleton at level {i}")
 
     @property
     def L(self) -> int:
@@ -344,15 +362,15 @@ class Hierarchy:
         return self.partitions[i]
 
     def validate(self, g: DirectedGraph) -> None:
-        """Re-derive every structural invariant; raises on any failure."""
+        """Check the levels and phis against g: the graph's counts, at
+        least one level and one phi per level, cover, halving, the bound
+        on L, and phis that `decompose` can end at. Raises on any failure.
+        The partitions are g's SCCs by construction."""
         if g.n != self.n or g.m != self.m or g.source != self.source:
             raise ParameterError("hierarchy was not built on this graph")
-        if self.L < 1 or len(self.partitions) != self.L + 1:
-            raise InternalError("level/partition counts are inconsistent")
-        union: set[int] = set()
-        for level in self.levels:
-            union.update(level)
-        if union != set(range(g.m)):
+        if self.L < 1 or len(self.level_phis) != self.L:
+            raise InternalError(f"{self.L} levels with {len(self.level_phis)} phis")
+        if set().union(*self.levels) != set(range(g.m)):
             raise InternalError("level edge sets do not cover the graph")
         caps = [g.edge_capacity(level) for level in self.levels]
         for i in range(len(caps) - 1):
@@ -360,18 +378,17 @@ class Hierarchy:
                 raise HalvingViolation(
                     f"c(E_{i + 2}) = {caps[i + 1]} exceeds half of c(E_{i + 1}) = {caps[i]}"
                 )
-        top_cap = caps[0] if caps else 0
-        limit = (math.ceil(math.log2(top_cap)) if top_cap > 1 else 0) + 1
+        limit = (math.ceil(math.log2(caps[0])) if caps[0] > 1 else 0) + 1
         if self.L > limit:
             raise HalvingViolation(f"L = {self.L} exceeds bound {limit}")
-        for i in range(self.L + 1):
-            expected = scc(g, self.edges_above(i))
-            if expected != self.partitions[i]:
-                raise InternalError(f"level-{i} partition does not match its SCCs")
-            if self.partitions[i].component(g.source) != frozenset({g.source}):
-                raise InternalError(f"source is not a singleton at level {i}")
-            if i > 0 and not self.partitions[i - 1].refines(self.partitions[i]):
-                raise InternalError(f"level {i - 1} does not refine level {i}")
+        if not 0 < self.phi_target <= 1:
+            raise ParameterError(f"phi_target must be in (0, 1], got {self.phi_target}")
+        for i, phi in enumerate(self.level_phis, start=1):
+            if not phi > 0 or self.phi_target / phi not in _HALVING_RATIOS:
+                raise InternalError(
+                    f"level {i} phi {phi} is not phi_target / 2^h for any "
+                    f"0 <= h <= {_MAX_PHI_HALVINGS}"
+                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,32 +405,62 @@ class Hierarchy:
         }
 
 
-def hierarchy_from_json(data: dict) -> Hierarchy:
-    """Rebuild a Hierarchy from its JSON shape (validate against a graph
-    separately with `Hierarchy.validate`)."""
-    from .graphcore import _partition_from_groups
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
-    n = int(data["n"])
-    parts = tuple(
-        _partition_from_groups(n, [frozenset(c) for c in part])
-        for part in data["partitions"]
-    )
-    return Hierarchy(
-        n=n,
-        m=int(data["m"]),
-        source=int(data["source"]),
-        phi_target=Fraction(data["phi_target"]),
-        levels=tuple(frozenset(level) for level in data["levels"]),
-        partitions=parts,
-        level_phis=tuple(Fraction(p) for p in data["level_phis"]),
-    )
+
+def phi_exponent_fits(text: str) -> bool:
+    """False when `text` has a decimal exponent that no phi can need;
+    `Fraction(text)` would build 10**exponent first. A phi in (0, 1] with
+    a denominator of at most 2^192 < 10^58 (a command-line phi halved 64
+    times) has one of magnitude at most len(text) + 58, since the
+    mantissa cancels at most as many powers of ten as it has digits."""
+    match = _EXPONENT.search(text)
+    if not match:
+        return True
+    digits = match.group(1).replace("_", "").lstrip("0")
+    limit = len(text) + 58
+    return len(digits) <= len(str(limit)) and int(digits or "0") <= limit
+
+
+def _phi_field(value) -> Fraction:
+    if isinstance(value, str) and not phi_exponent_fits(value):
+        raise ValueError(f"phi {value[:40]!r} has a decimal exponent past any phi's")
+    return Fraction(value)
+
+
+def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
+    """The hierarchy a JSON result describes, built on g from the
+    result's levels and phis, after its n, m and source are checked
+    against g; the partitions it lists must be the derived ones. Raises
+    an `ArborError` for a well-formed but wrong result, and `KeyError`,
+    `TypeError`, `ValueError` or `IndexError` for a missing or malformed
+    field."""
+    if (int(data["n"]), int(data["m"]), int(data["source"])) != (g.n, g.m, g.source):
+        raise ParameterError("hierarchy was not built on this graph")
+    levels = tuple(frozenset(level) for level in data["levels"])
+    partitions = data["partitions"]
+    if not isinstance(partitions, list):
+        raise TypeError("partitions must be a list")
+    phi_target = _phi_field(data["phi_target"])
+    level_phis = tuple(_phi_field(p) for p in data["level_phis"])
+    if not levels or len(partitions) != len(levels) + 1:
+        raise InternalError("level/partition counts are inconsistent")
+    hier = Hierarchy(g, phi_target, levels, level_phis)
+    for i, (groups, part) in enumerate(zip(partitions, hier.partitions)):
+        claimed = sorted(map(frozenset, groups), key=min)
+        # Looking each id up first makes one outside the vertex table a
+        # malformed field rather than a wrong partition.
+        named = {part.comp_of[v] for comp in claimed for v in comp}
+        if len(named) != len(part.components) or tuple(claimed) != part.components:
+            raise InternalError(f"level-{i} partition does not match its SCCs")
+    return hier
 
 
 def build_hierarchy(
     g: DirectedGraph, phi_target: Fraction = DEFAULT_PHI, seed: int = 0
 ) -> Hierarchy:
-    """Iterate decompose until no cut edges remain, then assemble and
-    validate the full hierarchy."""
+    """Iterate decompose until no cut edges remain; the `Hierarchy` built
+    from the levels validates them and derives each level's partition."""
     phi_target = Fraction(phi_target)
     if not 0 < phi_target <= 1:
         raise ParameterError(f"phi_target must be in (0, 1], got {phi_target}")
@@ -435,28 +482,4 @@ def build_hierarchy(
             raise HalvingViolation(
                 f"hierarchy construction passed {max_levels} levels without converging"
             )
-    hier = Hierarchy(
-        n=g.n,
-        m=g.m,
-        source=g.source,
-        phi_target=phi_target,
-        levels=tuple(levels),
-        partitions=tuple(scc_for_levels(g, levels)),
-        level_phis=tuple(phis),
-    )
-    hier.validate(g)
-    return hier
-
-
-def _suffix_unions(levels: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    """Entry i is the union of E_j for j > i, for i = 0..L, where
-    `levels` holds E_1..E_L."""
-    above = [frozenset()]
-    for level in reversed(list(levels)):
-        above.append(above[-1] | level)
-    return tuple(reversed(above))
-
-
-def scc_for_levels(g: DirectedGraph, levels: Iterable[frozenset]) -> list[Partition]:
-    """Partitions of g minus all higher-level edges, for levels 0..L."""
-    return [scc(g, above) for above in _suffix_unions(levels)]
+    return Hierarchy(g, phi_target, tuple(levels), tuple(phis))

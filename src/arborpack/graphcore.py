@@ -42,8 +42,7 @@ MAX_EDGES = 1 << 24
 class DirectedGraph:
     """Immutable weighted directed multigraph.
 
-    `edges[e] = (tail, head, capacity)`.  `W` is the capacity bound
-    (maximum capacity present, 1 for an edgeless graph).
+    `edges[e] = (tail, head, capacity)`.
 
     `residual_arcs = (head, cap, adj)` holds every arc a max-flow on the
     graph can use, with the super-source at n and the super-sink at
@@ -63,7 +62,6 @@ class DirectedGraph:
     n: int
     edges: tuple[Edge, ...]
     source: int
-    W: int
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: ResidualArcs | None = field(init=False, repr=False, compare=False)
@@ -197,8 +195,7 @@ def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedG
         if u == v or v == s:
             continue
         kept.append((u, v, c))
-    w = max((c for _, _, c in kept), default=1)
-    return DirectedGraph(n=n, edges=tuple(kept), source=s, W=w)
+    return DirectedGraph(n=n, edges=tuple(kept), source=s)
 
 
 @dataclass(frozen=True)
@@ -214,14 +211,6 @@ class Partition:
 
     def component(self, v: VertexId) -> frozenset:
         return self.components[self.comp_of[v]]
-
-    def refines(self, other: "Partition") -> bool:
-        """True if every component here lies inside one component of `other`."""
-        for comp in self.components:
-            targets = {other.comp_of[v] for v in comp}
-            if len(targets) != 1:
-                return False
-        return True
 
 
 def _partition_from_groups(n: int, groups: Iterable[Iterable[int]]) -> Partition:

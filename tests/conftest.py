@@ -26,3 +26,9 @@ def digraphs(draw, min_n=2, max_n=8, max_m=24, max_cap=1):
         )
     )
     return normalize(edges, n, 0)
+
+
+def refines(fine, coarse) -> bool:
+    """True if every component of partition `fine` lies inside one
+    component of `coarse`."""
+    return all(len({coarse.comp_of[v] for v in comp}) == 1 for comp in fine.components)

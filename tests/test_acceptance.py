@@ -34,6 +34,8 @@ from arborpack.packing import (
 )
 from arborpack.seeds import derive_seed
 
+from .conftest import refines
+
 MASTER_SEED = 20260810
 
 
@@ -126,7 +128,11 @@ def test_criterion_2_instrumented_approximation():
 
 
 def test_criterion_3_hierarchy_invariants(mincut_corpus):
-    """Cover, halving, level bound, laminarity, singleton source."""
+    """Cover, halving, level bound, laminarity, singleton source.
+
+    `validate` checks the first three; the partitions are derived when
+    the hierarchy is built, so laminarity and the singleton source are
+    checked here on what was derived."""
     rows, _ = mincut_corpus
     failures = []
     for name, g, hier, _rep, _exact in rows:
@@ -134,6 +140,11 @@ def test_criterion_3_hierarchy_invariants(mincut_corpus):
             hier.validate(g)
         except Exception as exc:  # noqa: BLE001 - collecting for the report
             failures.append(f"{name}: {exc}")
+        for i in range(hier.L + 1):
+            if hier.partition(i).component(g.source) != frozenset({g.source}):
+                failures.append(f"{name}: source is not a singleton at level {i}")
+            if i and not refines(hier.partition(i - 1), hier.partition(i)):
+                failures.append(f"{name}: level {i - 1} does not refine level {i}")
     report(
         "criterion 3 (hierarchy invariants)",
         not failures,

@@ -368,6 +368,7 @@ class TestVerifyMalformedResults:
         '{"kind": "hierarchy", "n": 5, "m": 12, "source": 0, "phi_target": Infinity,'
         ' "levels": [], "partitions": [], "level_phis": []}',
         pytest.param('[' * 100000 + ']' * 100000, id='deeply-nested'),
+        pytest.param('{"kind": "mincut", "value": 1' + '0' * 5000 + '}', id='5001-digit-int'),
     ])
     def test_parameter_error_not_traceback(self, capsys, tmp_path, graph_file, text):
         result_file = tmp_path / "bad.json"
@@ -387,8 +388,8 @@ class TestVerifyMalformedResults:
         validate(json.loads(out), "error.schema.json")
 
     def test_hierarchy_for_another_n_allocates_nothing(self, capsys, tmp_path, graph_file):
-        # The partitions would allocate n entries each: n is compared with
-        # the graph's first.
+        # n, m and source are compared with the graph's before any other
+        # field is read.
         result_file = tmp_path / "h.json"
         result_file.write_text(json.dumps({
             "kind": "hierarchy", "n": 10**15, "m": 12, "source": 0, "phi_target": "1/16",
@@ -406,6 +407,165 @@ class TestVerifyMalformedResults:
             code, out = run_cli(capsys, *argv)
             assert code == 2
             validate(json.loads(out), "error.schema.json")
+
+
+def _levels_case(levels):
+    return lambda d: {**d, "levels": levels}
+
+
+def _partition_1_case(groups):
+    return lambda d: {**d, "partitions": [d["partitions"][0], groups, d["partitions"][2]]}
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+_ALL_EDGES = list(range(27))
+_LEVEL_1_WRONG = "level-1 partition does not match its SCCs"
+_COUNTS = "level/partition counts are inconsistent"
+_COVER = "level edge sets do not cover the graph"
+_FOREIGN = "hierarchy was not built on this graph"
+
+# Corruptions of the two-level hierarchy of `two_cliques_bridge --half 4
+# --seed 0` (seed 1): partitions [singletons], [[0], [1..4], [5..8]] and
+# [[0], [1..8]]; levels all 27 edges and [25]. Each row is the exit code
+# and, for a verify report, its `ok` and detail; an exit-2 row is a JSON
+# parameter error. A negative id that still indexes the n-entry vertex
+# table reads as a wrong partition, one past either end as malformed.
+_CORRUPTED_HIERARCHIES = [
+    ("moved-vertex", _partition_1_case([[0], [1, 2, 3], [4, 5, 6, 7, 8]]), 1, _LEVEL_1_WRONG),
+    ("merged-components", _partition_1_case([[0], [1, 2, 3, 4, 5, 6, 7, 8]]), 1, _LEVEL_1_WRONG),
+    ("dropped-partition", lambda d: {**d, "partitions": d["partitions"][:2]}, 1, _COUNTS),
+    ("extra-partition",
+     lambda d: {**d, "partitions": d["partitions"] + d["partitions"][-1:]}, 1, _COUNTS),
+    ("reversed-partitions", lambda d: {**d, "partitions": d["partitions"][::-1]}, 1,
+     "level-0 partition does not match its SCCs"),
+    ("negative-id", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, -1]]), 1, _LEVEL_1_WRONG),
+    ("id-below-minus-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, -10]]), 2, None),
+    ("id-equal-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, 9]]), 2, None),
+    ("id-far-past-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, 8, 10**6]]), 2, None),
+    ("string-id", _partition_1_case([[0], [1, 2, 3, "4"], [5, 6, 7, 8]]), 2, None),
+    ("partitions-int", lambda d: {**d, "partitions": 5}, 2, None),
+    ("partitions-object", lambda d: {**d, "partitions": {"a": 1}}, 2, None),
+    ("partition-int", lambda d: {**d, "partitions": [d["partitions"][0], 7, []]}, 2, None),
+    ("level-missing-edge", _levels_case([_ALL_EDGES[1:], [25]]), 1, _COVER),
+    ("level-id-equal-m", _levels_case([_ALL_EDGES, [25, 27]]), 1, _COVER),
+    ("empty-levels", _levels_case([]), 1, _COUNTS),
+    ("fifty-extra-levels", _levels_case([_ALL_EDGES, [25]] + [[]] * 50), 1, _COUNTS),
+    ("wrong-n", lambda d: {**d, "n": 10}, 1, _FOREIGN),
+    ("wrong-m", lambda d: {**d, "m": 28}, 1, _FOREIGN),
+    ("wrong-source", lambda d: {**d, "source": 1}, 1, _FOREIGN),
+    ("missing-n", _without("n"), 2, None),
+    ("missing-partitions", _without("partitions"), 2, None),
+    ("missing-level-phis", _without("level_phis"), 2, None),
+    ("missing-phi-target", _without("phi_target"), 2, None),
+]
+
+
+class TestVerifyHierarchyResults:
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        """The graph file and its real two-level hierarchy result."""
+        work = tmp_path_factory.mktemp("hier")
+        graph = work / "g.dmc"
+        assert main(["gen", "two_cliques_bridge", "--half", "4", "--seed", "0",
+                     "--out", str(graph)]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["hierarchy", str(graph), "--seed", "1"]) == 0
+        data = json.loads(buf.getvalue())
+        assert len(data["levels"]) == 2
+        return graph, data
+
+    def verify(self, capsys, tmp_path, graph, payload):
+        result = tmp_path / "h.json"
+        result.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "verify", str(result), str(graph))
+        return code, json.loads(out)
+
+    def test_real_result_verifies(self, capsys, tmp_path, built):
+        graph, data = built
+        code, report = self.verify(capsys, tmp_path, graph, data)
+        assert (code, report["ok"]) == (0, True)
+
+    @pytest.mark.parametrize(
+        "corrupt, code, detail",
+        [pytest.param(*row[1:], id=row[0]) for row in _CORRUPTED_HIERARCHIES],
+    )
+    def test_corrupted_result(self, capsys, tmp_path, built, corrupt, code, detail):
+        graph, data = built
+        got, payload = self.verify(capsys, tmp_path, graph, corrupt(json.loads(json.dumps(data))))
+        assert got == code
+        if code == 2:
+            validate(payload, "error.schema.json")
+            assert payload["error_type"] == "parameter"
+        else:
+            validate(payload, "verify.schema.json")
+            assert payload["ok"] is False
+            assert payload["checks"][0]["detail"] == detail
+
+
+    # Each of these verified ok before the phi fields were checked.
+    @pytest.mark.parametrize("change, detail", [
+        ({"phi_target": "5"}, "phi_target must be in (0, 1], got 5"),
+        ({"phi_target": "0"}, "phi_target must be in (0, 1], got 0"),
+        ({"level_phis": ["7/3", "1/16"]}, "level 1 phi 7/3 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", "-1"]}, "level 2 phi -1 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", "0"]}, "level 2 phi 0 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", "1/48"]}, "level 2 phi 1/48 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", "1/8"]}, "level 2 phi 1/8 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", f"1/{2**69}"]}, f"level 2 phi 1/{2**69} is not"),
+        ({"level_phis": ["1/16"]}, "2 levels with 1 phis"),
+        ({"level_phis": ["1/16"] * 3}, "2 levels with 3 phis"),
+    ], ids=["target-5", "target-0", "7/3", "negative", "zero", "not-a-halving",
+            "above-target", "65-halvings", "too-few", "too-many"])
+    def test_impossible_phi_fields_fail(self, capsys, tmp_path, built, change, detail):
+        graph, data = built
+        code, report = self.verify(capsys, tmp_path, graph, {**data, **change})
+        assert (code, report["ok"]) == (1, False)
+        validate(report, "verify.schema.json")
+        assert report["checks"][0]["detail"].startswith(detail)
+
+    def test_last_halving_verifies(self, capsys, tmp_path, built):
+        # `decompose` halves phi at most 64 times.
+        graph, data = built
+        change = {"level_phis": ["1/16", f"1/{2**68}"]}
+        code, report = self.verify(capsys, tmp_path, graph, {**data, **change})
+        assert (code, report["ok"]) == (0, True)
+
+    def test_partition_leaving_out_a_vertex_is_wrong(self, capsys, tmp_path, built):
+        graph, data = built
+        corrupt = _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7]])
+        code, report = self.verify(capsys, tmp_path, graph, corrupt(data))
+        assert (code, report["ok"]) == (1, False)
+        assert report["checks"][0]["detail"] == _LEVEL_1_WRONG
+
+    def test_float_edge_id_is_malformed(self, capsys, tmp_path, built):
+        # 0.0 == 0 passes the cover check but indexes no edge.
+        graph, data = built
+        change = {"levels": [[0.0] + data["levels"][0][1:], data["levels"][1]]}
+        code, payload = self.verify(capsys, tmp_path, graph, {**data, **change})
+        assert code == 2
+        validate(payload, "error.schema.json")
+
+    # Fraction would build 10**3000000 (seconds of CPU) first; the
+    # exponent alone marks the field malformed.
+    @pytest.mark.parametrize("change", [
+        {"phi_target": "1e-3000000"},
+        {"phi_target": "1E+1_000_000_0"},
+        {"level_phis": ["1/16", "1e-3000000"]},
+        {"level_phis": ["1e-10000000", "1/16"]},
+    ], ids=["target", "target-positive", "level", "level-first"])
+    def test_phi_huge_exponent_rejected_unbuilt(self, capsys, tmp_path, built, change):
+        graph, data = built
+        started = time.process_time()
+        code, payload = self.verify(capsys, tmp_path, graph, {**data, **change})
+        assert time.process_time() - started < 0.5
+        assert code == 2
+        validate(payload, "error.schema.json")
+        assert payload["error_type"] == "parameter"
+        assert "phi" in payload["message"]
 
 
 class TestLongCycle:

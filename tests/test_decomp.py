@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arborpack import decomp
 from arborpack.decomp import (
     DecompResult,
+    Hierarchy,
     _contract_inner_paths,
     _grow_half,
     build_hierarchy,
@@ -18,12 +20,18 @@ from arborpack.decomp import (
 )
 from arborpack.errors import InternalError, ParameterError
 from arborpack.generators import gen_two_cliques_bridge
-from arborpack.graphcore import induced_sccs, normalize, restricted_degrees, scc
+from arborpack.graphcore import (
+    DirectedGraph,
+    induced_sccs,
+    normalize,
+    restricted_degrees,
+    scc,
+)
 from arborpack.maxflow import FlowProblem, max_flow
 from arborpack.oracle import bruteforce_cut_expansion
 from arborpack.seeds import derive_rng
 
-from .conftest import digraphs
+from .conftest import digraphs, refines
 
 PHI = Fraction(1, 16)
 
@@ -156,7 +164,7 @@ def assert_hierarchy_invariants(g, h):
     for i in range(h.L + 1):
         assert h.partition(i).component(g.source) == frozenset({g.source})
         if i:
-            assert h.partition(i - 1).refines(h.partition(i))
+            assert refines(h.partition(i - 1), h.partition(i))
     assert all(len(c) == 1 for c in h.partition(0).components)
 
 
@@ -194,10 +202,40 @@ class TestBuildHierarchy:
         g = gen_two_cliques_bridge(3, seed=4)
         h = build_hierarchy(g, PHI, seed=1)
         data = h.to_json_dict()
-        restored = hierarchy_from_json(data)
-        restored.validate(g)
-        assert restored.levels == h.levels
-        assert restored.partitions == h.partitions
+        restored = hierarchy_from_json(data, g)
+        assert restored == h
+
+    @pytest.mark.parametrize("g, L", [
+        (normalize([(0, 1, 1), (1, 2, 1)], 3, 0), 1),
+        (gen_two_cliques_bridge(4, seed=0), 2),
+    ], ids=["path", "two-cliques"])
+    def test_build_makes_2L_plus_1_scc_passes(self, monkeypatch, g, L):
+        # One per `decompose` call and one per partition, levels 0..L.
+        calls = []
+        monkeypatch.setattr(decomp, "scc", lambda *a: calls.append(a) or scc(*a))
+        h = build_hierarchy(g, PHI, seed=1)
+        assert h.L == L
+        assert len(calls) == 2 * L + 1
+
+    def test_levels_are_checked_before_any_scc_pass(self, monkeypatch):
+        g = gen_two_cliques_bridge(4, seed=0)
+        calls = []
+        monkeypatch.setattr(decomp, "scc", lambda *a: calls.append(a) or scc(*a))
+        with pytest.raises(InternalError, match="do not cover"):
+            Hierarchy(g, PHI, (frozenset(range(1, g.m)),), (PHI,))
+        assert calls == []
+
+    def test_source_singleton_is_checked(self):
+        # A graph built without `normalize` may put the source on a cycle.
+        g = DirectedGraph(n=2, edges=((0, 1, 1), (1, 0, 1)), source=0)
+        with pytest.raises(InternalError, match="source is not a singleton at level 1"):
+            Hierarchy(g, PHI, (frozenset({0, 1}),), (PHI,))
+
+    def test_partitions_are_derived(self):
+        g = gen_two_cliques_bridge(4, seed=0)
+        h = build_hierarchy(g, PHI, seed=1)
+        assert h.partitions == tuple(scc(g, h.edges_above(i)) for i in range(h.L + 1))
+        assert (h.n, h.m, h.source) == (g.n, g.m, g.source)
 
     @given(digraphs(max_n=8, max_m=20, max_cap=3))
     @settings(max_examples=30)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arborpack.decomp import DEFAULT_PHI, Hierarchy, build_hierarchy, scc_for_levels
+from arborpack.decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from arborpack.errors import InternalError, ParameterError, UnsupportedGraphError
 from arborpack.generators import gen_known_packing, gen_two_cliques_bridge, instance_stream
 from arborpack.graphcore import cut_values, normalize
@@ -39,17 +39,12 @@ def rooted_triangle():
 
 
 def manual_hierarchy(g, levels, phi=DEFAULT_PHI):
-    h = Hierarchy(
-        n=g.n,
-        m=g.m,
-        source=g.source,
+    return Hierarchy(
+        g,
         phi_target=Fraction(phi),
         levels=tuple(frozenset(l) for l in levels),
-        partitions=tuple(scc_for_levels(g, levels)),
         level_phis=tuple(Fraction(phi) for _ in levels),
     )
-    h.validate(g)
-    return h
 
 
 def level_tables(g, h, i):
