@@ -188,7 +188,7 @@ def _cmd_mincut(args) -> int:
         data.update(method="exact", value=value, cut=sorted(side))
     else:
         hier = build_hierarchy(g, _phi(args.phi), args.seed)
-        report = approx_rooted_mincut(g, hier, args.seed)
+        report = approx_rooted_mincut(hier, args.seed)
         best = report.best
         data.update(
             method="approx",
@@ -330,7 +330,7 @@ def _cmd_bench(args) -> int:
             "seed": args.seed,
         }
         hier = build_hierarchy(g, _phi(args.phi), args.seed)
-        report = approx_rooted_mincut(g, hier, args.seed)
+        report = approx_rooted_mincut(hier, args.seed)
         exact, _ = exact_rooted_mincut(g)
         record["value"] = report.best.rho
         record["exact"] = exact

@@ -24,9 +24,9 @@ few terminals each trial walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
 in as the next terminal set until no cut is needed. The `Hierarchy` it
-builds on the graph checks the levels and then derives, with one SCC
-pass each, the partition of the graph minus all higher-level edges for
-every level; `hierarchy_from_json` compares a result's with those.
+builds keeps the graph, checks the levels and then derives, with one
+SCC pass each, the partition of the graph minus all higher-level edges
+for every level; `hierarchy_from_json` compares a result's with those.
 
 Flow-based certification is a heuristic stand-in for the real expansion
 property; the exhaustive cut-expansion check in `oracle` is the ground
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -268,14 +268,12 @@ def decompose(
     base = scc(g)
     pending: deque[frozenset] = deque(sorted(base.components, key=min))
     rounds = 0
-    counter = 0
     while pending:
         comp = pending.popleft()
         if len(comp) < 2:
             continue
         rounds += 1
-        rng = derive_rng(seed, "certify", halvings, counter)
-        counter += 1
+        rng = derive_rng(seed, "certify", halvings, rounds - 1)
         viol = _certify_component(g, comp, deg, phi, rng, trials, contracted)
         if viol is None:
             continue
@@ -312,32 +310,30 @@ class Hierarchy:
     for every level 0..L, which the constructor derives after `validate`
     passes, and in which it checks that the source is a singleton.
 
+    Its readers take the graph from it, so it cannot be paired with
+    another graph; two hierarchies are equal only when their graphs are.
+
     Level 0 has no edge set; its partition is all singletons because every
     edge counts as higher-level there. Partitions refine upward (a laminar
     family): the edges above level i - 1 include those above level i.
     """
 
-    graph: InitVar[DirectedGraph]
+    graph: DirectedGraph = field(repr=False)
     phi_target: Fraction
     levels: tuple[frozenset, ...]
     level_phis: tuple[Fraction, ...]
-    n: int = field(init=False)
-    m: int = field(init=False)
-    source: int = field(init=False)
     partitions: tuple[Partition, ...] = field(init=False)
     _above: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, graph: DirectedGraph) -> None:
-        object.__setattr__(self, "n", graph.n)
-        object.__setattr__(self, "m", graph.m)
-        object.__setattr__(self, "source", graph.source)
-        self.validate(graph)
+    def __post_init__(self) -> None:
+        self.validate()
         # Entry i is the union of E_j for j > i; validate bounds L.
         above = tuple(frozenset().union(*self.levels[i:]) for i in range(self.L + 1))
         object.__setattr__(self, "_above", above)
-        object.__setattr__(self, "partitions", tuple(scc(graph, up) for up in above))
+        object.__setattr__(self, "partitions", tuple(scc(self.graph, up) for up in above))
+        s = self.graph.source
         for i, part in enumerate(self.partitions):
-            if part.component(self.source) != frozenset({self.source}):
+            if part.component(s) != frozenset({s}):
                 raise InternalError(f"source is not a singleton at level {i}")
 
     @property
@@ -361,13 +357,12 @@ class Hierarchy:
             raise ParameterError(f"level {i} out of range 0..{self.L}")
         return self.partitions[i]
 
-    def validate(self, g: DirectedGraph) -> None:
-        """Check the levels and phis against g: the graph's counts, at
-        least one level and one phi per level, cover, halving, the bound
-        on L, and phis that `decompose` can end at. Raises on any failure.
-        The partitions are g's SCCs by construction."""
-        if g.n != self.n or g.m != self.m or g.source != self.source:
-            raise ParameterError("hierarchy was not built on this graph")
+    def validate(self) -> None:
+        """Check the levels and phis against the graph: at least one
+        level and one phi per level, cover, halving, the bound on L, and
+        phis that `decompose` can end at. Raises on any failure. The
+        partitions are the graph's SCCs by construction."""
+        g = self.graph
         if self.L < 1 or len(self.level_phis) != self.L:
             raise InternalError(f"{self.L} levels with {len(self.level_phis)} phis")
         if set().union(*self.levels) != set(range(g.m)):
@@ -393,9 +388,9 @@ class Hierarchy:
     def to_json_dict(self) -> dict:
         return {
             "kind": "hierarchy",
-            "n": self.n,
-            "m": self.m,
-            "source": self.source,
+            "n": self.graph.n,
+            "m": self.graph.m,
+            "source": self.graph.source,
             "phi_target": str(self.phi_target),
             "levels": [sorted(level) for level in self.levels],
             "partitions": [

@@ -151,9 +151,6 @@ class DirectedGraph:
         """Capacity sum c(F) over an edge set."""
         return sum(self.edges[e][2] for e in eids)
 
-    def edge_set(self) -> EdgeSet:
-        return frozenset(range(self.m))
-
     def is_unit_capacity(self) -> bool:
         return all(c == 1 for _, _, c in self.edges)
 

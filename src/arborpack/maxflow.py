@@ -6,13 +6,13 @@ sink-capacity functions. Virtual vertices are never visible to callers:
 `min_cut_side` is always a set of real vertices (those unreachable from
 the super-source in the final residual graph).
 
-Each phase labels vertices by their distance to the super-sink, with one
-backward BFS that stops at the first source it labels: here the
-super-source, while the exact rooted min-cut in `oracle` runs the same
-BFS and blocking flow with a growing set of real sources. The blocking
-flow then walks from that source along current-arc pointers and
-takes only arcs whose head is one step closer to the sink, so every walk
-reaches the sink unless arcs saturated earlier in the phase. After an
+`_dinic` runs the phases, for `max_flow` from the super-source and for
+the exact rooted min-cut in `oracle` from a growing set of real sources.
+Each phase labels vertices by their distance to the sink, with one
+backward BFS that stops at the first source it labels. The blocking flow
+then walks from that source along current-arc pointers and takes only
+arcs whose head is one step closer to the sink, so every walk reaches
+the sink unless arcs saturated earlier in the phase. After an
 augmentation the walk resumes at the tail of the first saturated arc.
 These are the arcs a source-side level graph offers minus its dead ends,
 so the augmenting paths and their order are those of the textbook
@@ -130,12 +130,7 @@ def max_flow(problem: FlowProblem) -> FlowResult:
 
     is_source = [False] * (n + 2)
     is_source[source] = True
-    flow_total = 0
-    while flow_total < limit:
-        dist, start = _distances_to_sink(adj, head, cap, is_source, sink)
-        if start < 0:
-            break
-        flow_total += _blocking_flow(adj, head, cap, dist, start, sink, limit - flow_total)
+    flow_total = _dinic(adj, head, cap, is_source, sink, limit)
     capped = flow_total == bound
     if capped:
         cut_side = None
@@ -194,6 +189,18 @@ def _residual_network(problem: FlowProblem):
     adj.append(tuple(supply_arc.values()))
     adj.append(tuple(a + 1 for a in sink_arc.values()))
     return head, cap, adj, supply_arc, sink_arc
+
+
+def _dinic(adj, head, cap, is_source, sink: int, limit: int) -> int:
+    """Augment from the vertices with `is_source[v]` true into `sink`,
+    phase by phase, up to `limit`; returns the flow added."""
+    flow = 0
+    while flow < limit:
+        dist, start = _distances_to_sink(adj, head, cap, is_source, sink)
+        if start < 0:
+            break
+        flow += _blocking_flow(adj, head, cap, dist, start, sink, limit - flow)
+    return flow
 
 
 def _distances_to_sink(adj, head, cap, is_source, sink: int) -> tuple[list[int], int]:
@@ -293,29 +300,33 @@ def _blocking_flow(adj, head, cap, dist, source: int, sink: int, limit: int) -> 
 def verify_flow(problem: FlowProblem, result: FlowResult) -> None:
     """Re-derive every flow invariant; raises `InternalError` on failure.
 
-    Checks capacity bounds, conservation at every real vertex, value
+    Checks capacity bounds, conservation and usage budgets, value
     accounting, and (for uncapped runs) the min-cut identity
-    value == supply(T) + c(crossing into T) + sink(V - T).
+    value == supply(T) + c(crossing into T) + sink(V - T). Conservation
+    and budgets can fail only where flow or a supply, sink or usage entry
+    is, so only those vertices are checked, in ascending order.
     """
     g = problem.graph
     scale = problem.capacity_scale
     allowed = problem.edge_filter
-    in_flow = [0] * g.n
-    out_flow = [0] * g.n
+    supply, sink = problem.source_supply, problem.sink_capacity
+    net: dict[int, int] = {}  # flow in minus flow out
     for eid, f in enumerate(result.flow):
         u, v, c = g.edges[eid]
         if f and allowed is not None and eid not in allowed:
             raise InternalError(f"flow on filtered-out edge {eid}")
         if not 0 <= f <= c * scale:
             raise InternalError(f"edge {eid}: flow {f} outside [0, {c * scale}]")
-        out_flow[u] += f
-        in_flow[v] += f
-    for v in range(g.n):
+        if f:
+            net[u] = net.get(u, 0) - f
+            net[v] = net.get(v, 0) + f
+    touched = set(net).union(supply, sink, result.source_used, result.sink_used)
+    for v in sorted(touched):
         src = result.source_used.get(v, 0)
         snk = result.sink_used.get(v, 0)
-        if src > problem.source_supply.get(v, 0) or snk > problem.sink_capacity.get(v, 0):
+        if src > supply.get(v, 0) or snk > sink.get(v, 0):
             raise InternalError(f"vertex {v}: virtual usage exceeds its budget")
-        if in_flow[v] + src != out_flow[v] + snk:
+        if net.get(v, 0) + src != snk:
             raise InternalError(f"vertex {v}: conservation violated")
     if sum(result.source_used.values()) != result.value:
         raise InternalError("value does not match total supply used")
@@ -324,15 +335,14 @@ def verify_flow(problem: FlowProblem, result: FlowResult) -> None:
     if not result.capped:
         t_side = result.min_cut_side
         crossing = 0
-        for eid, (u, v, c) in enumerate(g.edges):
-            if allowed is not None and eid not in allowed:
-                continue
+        for eid in range(g.m) if allowed is None else allowed:
+            u, v, c = g.edges[eid]
             if u not in t_side and v in t_side:
                 crossing += c * scale
         cut = (
-            sum(problem.source_supply.get(v, 0) for v in t_side)
+            sum(a for v, a in supply.items() if v in t_side)
             + crossing
-            + sum(problem.sink_capacity.get(v, 0) for v in range(g.n) if v not in t_side)
+            + sum(a for v, a in sink.items() if v not in t_side)
         )
         if cut != result.value:
             raise InternalError(f"min-cut value {cut} != flow value {result.value}")

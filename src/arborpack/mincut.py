@@ -1,16 +1,17 @@
 """Sampling-based approximate rooted min-cut over an expander hierarchy.
 
-The search walks every level of the hierarchy. Level 0 scans each
-non-source vertex directly (its in-capacity is the cut value of the
-singleton). At level i >= 1, one pass over the level-i edges groups
-those with both endpoints in one component, and each component that
-holds such edges is probed, in component order, with capacity-weighted
-samples of them: a sampled endpoint v yields the exact minimum over
-sets T with v in T inside the component of the capacity entering T,
-computed by contracting everything outside the component into a
-virtual super-source and running one exact max-flow. A component's
-supplies and inside edges are found once, before its first probe. The
-global minimum candidate wins.
+`approx_rooted_mincut` takes only the hierarchy and searches the graph
+it was built on, walking every level. Level 0 scans each non-source
+vertex directly (its in-capacity is the cut value of the singleton). At
+level i >= 1, one pass over the level-i edges groups those with both
+endpoints in one component, and each component that holds such edges
+is probed, in component order, with capacity-weighted samples of them:
+a sampled endpoint v yields the exact minimum over sets T with v in T
+inside the component of the capacity entering T, computed by
+contracting everything outside the component into a virtual
+super-source and running one exact max-flow. A component's supplies
+and inside edges are found once, before its first probe. The global
+minimum candidate wins.
 
 The RNG is split per (level, component), so the outcome is independent
 of any processing order.
@@ -123,13 +124,10 @@ def mincut_into_component(
     return CutCandidate(side, rho, level, v)
 
 
-def approx_rooted_mincut(
-    g: DirectedGraph, hierarchy: Hierarchy, seed: int = 0
-) -> MincutReport:
-    """Approximate rooted min-cut via the hierarchy; returns the best
-    candidate plus every candidate examined."""
-    if hierarchy.n != g.n or hierarchy.m != g.m or hierarchy.source != g.source:
-        raise ParameterError("hierarchy does not match this graph")
+def approx_rooted_mincut(hierarchy: Hierarchy, seed: int = 0) -> MincutReport:
+    """Approximate rooted min-cut of the hierarchy's graph; returns the
+    best candidate plus every candidate examined."""
+    g = hierarchy.graph
     if g.n < 2:
         raise ParameterError("rooted min-cut needs at least one non-source vertex")
     s = g.source

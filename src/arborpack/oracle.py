@@ -38,7 +38,7 @@ from typing import Iterable
 
 from .errors import InternalError, ParameterError, ScaleError
 from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values, restricted_degrees
-from .maxflow import FlowProblem, _blocking_flow, _distances_to_sink, max_flow
+from .maxflow import FlowProblem, _dinic, max_flow
 
 __all__ = [
     "exact_rooted_mincut",
@@ -75,12 +75,7 @@ def exact_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
     for t in sorted((v for v in range(g.n) if v != s), key=lambda v: (g.in_capacity(v), v)):
         # Augment from S into t until the flow reaches the best value:
         # a run that reaches it cannot improve the minimum.
-        flow = 0
-        while flow < best:
-            dist, start = _distances_to_sink(adj, head, cap, in_s, t)
-            if start < 0:
-                break
-            flow += _blocking_flow(adj, head, cap, dist, start, t, best - flow)
+        flow = _dinic(adj, head, cap, in_s, t, best)
         if flow < best:
             best, t_star = flow, t
             if not best:

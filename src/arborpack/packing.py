@@ -18,6 +18,7 @@ walks its non-source components once, and runs three steps on each:
 The chain demands of all components are then routed once per level with
 measured congestion.
 
+The per-level steps take the hierarchy alone and read the graph off it.
 `pack` builds each level's table of critical incoming edges once, as
 the climb reaches that level, and hands it to every step that reads it.
 Step 1 reads each vertex's split off the tables of levels i and i-1:
@@ -87,7 +88,8 @@ __all__ = [
 CriticalEdges = tuple[frozenset, ...]
 
 
-def critical_edges(g: DirectedGraph, hierarchy: Hierarchy, i: int) -> CriticalEdges:
+def critical_edges(hierarchy: Hierarchy, i: int) -> CriticalEdges:
+    g = hierarchy.graph
     part = hierarchy.partition(i)
     above = hierarchy.edges_above(i)
     sets: list[set] = [set() for _ in range(g.n)]
@@ -166,7 +168,6 @@ def init_base_colors(g: DirectedGraph, k: int):
 
 
 def partition_critical(
-    g: DirectedGraph,
     hierarchy: Hierarchy,
     i: int,
     v: int,
@@ -184,7 +185,7 @@ def partition_critical(
     """
     if not 1 <= i <= hierarchy.L:
         raise ParameterError(f"level {i} out of range 1..{hierarchy.L}")
-    if v == g.source:
+    if v == hierarchy.graph.source:
         raise ParameterError("the source has no critical incoming edges")
     ex = crit_i[v]
     if not ex <= crit_prev[v]:
@@ -280,7 +281,6 @@ def chain_demand_pairs(
 
 
 def run_level(
-    g: DirectedGraph,
     hierarchy: Hierarchy,
     i: int,
     state: ColorState,
@@ -294,6 +294,7 @@ def run_level(
     if state.level != i - 1:
         raise ParameterError(f"state is at level {state.level}, expected {i - 1}")
     k = state.k
+    g = hierarchy.graph
     part = hierarchy.partition(i)
     s = g.source
     singleton_source = frozenset({s})
@@ -314,7 +315,7 @@ def run_level(
         # in-edges), Z (wire through the component).
         z_of: dict[int, set] = {}
         for v in members:
-            ex, ey, ez = partition_critical(g, hierarchy, i, v, crit_i, crit_prev)
+            ex, ey, ez = partition_critical(hierarchy, i, v, crit_i, crit_prev)
             x, y, z = split_colors(
                 state.vertex_colors.get(v, set()),
                 (len(ex) * i, len(ey) * i, len(ez) * i),
@@ -377,14 +378,13 @@ def run_level(
             },
         ),
     )
-    violations = check_invariants(g, hierarchy, i, new_state, crit_i)
+    violations = check_invariants(hierarchy, i, new_state, crit_i)
     if violations:
         raise InvariantError("; ".join(violations))
     return new_state
 
 
 def check_invariants(
-    g: DirectedGraph,
     hierarchy: Hierarchy,
     i: int,
     state: ColorState,
@@ -394,6 +394,7 @@ def check_invariants(
     `crit` the level-i critical-edge table; returns a list of violation
     descriptions (empty when all hold)."""
     violations: list[str] = []
+    g = hierarchy.graph
     s = g.source
     part = hierarchy.partition(i)
 
@@ -442,9 +443,7 @@ def check_invariants(
     return violations
 
 
-def finalize_coloring(
-    g: DirectedGraph, hierarchy: Hierarchy, state: ColorState, crit: CriticalEdges
-) -> dict:
+def finalize_coloring(hierarchy: Hierarchy, state: ColorState, crit: CriticalEdges) -> dict:
     """Fold the top-level vertex colors onto their critical incoming edges
     (`crit`, the level-L table; round-robin, at most L+1 colors received
     per edge) and return the final per-edge coloring."""
@@ -453,6 +452,7 @@ def finalize_coloring(
             f"state is at level {state.level}, expected top level {hierarchy.L}"
         )
     top = hierarchy.L
+    g = hierarchy.graph
     final = {e: set(cols) for e, cols in state.edge_colors.items()}
     for v in range(g.n):
         if v == g.source:
@@ -572,16 +572,16 @@ def pack(
     state = init_base_colors(g, k)
     if isinstance(state, CutFound):
         return _cut_result(g, k, state, hierarchy.L, ())
-    crit = critical_edges(g, hierarchy, 0)
+    crit = critical_edges(hierarchy, 0)
     for i in range(1, hierarchy.L + 1):
-        crit_prev, crit = crit, critical_edges(g, hierarchy, i)
+        crit_prev, crit = crit, critical_edges(hierarchy, i)
         outcome = run_level(
-            g, hierarchy, i, state, crit, crit_prev, seed=derive_seed(seed, "level", i)
+            hierarchy, i, state, crit, crit_prev, seed=derive_seed(seed, "level", i)
         )
         if isinstance(outcome, CutFound):
             return _cut_result(g, k, outcome, hierarchy.L, state.level_log)
         state = outcome
-    coloring = finalize_coloring(g, hierarchy, state, crit)
+    coloring = finalize_coloring(hierarchy, state, crit)
     bound = 5 * hierarchy.L * hierarchy.L * state.route_factor + hierarchy.L + 1
     result = extract_arborescences(g, coloring, k, bound)
     return replace(result, levels=hierarchy.L, level_log=state.level_log)

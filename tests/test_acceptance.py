@@ -56,7 +56,7 @@ def mincut_corpus():
         )
     ):
         hier = build_hierarchy(g, DEFAULT_PHI, derive_seed(MASTER_SEED, "h", idx))
-        rep = approx_rooted_mincut(g, hier, derive_seed(MASTER_SEED, "a", idx))
+        rep = approx_rooted_mincut(hier, derive_seed(MASTER_SEED, "a", idx))
         exact, _ = exact_rooted_mincut(g)
         rows.append((name, g, hier, rep, exact))
     return rows, time.perf_counter() - started
@@ -106,7 +106,7 @@ def test_criterion_2_instrumented_approximation():
         if phi_hat < DEFAULT_PHI:
             continue
         qualified += 1
-        rep = approx_rooted_mincut(g, hier, derive_seed(MASTER_SEED, "a2", idx))
+        rep = approx_rooted_mincut(hier, derive_seed(MASTER_SEED, "a2", idx))
         exact, _ = exact_rooted_mincut(g)
         if phi_hat == math.inf:
             bound = exact  # no binding constraint, the level-0 scan is exact
@@ -137,7 +137,7 @@ def test_criterion_3_hierarchy_invariants(mincut_corpus):
     failures = []
     for name, g, hier, _rep, _exact in rows:
         try:
-            hier.validate(g)
+            hier.validate()
         except Exception as exc:  # noqa: BLE001 - collecting for the report
             failures.append(f"{name}: {exc}")
         for i in range(hier.L + 1):
@@ -242,21 +242,21 @@ def test_criterion_6_level_invariants():
         )
     ):
         hier = build_hierarchy(g, DEFAULT_PHI, derive_seed(MASTER_SEED, "h6", idx))
-        crit = [critical_edges(g, hier, i) for i in range(hier.L + 1)]
+        crit = [critical_edges(hier, i) for i in range(hier.L + 1)]
         for k in (1, 1 + idx % 3):
             state = init_base_colors(g, k)
             if not isinstance(state, ColorState):
                 continue
             for i in range(1, hier.L + 1):
                 outcome = run_level(
-                    g, hier, i, state, crit[i], crit[i - 1],
+                    hier, i, state, crit[i], crit[i - 1],
                     seed=derive_seed(MASTER_SEED, "l6", idx, i, k),
                 )
                 if not isinstance(outcome, ColorState):
                     break
                 state = outcome
                 checked_levels += 1
-                found = check_invariants(g, hier, i, state, crit[i])
+                found = check_invariants(hier, i, state, crit[i])
                 if found:
                     violations.append(f"{name} level {i}: {found[0]}")
                 entry = state.level_log[-1]

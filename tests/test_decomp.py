@@ -62,7 +62,7 @@ class TestSplit:
         # edge of one direction added to B, as `decompose` splits it.
         cut = set(
             data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-        ) & g.edge_set()
+        ) & frozenset(range(g.m))
         comps = [c for c in scc(g, frozenset(cut)).components if len(c) > 1]
         assume(comps)
         comp = data.draw(st.sampled_from(comps))
@@ -93,7 +93,7 @@ class TestDecompose:
                     for v in range(first, last + 1) if u != v]
             raw += [(last, nxt, 1), (nxt, last, 1)]
         g = normalize(raw, 16, 0)
-        res = decompose(g, g.edge_set(), PHI, seed=1)
+        res = decompose(g, frozenset(range(g.m)), PHI, seed=1)
         assert [sorted(c) for c in scc(g, res.cut_edges).components] == [
             [0], list(range(1, 6)), list(range(6, 11)), list(range(11, 16))
         ]
@@ -101,11 +101,11 @@ class TestDecompose:
 
     def test_clique_needs_no_cut(self):
         g = bidirected_clique(5)
-        res = decompose(g, g.edge_set(), PHI, seed=1)
+        res = decompose(g, frozenset(range(g.m)), PHI, seed=1)
         assert res.cut_edges == frozenset()
         # Exhaustive check: the SCC partition already satisfies cut
         # expansion at the target.
-        phi_hat = bruteforce_cut_expansion(g, scc(g), g.edge_set())
+        phi_hat = bruteforce_cut_expansion(g, scc(g), frozenset(range(g.m)))
         assert phi_hat >= PHI
 
     def test_two_cliques_cut_at_the_bridge(self):
@@ -114,7 +114,7 @@ class TestDecompose:
             e for e, (u, v, _c) in enumerate(g.edges)
             if {u, v} == {4, 5}
         }
-        res = decompose(g, g.edge_set(), PHI, seed=1)
+        res = decompose(g, frozenset(range(g.m)), PHI, seed=1)
         assert res.cut_edges  # the thin bridge violates expansion
         assert res.cut_edges <= bridges
         # Halving contract.
@@ -125,7 +125,7 @@ class TestDecompose:
         comps = set(part.components)
         assert frozenset(range(1, 5)) in comps
         assert frozenset(range(5, 9)) in comps
-        phi_hat = bruteforce_cut_expansion(g, part, g.edge_set())
+        phi_hat = bruteforce_cut_expansion(g, part, frozenset(range(g.m)))
         assert phi_hat >= PHI
 
     def test_empty_terminals(self):
@@ -136,18 +136,18 @@ class TestDecompose:
     def test_rejects_bad_phi(self):
         g = bidirected_clique(3)
         with pytest.raises(ParameterError):
-            decompose(g, g.edge_set(), Fraction(3, 2))
+            decompose(g, frozenset(range(g.m)), Fraction(3, 2))
 
     def test_deterministic(self):
         g = gen_two_cliques_bridge(3, seed=5)
-        a = decompose(g, g.edge_set(), PHI, seed=9)
-        b = decompose(g, g.edge_set(), PHI, seed=9)
+        a = decompose(g, frozenset(range(g.m)), PHI, seed=9)
+        b = decompose(g, frozenset(range(g.m)), PHI, seed=9)
         assert a == b
 
     @given(digraphs(max_n=8, max_m=20, max_cap=3))
     @settings(max_examples=30)
     def test_halving_contract_always(self, g):
-        res = decompose(g, g.edge_set(), PHI, seed=3)
+        res = decompose(g, frozenset(range(g.m)), PHI, seed=3)
         assert 2 * g.edge_capacity(res.cut_edges) <= g.total_capacity()
 
 
@@ -204,6 +204,7 @@ class TestBuildHierarchy:
         data = h.to_json_dict()
         restored = hierarchy_from_json(data, g)
         assert restored == h
+        assert restored.graph is g
 
     @pytest.mark.parametrize("g, L", [
         (normalize([(0, 1, 1), (1, 2, 1)], 3, 0), 1),
@@ -235,14 +236,27 @@ class TestBuildHierarchy:
         g = gen_two_cliques_bridge(4, seed=0)
         h = build_hierarchy(g, PHI, seed=1)
         assert h.partitions == tuple(scc(g, h.edges_above(i)) for i in range(h.L + 1))
-        assert (h.n, h.m, h.source) == (g.n, g.m, g.source)
+        assert h.graph is g
+
+    def test_hierarchies_on_different_graphs_differ(self):
+        # Reversing the edge tuple keeps n, m, the source and every
+        # partition, so only the graph itself tells the two apart.
+        g = gen_two_cliques_bridge(3, seed=0)
+        flipped = DirectedGraph(n=g.n, edges=g.edges[::-1], source=g.source)
+        assert flipped != g
+        levels = (frozenset(range(g.m)),)
+        a = Hierarchy(g, PHI, levels, (PHI,))
+        b = Hierarchy(flipped, PHI, levels, (PHI,))
+        assert a.partitions == b.partitions
+        assert a != b
+        assert a == Hierarchy(g, PHI, levels, (PHI,))
 
     @given(digraphs(max_n=8, max_m=20, max_cap=3))
     @settings(max_examples=30)
     def test_invariants_on_random_graphs(self, g):
         h = build_hierarchy(g, PHI, seed=7)
         assert_hierarchy_invariants(g, h)
-        h.validate(g)
+        h.validate()
 
 
 @st.composite

@@ -103,10 +103,10 @@ class TestScc:
     def test_refinement_monotone_under_removal(self, g, data):
         small = frozenset(
             data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-        ) & g.edge_set()
+        ) & frozenset(range(g.m))
         extra = frozenset(
             data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-        ) & g.edge_set()
+        ) & frozenset(range(g.m))
         coarse = scc(g, small)
         fine = scc(g, small | extra)
         assert refines(fine, coarse)
@@ -166,7 +166,7 @@ class TestRestrictedDegrees:
     def test_degree_sums_match_filter_capacity(self, g, data):
         chosen = frozenset(
             data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-        ) & g.edge_set()
+        ) & frozenset(range(g.m))
         table = restricted_degrees(g, chosen)
         assert sum(table.out_deg) == g.edge_capacity(chosen)
         assert sum(table.in_deg) == g.edge_capacity(chosen)

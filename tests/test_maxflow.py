@@ -421,6 +421,22 @@ class TestDecomposePaths:
         with pytest.raises(InternalError, match="conservation"):
             decompose_paths(FlowProblem(g, {0: 1}, {2: 1}), res)
 
+    def test_rejects_broken_conservation_away_from_every_terminal(self):
+        # Vertex 2 appears in no supply, sink or usage dict: only the flow
+        # edges 1->2 and 2->3 touch it, and they carry 2 in but 1 out.
+        g = normalize([(0, 1, 2), (1, 2, 2), (2, 3, 2), (1, 3, 1)], 4, 0)
+        res = FlowResult(
+            value=2,
+            flow=[2, 2, 1, 0],
+            min_cut_side=None,
+            source_used={0: 2},
+            sink_used={3: 2},
+            capped=True,
+        )
+        problem = FlowProblem(g, {0: 2}, {3: 2}, flow_bound=2)
+        with pytest.raises(InternalError, match="vertex 2: conservation violated"):
+            verify_flow(problem, res)
+
     def test_rejects_flow_outside_the_edge_filter(self):
         # Two parallel routes 0->1->3 and 0->2->3; the problem allows only
         # the first, but the flow takes the second.

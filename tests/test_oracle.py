@@ -145,7 +145,7 @@ class TestBruteforceCutExpansion:
         # min(delta, rho) = 1, so the certified value is 1/2.
         g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
         part = scc(g)
-        phi = bruteforce_cut_expansion(g, part, g.edge_set())
+        phi = bruteforce_cut_expansion(g, part, frozenset(range(g.m)))
         assert phi == Fraction(1, 2)
 
     def test_empty_terminals_unconstrained(self):
@@ -155,7 +155,7 @@ class TestBruteforceCutExpansion:
 
     def test_components_evaluated_independently(self):
         g = normalize([(1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 3, 1)], 5, 0)
-        phi = bruteforce_cut_expansion(g, scc(g), g.edge_set())
+        phi = bruteforce_cut_expansion(g, scc(g), frozenset(range(g.m)))
         assert phi == Fraction(1, 2)
 
     def test_scale_limit(self):
@@ -194,7 +194,7 @@ def test_oracles_run_without_numpy(tmp_path):
         from arborpack import bruteforce_cut_expansion, normalize, scc
         from arborpack.cli import main
         g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
-        assert bruteforce_cut_expansion(g, scc(g), g.edge_set()) == Fraction(1, 2)
+        assert bruteforce_cut_expansion(g, scc(g), frozenset(range(g.m))) == Fraction(1, 2)
         sys.exit(main(["mincut", {str(graph)!r}, "--exact"]))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

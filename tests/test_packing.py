@@ -47,9 +47,9 @@ def manual_hierarchy(g, levels, phi=DEFAULT_PHI):
     )
 
 
-def level_tables(g, h, i):
+def level_tables(h, i):
     """The critical-edge tables of levels i and i-1, as `run_level` takes them."""
-    return critical_edges(g, h, i), critical_edges(g, h, i - 1)
+    return critical_edges(h, i), critical_edges(h, i - 1)
 
 
 def reference_partition_critical(g, hierarchy, i, v, crit_i, crit_prev):
@@ -80,13 +80,13 @@ def assert_splits_match_reference(g, h) -> list:
     """Compare both splits on every level and non-source vertex of h;
     returns the splits compared."""
     splits = []
-    crit = critical_edges(g, h, 0)
+    crit = critical_edges(h, 0)
     for i in range(1, h.L + 1):
-        crit_prev, crit = crit, critical_edges(g, h, i)
+        crit_prev, crit = crit, critical_edges(h, i)
         for v in range(g.n):
             if v == g.source:
                 continue
-            got = partition_critical(g, h, i, v, crit, crit_prev)
+            got = partition_critical(h, i, v, crit, crit_prev)
             assert got == reference_partition_critical(g, h, i, v, crit, crit_prev), (i, v)
             splits.append(got)
     return splits
@@ -121,27 +121,27 @@ class TestPartitionCritical:
         other = next(
             e for e, (u, v, _) in enumerate(g.edges) if (u, v) == (b, a)
         )
-        crit2, crit1 = critical_edges(g, h, 2), critical_edges(g, h, 1)
+        crit2, crit1 = critical_edges(h, 2), critical_edges(h, 1)
         # Head of the promoted bridge: its old critical edge is now a
         # level-2 in-edge from inside the merged component (E_Z).
-        ex, ey, ez = partition_critical(g, h, 2, b, crit2, crit1)
+        ex, ey, ez = partition_critical(h, 2, b, crit2, crit1)
         assert (ex, ey, ez) == (frozenset(), frozenset(), frozenset({cut_edge}))
         # Head of the surviving bridge: its old critical edge arrives from
         # the newly merged region at a lower level (E_Y).
-        ex, ey, ez = partition_critical(g, h, 2, a, crit2, crit1)
+        ex, ey, ez = partition_critical(h, 2, a, crit2, crit1)
         assert (ex, ey, ez) == (frozenset(), frozenset({other}), frozenset())
         # A vertex whose critical edges all come from outside the merged
         # component keeps them in E_X.
         source_edge = next(e for e, (u, v, _) in enumerate(g.edges) if u == 0)
-        ex, ey, ez = partition_critical(g, h, 2, g.head(source_edge), crit2, crit1)
+        ex, ey, ez = partition_critical(h, 2, g.head(source_edge), crit2, crit1)
         assert (ex, ey, ez) == (frozenset({source_edge}), frozenset(), frozenset())
 
     def test_degenerate_when_nothing_merges(self):
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
-        crit = critical_edges(g, h, 1)
-        ex, ey, ez = partition_critical(g, h, 1, 1, crit, critical_edges(g, h, 0))
+        crit = critical_edges(h, 1)
+        ex, ey, ez = partition_critical(h, 1, 1, crit, critical_edges(h, 0))
         assert ex == crit[1]
         assert ey == frozenset()
 
@@ -162,15 +162,15 @@ class TestPartitionCritical:
     def test_level_set_outside_the_lower_level_set_is_rejected(self):
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
-        crit_prev = critical_edges(g, h, 0)  # every in-edge, at level 0
+        crit_prev = critical_edges(h, 0)  # every in-edge, at level 0
         into_2 = next(e for e in range(g.m) if g.head(e) == 2)
         grown = tuple(
-            c | {into_2} if v == 1 else c for v, c in enumerate(critical_edges(g, h, 1))
+            c | {into_2} if v == 1 else c for v, c in enumerate(critical_edges(h, 1))
         )
         shrunk = tuple(frozenset() for _ in range(g.n))
         for crit_i, crit_before in ((grown, crit_prev), (crit_prev, shrunk)):
             with pytest.raises(InternalError, match="not critical at level 0"):
-                partition_critical(g, h, 1, 1, crit_i, crit_before)
+                partition_critical(h, 1, 1, crit_i, crit_before)
 
 
 class TestCriticalTables:
@@ -180,9 +180,9 @@ class TestCriticalTables:
         built = []
         original = packing.critical_edges
 
-        def counting(g, hierarchy, i):
+        def counting(hierarchy, i):
             built.append(i)
-            return original(g, hierarchy, i)
+            return original(hierarchy, i)
 
         monkeypatch.setattr(packing, "critical_edges", counting)
         result = pack(gen_two_cliques_bridge(4, seed=0), 1, seed=7)
@@ -220,7 +220,7 @@ def flow_inputs(g, level_edges, deltas):
 class TestComponentFlow:
     def test_no_z_colors_no_state_change(self):
         g = rooted_triangle()
-        indeg, crit = flow_inputs(g, g.edge_set(), {1: 1})
+        indeg, crit = flow_inputs(g, frozenset(range(g.m)), {1: 1})
         outcome = component_flow(
             g, indeg, 1, frozenset({1, 2, 3}), crit, set(), 2
         )
@@ -232,7 +232,7 @@ class TestComponentFlow:
             (u, v, 1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v
         ]
         g = normalize(raw, 4, 0)
-        indeg, crit = flow_inputs(g, g.edge_set(), {1: 1})
+        indeg, crit = flow_inputs(g, frozenset(range(g.m)), {1: 1})
         outcome = component_flow(
             g, indeg, 1, frozenset({1, 2, 3}), crit, {1, 2}, 2
         )
@@ -279,11 +279,11 @@ class TestRunLevel:
         # and every vertex keeps its colors in X; no flow, no routing.
         g = rooted_triangle()
         h = manual_hierarchy(g, [frozenset({1, 2, 3}), frozenset({0})])
-        crit = [critical_edges(g, h, i) for i in range(3)]
+        crit = [critical_edges(h, i) for i in range(3)]
         state = init_base_colors(g, 1)
-        s1 = run_level(g, h, 1, state, crit[1], crit[0], seed=3)
+        s1 = run_level(h, 1, state, crit[1], crit[0], seed=3)
         assert isinstance(s1, ColorState)
-        s2 = run_level(g, h, 2, s1, crit[2], crit[1], seed=3)
+        s2 = run_level(h, 2, s1, crit[2], crit[1], seed=3)
         assert isinstance(s2, ColorState)
         assert s2.vertex_colors == s1.vertex_colors
         assert s2.edge_colors == s1.edge_colors
@@ -294,9 +294,9 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
         state = init_base_colors(g, 1)
-        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
         assert isinstance(out, ColorState)
-        assert check_invariants(g, h, 1, out, critical_edges(g, h, 1)) == []
+        assert check_invariants(h, 1, out, critical_edges(h, 1)) == []
         # The chain demand colors a route covering the cycle vertices.
         colored = {e for e, cols in out.edge_colors.items() if cols}
         assert colored
@@ -309,7 +309,7 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 2)
         assert isinstance(state, ColorState)  # in-degrees are all >= 2
-        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
         assert isinstance(out, CutFound)
         assert 0 in out.source_side
 
@@ -317,10 +317,10 @@ class TestRunLevel:
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 1)
-        out = run_level(g, h, 1, state, *level_tables(g, h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
-        assert check_invariants(g, h, 1, out, critical_edges(g, h, 1))
+        assert check_invariants(h, 1, out, critical_edges(h, 1))
 
 
 class TestFinalizeColoring:
@@ -334,7 +334,7 @@ class TestFinalizeColoring:
             vertex_colors={v: set() for v in range(1, g.n)},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h, h.L))
         assert final[0] == frozenset({1})
         assert all(not final[e] for e in range(1, g.m))
 
@@ -348,7 +348,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h, h.L))
         assert final[0] == frozenset({1, 2})
 
     def test_round_robin_quota(self):
@@ -362,7 +362,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2, 3, 4}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(g, h, state, critical_edges(g, h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h, h.L))
         assert final[0] == frozenset({1, 3})
         assert final[1] == frozenset({2, 4})
 

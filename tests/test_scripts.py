@@ -1,5 +1,6 @@
-"""The helper scripts: corpus -> `arborpack bench` -> summary, and the
-summary's errors."""
+"""The helper scripts: corpus -> `arborpack bench` -> summary, the
+summary's errors, and the output digests."""
+import hashlib
 import json
 import os
 import subprocess
@@ -63,3 +64,34 @@ def test_summary_errors_are_one_line(tmp_path, content, message):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1 and message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_output_digests(tmp_path):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    for argv in (["random_gnm", "--n", "5", "--m", "12", "--max-cap", "3"],
+                 ["known_packing", "--n", "6", "--k", "2"]):
+        made = run("-m", "arborpack", "gen", *argv, "--seed", "1",
+                   "--out", graphs / f"{argv[0]}.dmc", cwd=tmp_path)
+        assert made.returncode == 0, made.stderr
+
+    res = run(SCRIPTS / "output_digests.py", graphs, "--seed-base", "7", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    digests = json.loads(res.stdout)
+    assert len(digests) == 10
+    # known_packing sorts first, so it gets seed 7 and random_gnm seed 8.
+    hier = digests["hierarchy random_gnm.dmc --seed 8"]
+    direct = run("-m", "arborpack", "hierarchy", graphs / "random_gnm.dmc", "--seed", "8",
+                 cwd=tmp_path)
+    assert hier == {"exit": 0, "sha256": hashlib.sha256(direct.stdout.encode()).hexdigest()}
+    # Packing is for unit capacities: the weighted graph gets a parameter error.
+    assert digests["pack random_gnm.dmc --k 2 --seed 8"]["exit"] == 2
+    assert digests["pack known_packing.dmc --k 2 --seed 7"]["exit"] == 0
+    assert run(SCRIPTS / "output_digests.py", graphs, "--seed-base", "7",
+               cwd=tmp_path).stdout == res.stdout
+
+
+def test_output_digests_needs_graphs(tmp_path):
+    res = run(SCRIPTS / "output_digests.py", tmp_path, cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == "" and "no .dmc files" in res.stderr

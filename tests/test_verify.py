@@ -89,7 +89,7 @@ def results(draw, command):
         k = exact_rooted_mincut(g)[0] + draw(st.integers(0, 1))
         payload = pack(g, k, seed=seed).to_json_dict()
     else:
-        best = approx_rooted_mincut(g, build_hierarchy(g, seed=seed), seed).best
+        best = approx_rooted_mincut(build_hierarchy(g, seed=seed), seed).best
         payload = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
     if payload["kind"] == "mincut":
         ways = ["value", "source", "id out of range"]
@@ -178,7 +178,7 @@ def test_verify_runs_no_max_flow(tmp_path, monkeypatch):
     path_graph = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
     trees = pack(tree_graph, 2).to_json_dict()
     cut = pack(path_graph, 2).to_json_dict()
-    best = approx_rooted_mincut(tree_graph, build_hierarchy(tree_graph), 0).best
+    best = approx_rooted_mincut(build_hierarchy(tree_graph), 0).best
     mincut = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
     assert trees["result"] == "arborescences" and cut["result"] == "cut"
 
