@@ -23,7 +23,8 @@ of running every trial on the full graph, while on a long ring with a
 few terminals each trial walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
-in as the next terminal set until no cut is needed. The `Hierarchy` it
+in as the next terminal set until no cut is needed; every round starts
+from the graph's SCCs, computed once per build. The `Hierarchy` it
 builds keeps the graph, checks the levels and then derives, with one
 SCC pass each, the partition of the graph minus all higher-level edges
 for every level; `hierarchy_from_json` compares a result's with those.
@@ -242,11 +243,17 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
 
 
 def decompose(
-    g: DirectedGraph, terminals: EdgeSet, phi_target: Fraction, seed: int = 0
+    g: DirectedGraph,
+    terminals: EdgeSet,
+    phi_target: Fraction,
+    seed: int = 0,
+    components: Partition | None = None,
 ) -> DecompResult:
     """Find cut edges B with c(B) <= c(terminals)/2 such that the terminal
     set is (heuristically) component-constrained phi-expanding after the
-    cut. Deterministic given the seed."""
+    cut. Deterministic given the seed. `components` is g's SCC partition,
+    computed here when not given; `build_hierarchy` computes it once for
+    all its calls."""
     phi_target = Fraction(phi_target)
     if not 0 < phi_target <= 1:
         raise ParameterError(f"phi_target must be in (0, 1], got {phi_target}")
@@ -265,8 +272,9 @@ def decompose(
     phi = phi_target
     halvings = 0
     cut: set[int] = set()
-    base = scc(g)
-    pending: deque[frozenset] = deque(sorted(base.components, key=min))
+    if components is None:
+        components = scc(g)
+    pending: deque[frozenset] = deque(sorted(components.components, key=min))
     rounds = 0
     while pending:
         comp = pending.popleft()
@@ -464,9 +472,10 @@ def build_hierarchy(
     total_cap = g.total_capacity()
     max_levels = (math.ceil(math.log2(total_cap)) if total_cap > 1 else 0) + 2
     estar: frozenset = frozenset(range(g.m))
+    components = scc(g)
     i = 1
     while True:
-        result = decompose(g, estar, phi_target, derive_seed(seed, "level", i))
+        result = decompose(g, estar, phi_target, derive_seed(seed, "level", i), components)
         levels.append(estar)
         phis.append(result.achieved_phi)
         if not result.cut_edges:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from .errors import (
@@ -384,6 +384,21 @@ def run_level(
     return new_state
 
 
+def _color_adjacency(
+    g: DirectedGraph, coloring: Mapping[int, Collection[int]], k: int
+) -> list[list[list[tuple[int, int]]]]:
+    """Entry gamma - 1 lists, for each vertex, the (head, edge id) pairs
+    of its out-edges that hold color gamma, for gamma in 1..k, in the
+    order of `coloring`; one pass over the edges builds all k."""
+    adjs: list[list[list[tuple[int, int]]]] = [[[] for _ in range(g.n)] for _ in range(k)]
+    for e, cols in coloring.items():
+        u, v, _c = g.edges[e]
+        for gamma in cols:
+            if 1 <= gamma <= k:
+                adjs[gamma - 1][u].append((v, e))
+    return adjs
+
+
 def check_invariants(
     hierarchy: Hierarchy,
     i: int,
@@ -415,11 +430,8 @@ def check_invariants(
                 f"edge {e} holds {len(cols)} colors, bound is {bound3} (invariant 3)"
             )
 
-    for gamma in range(1, state.k + 1):
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for e, cols in state.edge_colors.items():
-            if gamma in cols:
-                adj[g.tail(e)].append(g.head(e))
+    adjs = _color_adjacency(g, state.edge_colors, state.k)
+    for gamma, adj in enumerate(adjs, start=1):
         for comp in part.components:
             if comp == frozenset({s}):
                 continue
@@ -430,7 +442,7 @@ def check_invariants(
             stack = list(sources)
             while stack:
                 u = stack.pop()
-                for w in adj[u]:
+                for w, _e in adj[u]:
                     if w not in reached:
                         reached.add(w)
                         stack.append(w)
@@ -492,11 +504,7 @@ def extract_arborescences(
     does not span the graph."""
     s = g.source
     trees: list[tuple[int, ...]] = []
-    for gamma in range(1, k + 1):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for e, cols in coloring.items():
-            if gamma in cols:
-                adj[g.tail(e)].append((g.head(e), e))
+    for gamma, adj in enumerate(_color_adjacency(g, coloring, k), start=1):
         for lst in adj:
             lst.sort()
         visited = [False] * g.n

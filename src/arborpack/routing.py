@@ -8,10 +8,16 @@ random order along shortest paths under the exponential edge length
 that sit on the most congested edges. Congestion is measured and reported
 exactly; no asymptotic bound is promised.
 
-`route` builds each vertex's out-edges once per call, as (edge id, head)
-pairs in edge-id order, and keeps a per-edge length list beside the
-loads, updated whenever a path is placed or removed. Dijkstra reads only
-these two lists, so an edge relaxation touches no graph method.
+Each path is found by a bidirectional Dijkstra: a forward search from
+the source over out-edges meets a backward search from the target over
+in-edges, so a search settles the vertices near the two ends of a short
+path rather than most of the graph. `route` builds each vertex's
+out-edges and in-edges once per call, as (edge id, head) and (edge id,
+tail) pairs in edge-id order, and keeps a per-edge length list beside
+the loads, updated whenever a path is placed or removed. The search
+reads only these lists, so an edge relaxation touches no graph method.
+Every path is a shortest one under the current lengths; where shortest
+paths tie, which one is taken depends on how the two searches meet.
 """
 from __future__ import annotations
 
@@ -57,37 +63,90 @@ class RoutingOutcome:
 
 
 def _shortest_path(
-    adj: list[list[tuple[int, int]]], length: list[int], src: int, dst: int
+    out_adj: list[list[tuple[int, int]]],
+    in_adj: list[list[tuple[int, int]]],
+    length: list[int],
+    src: int,
+    dst: int,
 ) -> list[int] | None:
-    """Deterministic Dijkstra from src that stops once dst is settled.
+    """Bidirectional Dijkstra: the edge ids of a shortest src -> dst path
+    for src != dst, or None if dst is unreachable from src.
 
-    `adj[u]` lists u's out-edges as (edge id, head) pairs in edge-id
-    order and `length[e]` is edge e's current length, so one relaxation
-    is a few list reads. Heap keys are (distance, vertex) and a vertex's
-    distance changes only on strict improvement. Every length is at least
-    1, so an entry whose key exceeds its vertex's distance is stale and a
-    settled vertex is never improved. Returns the parent-edge list
-    (`parent[v]` is the edge that reached v) or None if dst is unreachable.
+    `out_adj[u]` lists u's out-edges as (edge id, head) pairs and
+    `in_adj[v]` v's in-edges as (edge id, tail) pairs, both in edge-id
+    order; `length[e]` is edge e's current length, so one relaxation is
+    a few list reads. A forward search from src and a backward one from
+    dst each keep (distance, vertex) heap keys and skip stale entries;
+    each step pops the side with the smaller heap top, forward on a tie.
+    Every strict improvement of a tentative distance tries the vertex as
+    a meeting point, and the best meeting length changes only on strict
+    improvement. The search stops once the two heap tops sum to at least
+    that length, or once either heap is empty. Every length is at least
+    1, so the path found is shortest and simple; among tied shortest
+    paths, which one is found depends on the order of the pops.
     """
-    n = len(adj)
+    n = len(out_adj)
     # A shortest path has at most n - 1 edges, each at most 2^cap long.
-    dist = [(n + 1) << _LENGTH_EXP_CAP] * n
-    parent = [-1] * n
-    dist[src] = 0
-    heap = [(0, src)]
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == dst:
-            return parent
-        for eid, v in adj[u]:
-            nd = d + length[eid]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = eid
-                heappush(heap, (nd, v))
-    return None
+    inf = (n + 1) << _LENGTH_EXP_CAP
+    dist_f = [inf] * n
+    dist_b = [inf] * n
+    # v's forward parent: the edge that reached it from src, and its
+    # tail; its backward child: the edge that leaves it towards dst, and
+    # its head.
+    edge_f = [-1] * n
+    prev_f = [-1] * n
+    edge_b = [-1] * n
+    next_b = [-1] * n
+    dist_f[src] = 0
+    dist_b[dst] = 0
+    heap_f = [(0, src)]
+    heap_b = [(0, dst)]
+    best = inf
+    meet = -1
+    while heap_f and heap_b:
+        if heap_f[0][0] + heap_b[0][0] >= best:
+            break
+        if heap_f[0][0] <= heap_b[0][0]:
+            d, u = heappop(heap_f)
+            if d > dist_f[u]:
+                continue
+            for eid, v in out_adj[u]:
+                nd = d + length[eid]
+                if nd < dist_f[v]:
+                    dist_f[v] = nd
+                    edge_f[v] = eid
+                    prev_f[v] = u
+                    heappush(heap_f, (nd, v))
+                    if nd + dist_b[v] < best:
+                        best = nd + dist_b[v]
+                        meet = v
+        else:
+            d, u = heappop(heap_b)
+            if d > dist_b[u]:
+                continue
+            for eid, v in in_adj[u]:
+                nd = d + length[eid]
+                if nd < dist_b[v]:
+                    dist_b[v] = nd
+                    edge_b[v] = eid
+                    next_b[v] = u
+                    heappush(heap_b, (nd, v))
+                    if nd + dist_f[v] < best:
+                        best = nd + dist_f[v]
+                        meet = v
+    if meet < 0:
+        return None
+    path: list[int] = []
+    v = meet
+    while v != src:
+        path.append(edge_f[v])
+        v = prev_f[v]
+    path.reverse()
+    v = meet
+    while v != dst:
+        path.append(edge_b[v])
+        v = next_b[v]
+    return path
 
 
 def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
@@ -96,23 +155,18 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     edges = g.edges
     loads = [0] * g.m
     length = [1] * g.m  # 2^min(loads[e], cap), kept in step with loads
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid, (u, v, _c) in enumerate(edges):
-        adj[u].append((eid, v))
+        out_adj[u].append((eid, v))
+        in_adj[v].append((eid, u))
     paths_e: list[tuple[int, ...] | None] = [None] * npairs
 
     def place(idx: int) -> None:
         src, dst = demand.pairs[idx]
-        parent = _shortest_path(adj, length, src, dst)
-        if parent is None:
+        es = _shortest_path(out_adj, in_adj, length, src, dst)
+        if es is None:
             raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
-        es: list[int] = []
-        v = dst
-        while v != src:
-            eid = parent[v]
-            es.append(eid)
-            v = edges[eid][0]
-        es.reverse()
         paths_e[idx] = tuple(es)
         for e in es:
             loads[e] += 1

@@ -210,13 +210,14 @@ class TestBuildHierarchy:
         (normalize([(0, 1, 1), (1, 2, 1)], 3, 0), 1),
         (gen_two_cliques_bridge(4, seed=0), 2),
     ], ids=["path", "two-cliques"])
-    def test_build_makes_2L_plus_1_scc_passes(self, monkeypatch, g, L):
-        # One per `decompose` call and one per partition, levels 0..L.
+    def test_build_makes_L_plus_2_scc_passes(self, monkeypatch, g, L):
+        # One for the graph, which every `decompose` call shares, and one
+        # per partition, levels 0..L.
         calls = []
         monkeypatch.setattr(decomp, "scc", lambda *a: calls.append(a) or scc(*a))
         h = build_hierarchy(g, PHI, seed=1)
         assert h.L == L
-        assert len(calls) == 2 * L + 1
+        assert len(calls) == L + 2
 
     def test_levels_are_checked_before_any_scc_pass(self, monkeypatch):
         g = gen_two_cliques_bridge(4, seed=0)

@@ -154,7 +154,7 @@ def test_gen_outputs_match_recorded_digests(capsys):
 # and reroute sweeps; the instances above route only a handful of pairs.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "fb33b22f62d651c90bed6c55a2c3ab8e59eb91fcad7e4c02100cf231b640a0e6",
+    "pack": "e81e8f15bf9484373ccda37e805bad7e952608d6f9ebba5256664aa61a695aeb",
     "verify pack": "ba74d587984b9000842664a8745f90a0d7e2674d38fc4f8a0f865dba4ed63b43",
 }
 
