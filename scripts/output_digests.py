@@ -3,10 +3,12 @@
 
 For the i-th `*.dmc` file of DIR in sorted order, with seed N + i, the
 script runs `arborpack.cli.main` in-process on `hierarchy`,
-`mincut --verbose`, `mincut --exact`, `pack --k 2` and `pack --k 3`. It
-prints one JSON object with sorted keys that maps each call (its argv,
-with the graph given by file name) to its exit code and the sha256 of
-its stdout. Two checkouts print the same object exactly when every call
+`mincut --verbose`, `mincut --exact`, `pack --k 2` and `pack --k 3`, and
+then `pack --k λ` and `pack --k λ+1`, with λ the value that
+`mincut --exact` printed (these two are left out when it exits nonzero).
+It prints one JSON object with sorted keys that maps each call (its
+argv, with the graph given by file name) to its exit code and the sha256
+of its stdout; a call that repeats an earlier argv has one entry. Two checkouts print the same object exactly when every call
 gives the same output, so a change that claims byte-identical output
 can be checked with `diff`.
 
@@ -40,13 +42,18 @@ def digests(directory: Path, seed_base: int) -> dict:
     out = {}
     for i, path in enumerate(sorted(directory.glob("*.dmc"))):
         seed = str(seed_base + i)
-        for command, *flags in CALLS:
+        calls = list(CALLS)
+        while calls:
+            command, *flags = calls.pop(0)
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli_main([command, str(path), *flags, "--seed", seed])
             key = " ".join([command, path.name, *flags, "--seed", seed])
             digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
             out[key] = {"exit": code, "sha256": digest}
+            if flags == ["--exact"] and code == 0:
+                lam = json.loads(buf.getvalue())["value"]
+                calls += [("pack", "--k", str(k)) for k in (lam, lam + 1)]
     return out
 
 

@@ -247,13 +247,11 @@ def decompose(
     terminals: EdgeSet,
     phi_target: Fraction,
     seed: int = 0,
-    components: Partition | None = None,
 ) -> DecompResult:
     """Find cut edges B with c(B) <= c(terminals)/2 such that the terminal
     set is (heuristically) component-constrained phi-expanding after the
-    cut. Deterministic given the seed. `components` is g's SCC partition,
-    computed here when not given; `build_hierarchy` computes it once for
-    all its calls."""
+    cut. Deterministic given the seed. The search starts from g's SCC
+    partition, which the graph keeps for all calls on it."""
     phi_target = Fraction(phi_target)
     if not 0 < phi_target <= 1:
         raise ParameterError(f"phi_target must be in (0, 1], got {phi_target}")
@@ -272,9 +270,7 @@ def decompose(
     phi = phi_target
     halvings = 0
     cut: set[int] = set()
-    if components is None:
-        components = scc(g)
-    pending: deque[frozenset] = deque(sorted(components.components, key=min))
+    pending: deque[frozenset] = deque(g.sccs.components)
     rounds = 0
     while pending:
         comp = pending.popleft()
@@ -472,10 +468,9 @@ def build_hierarchy(
     total_cap = g.total_capacity()
     max_levels = (math.ceil(math.log2(total_cap)) if total_cap > 1 else 0) + 2
     estar: frozenset = frozenset(range(g.m))
-    components = scc(g)
     i = 1
     while True:
-        result = decompose(g, estar, phi_target, derive_seed(seed, "level", i), components)
+        result = decompose(g, estar, phi_target, derive_seed(seed, "level", i))
         levels.append(estar)
         phis.append(result.achieved_phi)
         if not result.cut_edges:

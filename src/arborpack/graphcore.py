@@ -57,6 +57,9 @@ class DirectedGraph:
     last scaled copy. Nothing changes `head` or `adj`. The arcs are
     built at their first use, so a graph that runs no flow never builds
     them; two readers that race to build them build equal tuples.
+
+    `sccs` is the graph's own SCC partition, `scc(g)`, likewise built at
+    its first use and kept.
     """
 
     n: int
@@ -66,6 +69,7 @@ class DirectedGraph:
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: ResidualArcs | None = field(init=False, repr=False, compare=False)
     _scaled: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _sccs: Partition | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -75,9 +79,11 @@ class DirectedGraph:
             inc[v].append(eid)
         object.__setattr__(self, "_out", tuple(tuple(a) for a in out))
         object.__setattr__(self, "_in", tuple(tuple(a) for a in inc))
-        # Filled in at first use, by `residual_arcs` and `scaled_capacities`.
+        # Filled in at first use, by `residual_arcs`, `scaled_capacities`
+        # and `sccs`.
         object.__setattr__(self, "_arcs", None)
         object.__setattr__(self, "_scaled", (1, ()))
+        object.__setattr__(self, "_sccs", None)
 
     @property
     def residual_arcs(self) -> ResidualArcs:
@@ -119,6 +125,15 @@ class DirectedGraph:
             caps = tuple([c * scale for c in self.residual_arcs[1]])
             object.__setattr__(self, "_scaled", (scale, caps))
         return caps
+
+    @property
+    def sccs(self) -> Partition:
+        """The strongly connected components of the whole graph."""
+        part = self._sccs
+        if part is None:
+            part = _scc_partition(self, frozenset())
+            object.__setattr__(self, "_sccs", part)
+        return part
 
     @property
     def m(self) -> int:
@@ -225,7 +240,15 @@ def scc(g: DirectedGraph, removed: EdgeSet = frozenset()) -> Partition:
     """Strongly connected components of g with `removed` edges deleted.
 
     Iterative Tarjan; component numbering by smallest member vertex id.
+    With no edge removed this is the partition the graph keeps,
+    `DirectedGraph.sccs`.
     """
+    if not removed:
+        return g.sccs
+    return _scc_partition(g, removed)
+
+
+def _scc_partition(g: DirectedGraph, removed: EdgeSet) -> Partition:
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for eid, (u, v, _c) in enumerate(g.edges):
         if eid not in removed:
@@ -305,15 +328,32 @@ class CutValues(NamedTuple):
 
 
 def cut_values(g: DirectedGraph, vertex_set: Iterable[int]) -> CutValues:
-    """Capacity leaving (delta) and entering (rho) a vertex set."""
+    """Capacity leaving (delta) and entering (rho) a vertex set.
+
+    Only the edges at the vertices of the smaller of the set and its
+    complement are read: an edge leaving one side enters the other. An
+    id outside 0..n-1 names no vertex and adds nothing.
+    """
     inside = set(vertex_set)
+    if 2 * len(inside) <= g.n:
+        return _crossing(g, inside)
+    rho, delta = _crossing(g, {v for v in range(g.n) if v not in inside})
+    return CutValues(delta, rho)
+
+
+def _crossing(g: DirectedGraph, inside: set) -> CutValues:
+    edges = g.edges
     delta = rho = 0
-    for u, v, c in g.edges:
-        tin, hin = u in inside, v in inside
-        if tin and not hin:
-            delta += c
-        elif hin and not tin:
-            rho += c
+    for v in inside:
+        if 0 <= v < g.n:
+            for eid in g._out[v]:
+                _u, w, c = edges[eid]
+                if w not in inside:
+                    delta += c
+            for eid in g._in[v]:
+                u, _w, c = edges[eid]
+                if u not in inside:
+                    rho += c
     return CutValues(delta, rho)
 
 

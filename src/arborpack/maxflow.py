@@ -18,6 +18,13 @@ These are the arcs a source-side level graph offers minus its dead ends,
 so the augmenting paths and their order are those of the textbook
 forward labelling.
 
+Before its phases, `max_flow` makes the augmentations of the first two,
+the phases of 2-arc paths (source, v, sink) and 3-arc paths (source, u,
+w, sink), in one scan of the supply vertices and their arcs with no
+search (`_short_paths`). They are the same augmentations in the same
+order, so every result equals plain Dinic's; a flow that one-edge paths
+can carry up to its bound runs no search at all.
+
 Every arc a call can use is built once per graph, at its first flow
 (`DirectedGraph.residual_arcs`): the two arcs of each edge, and a supply
 and a sink arc pair for each vertex at fixed ids, with capacity 0. Every
@@ -128,9 +135,10 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     if bound is not None:
         limit = min(limit, bound)
 
+    flow_total = _short_paths(adj, head, cap, supply_arc, 2 * problem.graph.m, limit)
     is_source = [False] * (n + 2)
     is_source[source] = True
-    flow_total = _dinic(adj, head, cap, is_source, sink, limit)
+    flow_total += _dinic(adj, head, cap, is_source, sink, limit - flow_total)
     capped = flow_total == bound
     if capped:
         cut_side = None
@@ -191,6 +199,65 @@ def _residual_network(problem: FlowProblem):
     return head, cap, adj, supply_arc, sink_arc
 
 
+def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
+    """Dinic's phases of 2-arc and 3-arc paths from the super-source,
+    without their BFS; returns the flow added, at most `limit`.
+
+    The 2-arc phase pushes source -> v -> sink for each v with supply
+    and sink capacity, in ascending v. After it no vertex has both
+    left, so the 3-arc phase's level graph is source -> u -> w -> sink
+    over edge arcs u -> w into vertices with sink capacity. Its blocking
+    flow takes each u with supply left in ascending order and its arcs
+    in `adj[u]` order, and moves on past an arc once the arc or w's sink
+    is saturated, and to the next u once u's supply is. These are the augmentations `_blocking_flow` makes in
+    those phases, in the same order, so `_dinic` continues from the
+    first phase of 4 or more arcs with the same residual network. The
+    sink arc of a vertex w is `first + 4 * w + 2`, as in
+    `DirectedGraph.residual_arcs`.
+    """
+    room = limit
+    for v, a in supply_arc.items():
+        t = first + 4 * v + 2
+        d = min(cap[a], cap[t], room)
+        if d > 0:
+            cap[a] -= d
+            cap[a + 1] += d
+            cap[t] -= d
+            cap[t + 1] += d
+            room -= d
+    for u, a in supply_arc.items():
+        if not room:
+            break
+        left = cap[a]
+        if not left:
+            continue
+        for b in adj[u]:
+            if b >= first:
+                break  # u's supply and sink arcs follow its edge arcs
+            c = cap[b]
+            if c:
+                t = first + 4 * head[b] + 2
+                d = cap[t]
+                if d:
+                    if c < d:
+                        d = c
+                    if left < d:
+                        d = left
+                    if room < d:
+                        d = room
+                    cap[b] = c - d
+                    cap[b ^ 1] += d
+                    cap[t] -= d
+                    cap[t + 1] += d
+                    left -= d
+                    room -= d
+                    if not left or not room:
+                        break
+        cap[a + 1] += cap[a] - left
+        cap[a] = left
+    return limit - room
+
+
 def _dinic(adj, head, cap, is_source, sink: int, limit: int) -> int:
     """Augment from the vertices with `is_source[v]` true into `sink`,
     phase by phase, up to `limit`; returns the flow added."""
@@ -217,13 +284,12 @@ def _distances_to_sink(adj, head, cap, is_source, sink: int) -> tuple[list[int],
         w = dq.popleft()
         nxt = dist[w] + 1
         for b in adj[w]:
-            if cap[b ^ 1] > 0:
-                v = head[b]
-                if dist[v] < 0:
-                    dist[v] = nxt
-                    if is_source[v]:
-                        return dist, v
-                    dq.append(v)
+            v = head[b]
+            if dist[v] < 0 and cap[b ^ 1] > 0:
+                dist[v] = nxt
+                if is_source[v]:
+                    return dist, v
+                dq.append(v)
     return dist, -1
 
 
@@ -235,11 +301,10 @@ def _reached(adj, head, cap, source: int) -> list[bool]:
     while stack:
         u = stack.pop()
         for a in adj[u]:
-            if cap[a] > 0:
-                w = head[a]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+            w = head[a]
+            if not seen[w] and cap[a] > 0:
+                seen[w] = True
+                stack.append(w)
     return seen
 
 

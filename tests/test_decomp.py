@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arborpack import decomp
+from arborpack import decomp, graphcore
 from arborpack.decomp import (
     DecompResult,
     Hierarchy,
@@ -210,14 +210,18 @@ class TestBuildHierarchy:
         (normalize([(0, 1, 1), (1, 2, 1)], 3, 0), 1),
         (gen_two_cliques_bridge(4, seed=0), 2),
     ], ids=["path", "two-cliques"])
-    def test_build_makes_L_plus_2_scc_passes(self, monkeypatch, g, L):
-        # One for the graph, which every `decompose` call shares, and one
-        # per partition, levels 0..L.
-        calls = []
+    def test_build_makes_L_plus_1_scc_passes(self, monkeypatch, g, L):
+        # One per partition, levels 0..L. The top level's is the graph's
+        # own partition, which every `decompose` call reads first.
+        calls, passes = [], []
         monkeypatch.setattr(decomp, "scc", lambda *a: calls.append(a) or scc(*a))
+        partition = graphcore._scc_partition
+        monkeypatch.setattr(graphcore, "_scc_partition",
+                            lambda *a: passes.append(a) or partition(*a))
         h = build_hierarchy(g, PHI, seed=1)
         assert h.L == L
-        assert len(calls) == L + 2
+        assert len(calls) == len(passes) == L + 1
+        assert passes[0] == (g, frozenset())
 
     def test_levels_are_checked_before_any_scc_pass(self, monkeypatch):
         g = gen_two_cliques_bridge(4, seed=0)

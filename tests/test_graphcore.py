@@ -144,6 +144,21 @@ class TestCutValues:
                 assert cut_values(g, s).delta == cut_values(reversed_g, s).rho
 
 
+    @given(digraphs(max_n=6, max_m=14, max_cap=3), st.booleans())
+    def test_matches_a_scan_of_every_edge(self, g, loops):
+        # Every subset, with ids outside 0..n-1 that add nothing, on
+        # graphs that may keep self-loops (built without `normalize`).
+        if loops:
+            g = DirectedGraph(n=g.n, edges=g.edges + ((1, 1, 2),), source=g.source)
+        for r in range(g.n + 1):
+            for combo in itertools.combinations(range(g.n), r):
+                s = set(combo)
+                delta = sum(c for u, v, c in g.edges if u in s and v not in s)
+                rho = sum(c for u, v, c in g.edges if v in s and u not in s)
+                assert cut_values(g, s) == (delta, rho)
+                assert cut_values(g, s | {-1, g.n, g.n + 3}) == (delta, rho)
+
+
 class TestRestrictedDegrees:
     def test_empty_filter(self):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)

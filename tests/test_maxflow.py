@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arborpack import maxflow
 from arborpack.errors import InternalError, ParameterError
 from arborpack.graphcore import normalize
 from arborpack.maxflow import (
@@ -373,6 +374,73 @@ class TestMaxFlow:
         res = max_flow(FlowProblem(g, {0: 5}, {sink: 5}))
         assert res.value == 3
         assert res.min_cut_side == frozenset(range(sink, nxt))
+
+class TestShortPaths:
+    """The pass that makes the 2-arc and 3-arc phases' augmentations
+    without their searches gives plain Dinic's results."""
+
+    @given(digraphs(max_n=12, max_m=40, max_cap=4), st.data())
+    def test_certification_problems_match_reference(self, g, data):
+        # As in certification: every vertex supplies or absorbs flow,
+        # some do both, capacities are scaled by 16, and the bound is
+        # the smaller of the two totals.
+        amounts = st.integers(1, 6)
+        supplies, sinks = {}, {}
+        for v in range(g.n):
+            role = data.draw(st.sampled_from(("supply", "sink", "both")))
+            if role != "sink":
+                supplies[v] = data.draw(amounts)
+            if role != "supply":
+                sinks[v] = data.draw(amounts)
+        bound = min(sum(supplies.values()), sum(sinks.values()))
+        problem = FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=16)
+        res = max_flow(problem)
+        assert result_fields(res) == result_fields(reference_max_flow(problem))
+        verify_flow(problem, res)
+
+    @pytest.mark.parametrize("edges, supplies, sinks, bound, edge_filter", [
+        # The bound is met at vertex 2, inside the 2-arc step.
+        ([(0, 1, 1), (1, 2, 1)], {1: 3, 2: 2}, {1: 2, 2: 5}, 3, None),
+        # The bound is met on the arc 1 -> 3, inside the 3-arc step.
+        ([(0, 1, 1), (1, 2, 2), (1, 3, 2), (1, 4, 2)], {1: 9}, {2: 2, 3: 2, 4: 2}, 3, None),
+        # Vertex 1 both supplies and absorbs; its supply left goes on.
+        ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2)], {1: 4}, {1: 1, 2: 2, 3: 5}, None,
+         None),
+        # The edge 1 -> 2 into the sink is filtered out; 1 -> 3 -> 2 is
+        # a 4-arc path that Dinic's phases find after the pass.
+        ([(0, 1, 1), (1, 2, 3), (1, 3, 1), (3, 2, 1)], {1: 3}, {2: 3}, None,
+         frozenset({0, 2, 3})),
+    ], ids=["bound-in-2-arc-step", "bound-in-3-arc-step", "supply-and-sink",
+            "filtered-edge-into-sink"])
+    def test_unit_cases_match_reference(self, edges, supplies, sinks, bound, edge_filter):
+        g = normalize(edges, 5, 0)
+        problem = FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=edge_filter)
+        res = max_flow(problem)
+        assert result_fields(res) == result_fields(reference_max_flow(problem))
+        verify_flow(problem, res)
+
+    def test_unit_case_values(self):
+        g = normalize([(0, 1, 1), (1, 2, 2), (1, 3, 2), (1, 4, 2)], 5, 0)
+        res = max_flow(FlowProblem(g, {1: 9}, {2: 2, 3: 2, 4: 2}, flow_bound=3))
+        assert res.capped and res.flow == [0, 2, 1, 0]
+        assert res.sink_used == {2: 2, 3: 1, 4: 0}
+        g = normalize([(0, 1, 1), (1, 2, 3), (1, 3, 1), (3, 2, 1)], 4, 0)
+        res = max_flow(FlowProblem(g, {1: 3}, {2: 3}, edge_filter=frozenset({0, 2, 3})))
+        assert res.value == 1 and res.flow == [0, 0, 1, 1]
+        assert res.min_cut_side == frozenset({0, 2, 3})
+
+    def test_single_edge_flow_runs_no_search(self, monkeypatch):
+        # Every unit goes over one edge from the supply to a sink, so the
+        # pass meets the bound and no phase runs.
+        calls = []
+        search = maxflow._distances_to_sink
+        monkeypatch.setattr(maxflow, "_distances_to_sink",
+                            lambda *a: calls.append(1) or search(*a))
+        g = normalize([(0, v, 1) for v in range(1, 5)] + [(1, 2, 1), (2, 3, 1)], 5, 0)
+        res = max_flow(FlowProblem(g, {0: 4}, dict.fromkeys(range(1, 5), 1), flow_bound=4))
+        assert res.capped and res.value == 4 and res.flow == [1, 1, 1, 1, 0, 0]
+        assert calls == []
+
 
 class TestDecomposePaths:
     def test_unit_path(self):

@@ -70,7 +70,7 @@ def test_output_digests(tmp_path):
     graphs = tmp_path / "graphs"
     graphs.mkdir()
     for argv in (["random_gnm", "--n", "5", "--m", "12", "--max-cap", "3"],
-                 ["known_packing", "--n", "6", "--k", "2"]):
+                 ["known_packing", "--n", "6", "--k", "4"]):
         made = run("-m", "arborpack", "gen", *argv, "--seed", "1",
                    "--out", graphs / f"{argv[0]}.dmc", cwd=tmp_path)
         assert made.returncode == 0, made.stderr
@@ -78,12 +78,19 @@ def test_output_digests(tmp_path):
     res = run(SCRIPTS / "output_digests.py", graphs, "--seed-base", "7", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     digests = json.loads(res.stdout)
-    assert len(digests) == 10
+    # Five fixed calls per graph, then `pack` at lambda and lambda + 1:
+    # 4 and 5 on known_packing, 1 and 2 (a repeat) on random_gnm.
+    assert len(digests) == 13
     # known_packing sorts first, so it gets seed 7 and random_gnm seed 8.
-    hier = digests["hierarchy random_gnm.dmc --seed 8"]
-    direct = run("-m", "arborpack", "hierarchy", graphs / "random_gnm.dmc", "--seed", "8",
-                 cwd=tmp_path)
-    assert hier == {"exit": 0, "sha256": hashlib.sha256(direct.stdout.encode()).hexdigest()}
+    for argv in (["hierarchy", "random_gnm.dmc", "--seed", "8"],
+                 ["pack", "known_packing.dmc", "--k", "5", "--seed", "7"]):
+        direct = run("-m", "arborpack", argv[0], graphs / argv[1], *argv[2:], cwd=tmp_path)
+        assert digests[" ".join(argv)] == {
+            "exit": direct.returncode,
+            "sha256": hashlib.sha256(direct.stdout.encode()).hexdigest(),
+        }
+    assert "pack known_packing.dmc --k 4 --seed 7" in digests
+    assert "pack random_gnm.dmc --k 1 --seed 8" in digests
     # Packing is for unit capacities: the weighted graph gets a parameter error.
     assert digests["pack random_gnm.dmc --k 2 --seed 8"]["exit"] == 2
     assert digests["pack known_packing.dmc --k 2 --seed 7"]["exit"] == 0

@@ -157,6 +157,15 @@ class TestAgainstOracle:
         assert code == 1 and not report["ok"]
         assert [c["name"] for c in report["checks"] if not c["ok"]] == [failing]
 
+    def test_mincut_ids_outside_the_graph_add_nothing(self, work):
+        # -1 and n name no vertex: the value is re-evaluated over {1}
+        # alone (vertex 2 = n - 1 has an edge in, which -1 must not
+        # reach), and only the range check fails.
+        g = normalize([(0, 1, 1), (0, 2, 1)], 3, 0)
+        code, report = run_verify(work, g, {"kind": "mincut", "cut": [-1, 1, 3], "value": 1})
+        assert code == 1 and not report["ok"]
+        assert [c["name"] for c in report["checks"] if not c["ok"]] == ["ids_in_range"]
+
     @pytest.mark.parametrize("edges, ok", [([], True), ([(0, 1, 1)], False)])
     def test_zero_trees_certify_only_an_edgeless_graph(self, work, edges, ok):
         g = normalize(edges, 2, 0)
