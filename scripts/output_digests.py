@@ -6,11 +6,14 @@ script runs `arborpack.cli.main` in-process on `hierarchy`,
 `mincut --verbose`, `mincut --exact`, `pack --k 2` and `pack --k 3`, and
 then `pack --k λ` and `pack --k λ+1`, with λ the value that
 `mincut --exact` printed (these two are left out when it exits nonzero).
+The stdout of each of these calls is written to a temporary file, and
+`verify` runs on it and the graph; its entry is keyed `verify (<call>)`.
 It prints one JSON object with sorted keys that maps each call (its
 argv, with the graph given by file name) to its exit code and the sha256
-of its stdout; a call that repeats an earlier argv has one entry. Two checkouts print the same object exactly when every call
-gives the same output, so a change that claims byte-identical output
-can be checked with `diff`.
+of its stdout; a call that repeats an earlier argv has one entry. Two
+checkouts print the same object exactly when every call gives the same
+output, so a change that claims byte-identical output can be checked
+with `diff`.
 
 Example:
     PYTHONPATH=src python scripts/output_digests.py graphs/ > new.json
@@ -23,6 +26,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from arborpack.cli import main as cli_main
@@ -36,24 +40,37 @@ CALLS = (
 )
 
 
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv)
+    return code, buf.getvalue()
+
+
+def entry(code: int, stdout: str) -> dict:
+    return {"exit": code, "sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+
+
 def digests(directory: Path, seed_base: int) -> dict:
     """`{argv: {"exit": code, "sha256": hex}}` over the graphs of
     `directory`, as the module docstring describes."""
     out = {}
-    for i, path in enumerate(sorted(directory.glob("*.dmc"))):
-        seed = str(seed_base + i)
-        calls = list(CALLS)
-        while calls:
-            command, *flags = calls.pop(0)
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli_main([command, str(path), *flags, "--seed", seed])
-            key = " ".join([command, path.name, *flags, "--seed", seed])
-            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-            out[key] = {"exit": code, "sha256": digest}
-            if flags == ["--exact"] and code == 0:
-                lam = json.loads(buf.getvalue())["value"]
-                calls += [("pack", "--k", str(k)) for k in (lam, lam + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        result = Path(tmp) / "result.json"
+        for i, path in enumerate(sorted(directory.glob("*.dmc"))):
+            seed = str(seed_base + i)
+            calls = list(CALLS)
+            while calls:
+                command, *flags = calls.pop(0)
+                code, stdout = run([command, str(path), *flags, "--seed", seed])
+                key = " ".join([command, path.name, *flags, "--seed", seed])
+                out[key] = entry(code, stdout)
+                result.write_text(stdout)
+                out[f"verify ({key})"] = entry(*run(["verify", str(result), str(path)]))
+                if flags == ["--exact"] and code == 0:
+                    lam = json.loads(stdout)["value"]
+                    calls += [("pack", "--k", str(k)) for k in (lam, lam + 1)]
     return out
 
 

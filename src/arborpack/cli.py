@@ -11,12 +11,17 @@ keys; diagnostics go to stderr. Exit codes: 0 success, 1 operation
 error (including a failed verification), 2 parse or parameter error
 (including a malformed command line).
 The ARBOR_SEED environment variable supplies the default seed.
+
+Only this module writes and reads the result documents and parses phi
+text. `verify` holds every result field to its schema's JSON type (an
+integer is never a float or a boolean, a phi is a string), else exit 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -24,8 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generators
-from .decomp import DEFAULT_PHI, build_hierarchy, hierarchy_from_json, phi_exponent_fits
-from .errors import ArborError, InputError, ParameterError, UnsupportedGraphError
+from .decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
+from .errors import ArborError, InputError, InternalError, ParameterError, UnsupportedGraphError
 from .graphcore import DirectedGraph, cut_values, normalize
 from .mincut import approx_rooted_mincut
 from .oracle import exact_rooted_mincut, verify_packing
@@ -99,6 +104,31 @@ def format_graph(g: DirectedGraph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def hierarchy_to_json(hier: Hierarchy) -> dict:
+    """The `hierarchy` result document of `hier`."""
+    g = hier.graph
+    return {
+        "kind": "hierarchy", "n": g.n, "m": g.m, "source": g.source,
+        "phi_target": str(hier.phi_target),
+        "levels": [sorted(level) for level in hier.levels],
+        "partitions": [[sorted(comp) for comp in part.components] for part in hier.partitions],
+        "level_phis": [str(phi) for phi in hier.level_phis],
+    }
+
+
+def packing_to_json(result: PackingResult) -> dict:
+    """The `packing` result document of `result`, without the seed."""
+    data: dict = {"kind": "packing", "k": result.k, "result": result.kind}
+    if result.kind == "arborescences":
+        data.update(trees=[sorted(t) for t in result.trees], congestion=result.congestion)
+    else:
+        data.update(cut=sorted(result.cut_vertices), delta=result.cut_delta)
+    if result.levels is not None:
+        data["levels"] = result.levels
+    data["routing"] = list(result.level_log)
+    return data
+
+
 def _emit(data: dict) -> None:
     sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
@@ -126,21 +156,36 @@ def _default_seed() -> int:
         raise ParameterError(f"ARBOR_SEED must be an integer, got {raw!r}")
 
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
+def _phi_text(text: str) -> Fraction | None:
+    """`Fraction(text)`, or None when `text` has a decimal exponent no phi
+    can need, which `Fraction` would first raise 10 to. A phi in (0, 1]
+    with a denominator of at most 2^192 < 10^58 (a command-line phi
+    halved 64 times) has one of magnitude at most len(text) + 58: the
+    mantissa cancels at most as many powers of ten as it has digits."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        limit = len(text) + 58
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            return None
+    return Fraction(text)
+
+
 def _phi(text: str) -> Fraction:
-    out_of_range = ParameterError(
-        f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
-    )
-    if not phi_exponent_fits(text):
-        raise out_of_range
     try:
-        value = Fraction(text)
+        value = _phi_text(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"invalid phi value {text!r}") from exc
     # sigma = floor(1/phi) stops mattering past the total terminal degree,
     # at most 2^65 under MAX_CAPACITY and MAX_EDGES; the bound also keeps
     # the hierarchy's phi strings under Python's int-to-str digit limit.
-    if not 0 < value <= 1 or value.denominator > 1 << 128:
-        raise out_of_range
+    if value is None or not 0 < value <= 1 or value.denominator > 1 << 128:
+        raise ParameterError(
+            f"phi must lie in (0, 1] with a denominator of at most 2^128, got {text!r}"
+        )
     return value
 
 
@@ -176,7 +221,7 @@ def _cmd_gen(args) -> int:
 def _cmd_hierarchy(args) -> int:
     g = _load_graph(args.graph)
     hier = build_hierarchy(g, _phi(args.phi), args.seed)
-    _emit(hier.to_json_dict())
+    _emit(hierarchy_to_json(hier))
     return 0
 
 
@@ -214,9 +259,7 @@ def _cmd_mincut(args) -> int:
 def _cmd_pack(args) -> int:
     g = _load_graph(args.graph)
     result = pack(g, args.k, _phi(args.phi), args.seed)
-    data = result.to_json_dict()
-    data["seed"] = args.seed
-    _emit(data)
+    _emit({**packing_to_json(result), "seed": args.seed})
     return 0
 
 
@@ -231,6 +274,49 @@ def _int_list(value, what: str) -> list[int]:
     if not isinstance(value, list) or any(type(x) is not int for x in value):
         raise ParameterError(f"{what} must be a list of integers")
     return value
+
+
+def _json_list(value, item: type, what: str) -> list:
+    """`value` if a list of `item`s; else a TypeError, which `verify` reads as malformed."""
+    if not isinstance(value, list) or any(type(x) is not item for x in value):
+        raise TypeError(f"{what} must be a list of {item.__name__} values")
+    return value
+
+
+def _phi_field(value) -> Fraction:
+    if type(value) is not str:
+        raise TypeError("each phi must be a string")
+    phi = _phi_text(value)
+    if phi is None:
+        raise ValueError(f"phi {value[:40]!r} has a decimal exponent past any phi's")
+    return phi
+
+
+def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
+    """The hierarchy a JSON result describes, built on g from its levels
+    and phis once its n, m and source match g's; the partitions it lists
+    must be the derived ones. Raises an `ArborError` for a well-formed
+    but wrong result, and a builtin error (`KeyError`, `TypeError`, ...)
+    for a missing field or one of a JSON type its schema does not allow."""
+    header = [data["n"], data["m"], data["source"]]
+    if _json_list(header, int, "[n, m, source]") != [g.n, g.m, g.source]:
+        raise ParameterError("hierarchy was not built on this graph")
+    levels = _json_list(data["levels"], list, "levels")
+    levels = tuple(frozenset(_json_list(ids, int, "each level")) for ids in levels)
+    partitions = _json_list(data["partitions"], list, "partitions")
+    phi_target = _phi_field(data["phi_target"])
+    level_phis = tuple(map(_phi_field, _json_list(data["level_phis"], str, "level_phis")))
+    if not levels or len(partitions) != len(levels) + 1:
+        raise InternalError("level/partition counts are inconsistent")
+    hier = Hierarchy(g, phi_target, levels, level_phis)
+    for i, (groups, part) in enumerate(zip(partitions, hier.partitions)):
+        claimed = sorted((frozenset(_json_list(c, int, "a component")) for c in groups), key=min)
+        # Looking each id up first makes one outside the vertex table a
+        # malformed field rather than a wrong partition.
+        named = {part.comp_of[v] for comp in claimed for v in comp}
+        if len(named) != len(part.components) or tuple(claimed) != part.components:
+            raise InternalError(f"level-{i} partition does not match its SCCs")
+    return hier
 
 
 def _read_result(path: str) -> dict:

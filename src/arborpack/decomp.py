@@ -27,7 +27,7 @@ in as the next terminal set until no cut is needed; every round starts
 from the graph's SCCs, computed once per build. The `Hierarchy` it
 builds keeps the graph, checks the levels and then derives, with one
 SCC pass each, the partition of the graph minus all higher-level edges
-for every level; `hierarchy_from_json` compares a result's with those.
+for every level; the `cli` module writes it as JSON and reads it back.
 
 Flow-based certification is a heuristic stand-in for the real expansion
 property; the exhaustive cut-expansion check in `oracle` is the ground
@@ -36,7 +36,6 @@ truth at small n.
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -388,71 +387,6 @@ class Hierarchy:
                     f"level {i} phi {phi} is not phi_target / 2^h for any "
                     f"0 <= h <= {_MAX_PHI_HALVINGS}"
                 )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "hierarchy",
-            "n": self.graph.n,
-            "m": self.graph.m,
-            "source": self.graph.source,
-            "phi_target": str(self.phi_target),
-            "levels": [sorted(level) for level in self.levels],
-            "partitions": [
-                [sorted(comp) for comp in part.components] for part in self.partitions
-            ],
-            "level_phis": [str(phi) for phi in self.level_phis],
-        }
-
-
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
-
-
-def phi_exponent_fits(text: str) -> bool:
-    """False when `text` has a decimal exponent that no phi can need;
-    `Fraction(text)` would build 10**exponent first. A phi in (0, 1] with
-    a denominator of at most 2^192 < 10^58 (a command-line phi halved 64
-    times) has one of magnitude at most len(text) + 58, since the
-    mantissa cancels at most as many powers of ten as it has digits."""
-    match = _EXPONENT.search(text)
-    if not match:
-        return True
-    digits = match.group(1).replace("_", "").lstrip("0")
-    limit = len(text) + 58
-    return len(digits) <= len(str(limit)) and int(digits or "0") <= limit
-
-
-def _phi_field(value) -> Fraction:
-    if isinstance(value, str) and not phi_exponent_fits(value):
-        raise ValueError(f"phi {value[:40]!r} has a decimal exponent past any phi's")
-    return Fraction(value)
-
-
-def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
-    """The hierarchy a JSON result describes, built on g from the
-    result's levels and phis, after its n, m and source are checked
-    against g; the partitions it lists must be the derived ones. Raises
-    an `ArborError` for a well-formed but wrong result, and `KeyError`,
-    `TypeError`, `ValueError` or `IndexError` for a missing or malformed
-    field."""
-    if (int(data["n"]), int(data["m"]), int(data["source"])) != (g.n, g.m, g.source):
-        raise ParameterError("hierarchy was not built on this graph")
-    levels = tuple(frozenset(level) for level in data["levels"])
-    partitions = data["partitions"]
-    if not isinstance(partitions, list):
-        raise TypeError("partitions must be a list")
-    phi_target = _phi_field(data["phi_target"])
-    level_phis = tuple(_phi_field(p) for p in data["level_phis"])
-    if not levels or len(partitions) != len(levels) + 1:
-        raise InternalError("level/partition counts are inconsistent")
-    hier = Hierarchy(g, phi_target, levels, level_phis)
-    for i, (groups, part) in enumerate(zip(partitions, hier.partitions)):
-        claimed = sorted(map(frozenset, groups), key=min)
-        # Looking each id up first makes one outside the vertex table a
-        # malformed field rather than a wrong partition.
-        named = {part.comp_of[v] for comp in claimed for v in comp}
-        if len(named) != len(part.components) or tuple(claimed) != part.components:
-            raise InternalError(f"level-{i} partition does not match its SCCs")
-    return hier
 
 
 def build_hierarchy(

@@ -380,10 +380,10 @@ def restricted_degrees(g: DirectedGraph, edge_filter: Iterable[EdgeId]) -> Degre
 
 
 def edges_within(g: DirectedGraph, vertices: Iterable[int]) -> EdgeSet:
-    """Ids of edges with both endpoints inside `vertices`."""
+    """Ids of edges with both ends in `vertices`; ids outside 0..n-1 add nothing."""
     inside = set(vertices)
     return frozenset(
-        eid for eid, (u, v, _c) in enumerate(g.edges) if u in inside and v in inside
+        eid for u in inside if 0 <= u < g.n for eid in g._out[u] if g.edges[eid][1] in inside
     )
 
 

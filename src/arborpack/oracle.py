@@ -33,6 +33,7 @@ with c(v<->T') the capacity between v and T' either way: exact, since
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -226,10 +227,7 @@ def verify_packing(g: DirectedGraph, result) -> dict:
         for idx, tree in enumerate(trees):
             ok, why = verify_arborescence(g, tree)
             check(f"arborescence_{idx + 1}", ok, why or "")
-        usage: dict[int, int] = {}
-        for tree in trees:
-            for eid in tree:
-                usage[eid] = usage.get(eid, 0) + 1
+        usage = Counter(eid for tree in trees for eid in tree)
         congestion = max(usage.values(), default=0)
         check(
             "congestion_recomputed",

@@ -38,10 +38,11 @@ coloring distributes leftover vertex colors over top-level critical
 edges, and a DFS per color extracts the arborescences.
 
 Packing is defined for unit-capacity graphs; weighted inputs are
-rejected.
+rejected. `pack` returns a `PackingResult`; `cli` writes it as JSON.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Mapping, Sequence
@@ -134,19 +135,6 @@ class PackingResult:
     cut_delta: int | None = None
     levels: int | None = None
     level_log: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        data: dict = {"kind": "packing", "k": self.k, "result": self.kind}
-        if self.kind == "arborescences":
-            data["trees"] = [sorted(t) for t in self.trees]
-            data["congestion"] = self.congestion
-        else:
-            data["cut"] = sorted(self.cut_vertices)
-            data["delta"] = self.cut_delta
-        if self.levels is not None:
-            data["levels"] = self.levels
-        data["routing"] = list(self.level_log)
-        return data
 
 
 def init_base_colors(g: DirectedGraph, k: int):
@@ -477,11 +465,11 @@ def finalize_coloring(hierarchy: Hierarchy, state: ColorState, crit: CriticalEdg
             raise InvariantError(
                 f"vertex {v} still holds colors but has no critical incoming edge"
             )
-        received: dict[int, int] = {}
+        received: Counter = Counter()
         for idx, gamma in enumerate(colors):
             e = targets[idx % len(targets)]
             final[e].add(gamma)
-            received[e] = received.get(e, 0) + 1
+            received[e] += 1
         worst = max(received.values())
         if worst > top + 1:
             raise InvariantError(
@@ -524,10 +512,7 @@ def extract_arborescences(
                 f"color {gamma} cannot reach vertex {missing} from the source"
             )
         trees.append(tuple(sorted(tree_edges)))
-    usage: dict[int, int] = {}
-    for tree in trees:
-        for e in tree:
-            usage[e] = usage.get(e, 0) + 1
+    usage = Counter(e for tree in trees for e in tree)
     congestion = max(usage.values(), default=0)
     if congestion_bound is not None and congestion > congestion_bound:
         raise InvariantError(

@@ -21,6 +21,7 @@ paths tie, which one is taken depends on how the two searches meet.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
@@ -183,8 +184,6 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
             break
         hot = {e for e, load in enumerate(loads) if load == congestion}
         victims = [i for i in range(npairs) if hot.intersection(paths_e[i])]
-        if not victims:
-            break
         for idx in victims:
             for e in paths_e[idx]:
                 loads[e] -= 1
@@ -220,10 +219,7 @@ def respecting_check(
     On failure returns (False, (vertex, participation, bound)) for the
     smallest violating vertex id.
     """
-    participation: dict[int, int] = {}
-    for src, dst in demand.pairs:
-        participation[src] = participation.get(src, 0) + 1
-        participation[dst] = participation.get(dst, 0) + 1
+    participation = Counter(v for pair in demand.pairs for v in pair)
     for v in sorted(participation):
         if participation[v] > bound[v]:
             return False, (v, participation[v], bound[v])

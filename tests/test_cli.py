@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arborpack.cli import format_graph, main, parse_graph
+from arborpack.cli import format_graph, hierarchy_from_json, hierarchy_to_json, main, parse_graph
+from arborpack.decomp import build_hierarchy
 from arborpack.errors import InputError
 from arborpack.generators import (
     gen_cycle_plus_chords,
@@ -460,6 +461,19 @@ _CORRUPTED_HIERARCHIES = [
     ("missing-partitions", _without("partitions"), 2, None),
     ("missing-level-phis", _without("level_phis"), 2, None),
     ("missing-phi-target", _without("phi_target"), 2, None),
+    # Fields of a JSON type the schema does not allow. Each verified ok
+    # before the reader checked types, except source-true, which read as
+    # another graph's source 1 (exit 1).
+    ("n-float", lambda d: {**d, "n": 9.0}, 2, None),
+    ("n-string", lambda d: {**d, "n": "9"}, 2, None),
+    ("n-fraction", lambda d: {**d, "n": 9.5}, 2, None),
+    ("m-float", lambda d: {**d, "m": 27.0}, 2, None),
+    ("source-true", lambda d: {**d, "source": True}, 2, None),
+    ("level-id-true", _levels_case([[0, True] + _ALL_EDGES[2:], [25]]), 2, None),
+    ("partition-id-true", _partition_1_case([[0], [True, 2, 3, 4], [5, 6, 7, 8]]), 2, None),
+    ("phi-target-float", lambda d: {**d, "phi_target": 0.0625}, 2, None),
+    ("level-phis-float", lambda d: {**d, "level_phis": [0.0625, 0.0625]}, 2, None),
+    ("phis-int", lambda d: {**d, "phi_target": 1, "level_phis": [1, 1]}, 2, None),
 ]
 
 
@@ -486,6 +500,15 @@ class TestVerifyHierarchyResults:
 
     def test_real_result_verifies(self, capsys, tmp_path, built):
         graph, data = built
+        code, report = self.verify(capsys, tmp_path, graph, data)
+        assert (code, report["ok"]) == (0, True)
+
+    def test_written_hierarchy_reads_back(self, capsys, tmp_path, built):
+        graph, _data = built
+        g, _diag = parse_graph(graph.read_text())
+        hier = build_hierarchy(g, Fraction(1, 8), seed=3)
+        data = hierarchy_to_json(hier)
+        assert hierarchy_from_json(json.loads(json.dumps(data)), g) == hier
         code, report = self.verify(capsys, tmp_path, graph, data)
         assert (code, report["ok"]) == (0, True)
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arborpack import decomp, graphcore
+from arborpack.cli import hierarchy_from_json, hierarchy_to_json
 from arborpack.decomp import (
     DecompResult,
     Hierarchy,
@@ -16,7 +17,6 @@ from arborpack.decomp import (
     build_hierarchy,
     certification_trials,
     decompose,
-    hierarchy_from_json,
 )
 from arborpack.errors import InternalError, ParameterError
 from arborpack.generators import gen_two_cliques_bridge
@@ -201,7 +201,7 @@ class TestBuildHierarchy:
     def test_json_round_trip(self):
         g = gen_two_cliques_bridge(3, seed=4)
         h = build_hierarchy(g, PHI, seed=1)
-        data = h.to_json_dict()
+        data = hierarchy_to_json(h)
         restored = hierarchy_from_json(data, g)
         assert restored == h
         assert restored.graph is g

@@ -9,6 +9,7 @@ from arborpack.errors import InputError
 from arborpack.graphcore import (
     DirectedGraph,
     cut_values,
+    edges_within,
     normalize,
     restricted_degrees,
     scc,
@@ -157,6 +158,15 @@ class TestCutValues:
                 rho = sum(c for u, v, c in g.edges if v in s and u not in s)
                 assert cut_values(g, s) == (delta, rho)
                 assert cut_values(g, s | {-1, g.n, g.n + 3}) == (delta, rho)
+
+
+@given(digraphs(max_n=7, max_m=20, max_cap=3), st.data())
+def test_edges_within_matches_a_scan_of_every_edge(g, data):
+    # Ids outside 0..n-1 name no vertex and add nothing.
+    ids = data.draw(st.sets(st.integers(-1, g.n)))
+    inside = {eid for eid, (u, v, _c) in enumerate(g.edges) if u in ids and v in ids}
+    assert edges_within(g, ids) == frozenset(inside)
+    assert edges_within(g, list(ids) + [-1, g.n]) == frozenset(inside)
 
 
 class TestRestrictedDegrees:

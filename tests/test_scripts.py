@@ -79,8 +79,9 @@ def test_output_digests(tmp_path):
     assert res.returncode == 0, res.stderr
     digests = json.loads(res.stdout)
     # Five fixed calls per graph, then `pack` at lambda and lambda + 1:
-    # 4 and 5 on known_packing, 1 and 2 (a repeat) on random_gnm.
-    assert len(digests) == 13
+    # 4 and 5 on known_packing, 1 and 2 (a repeat) on random_gnm; each
+    # with a `verify` of its output.
+    assert len(digests) == 2 * 13
     # known_packing sorts first, so it gets seed 7 and random_gnm seed 8.
     for argv in (["hierarchy", "random_gnm.dmc", "--seed", "8"],
                  ["pack", "known_packing.dmc", "--k", "5", "--seed", "7"]):
@@ -90,6 +91,22 @@ def test_output_digests(tmp_path):
             "sha256": hashlib.sha256(direct.stdout.encode()).hexdigest(),
         }
     assert "pack known_packing.dmc --k 4 --seed 7" in digests
+    # `verify` of each output, run on a copy of it in a file.
+    for argv in (["hierarchy", "random_gnm.dmc", "--seed", "8"],
+                 ["mincut", "known_packing.dmc", "--exact", "--seed", "7"],
+                 ["pack", "known_packing.dmc", "--k", "4", "--seed", "7"]):
+        direct = run("-m", "arborpack", argv[0], graphs / argv[1], *argv[2:], cwd=tmp_path)
+        (tmp_path / "result.json").write_text(direct.stdout)
+        verified = run("-m", "arborpack", "verify", "result.json", graphs / argv[1],
+                       cwd=tmp_path)
+        assert verified.returncode == 0, verified.stdout
+        assert digests[f"verify ({' '.join(argv)})"] == {
+            "exit": 0,
+            "sha256": hashlib.sha256(verified.stdout.encode()).hexdigest(),
+        }
+    # The weighted graph's `pack` gives an error document, which `verify`
+    # refuses as a parameter error.
+    assert digests["verify (pack random_gnm.dmc --k 2 --seed 8)"]["exit"] == 2
     assert "pack random_gnm.dmc --k 1 --seed 8" in digests
     # Packing is for unit capacities: the weighted graph gets a parameter error.
     assert digests["pack random_gnm.dmc --k 2 --seed 8"]["exit"] == 2

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import arborpack.cli
 import arborpack.oracle
-from arborpack.cli import format_graph, main
+from arborpack.cli import format_graph, main, packing_to_json
 from arborpack.decomp import build_hierarchy
 from arborpack.graphcore import cut_values, normalize
 from arborpack.mincut import approx_rooted_mincut
@@ -87,7 +87,7 @@ def results(draw, command):
         tree = [(draw(st.integers(0, v - 1)), v, 1) for v in range(1, g.n)]
         g = normalize(g.edges + tuple(tree), g.n, g.source)
         k = exact_rooted_mincut(g)[0] + draw(st.integers(0, 1))
-        payload = pack(g, k, seed=seed).to_json_dict()
+        payload = packing_to_json(pack(g, k, seed=seed))
     else:
         best = approx_rooted_mincut(build_hierarchy(g, seed=seed), seed).best
         payload = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
@@ -185,8 +185,8 @@ class TestAgainstOracle:
 def test_verify_runs_no_max_flow(tmp_path, monkeypatch):
     tree_graph = normalize([(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 1)], 3, 0)
     path_graph = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
-    trees = pack(tree_graph, 2).to_json_dict()
-    cut = pack(path_graph, 2).to_json_dict()
+    trees = packing_to_json(pack(tree_graph, 2))
+    cut = packing_to_json(pack(path_graph, 2))
     best = approx_rooted_mincut(build_hierarchy(tree_graph), 0).best
     mincut = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
     assert trees["result"] == "arborescences" and cut["result"] == "cut"
