@@ -283,13 +283,17 @@ def _json_list(value, item: type, what: str) -> list:
     return value
 
 
+# The schema's phi pattern, `^[0-9]+(/[0-9]+)?$`, with a sign allowed so
+# that a negative phi reads as a value out of range, like "0" or "5".
+_PHI_FIELD = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _phi_field(value) -> Fraction:
     if type(value) is not str:
         raise TypeError("each phi must be a string")
-    phi = _phi_text(value)
-    if phi is None:
-        raise ValueError(f"phi {value[:40]!r} has a decimal exponent past any phi's")
-    return phi
+    if not _PHI_FIELD.fullmatch(value):
+        raise ValueError(f"phi {value[:40]!r} is not an integer or a ratio of integers")
+    return Fraction(value)
 
 
 def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:

@@ -13,7 +13,9 @@ walks its non-source components once, and runs three steps on each:
      budgets to level-edge budgets, one path per Z color, whose endpoint
      becomes that color's leader (a short flow means some subset has
      fewer than k incoming edges, which is a certifying cut);
-  3. chain demands connect each color's leader through its breakpoints.
+  3. chain demands connect each color's leader through its breakpoints,
+     taken in the pop order of a stack search from the leader inside
+     the component, so consecutive breakpoints tend to lie close.
 
 The chain demands of all components are then routed once per level with
 measured congestion.
@@ -35,7 +37,11 @@ each color can reach every vertex from a colored vertex in its component
 degree (Invariant 2), and edge color counts stay within 5 i^2 times the
 observed routing factor (Invariant 3, instrumented form). The final
 coloring distributes leftover vertex colors over top-level critical
-edges, and a DFS per color extracts the arborescences.
+edges, and a DFS per color extracts the arborescences. An exchange
+pass then moves parent edges off edges that many trees share, onto
+in-edges that at least two fewer trees use; the reported congestion is
+that of the exchanged trees, while the instrumented bound is checked on
+the extracted ones.
 
 Packing is defined for unit-capacity graphs; weighted inputs are
 rejected. `pack` returns a `PackingResult`; `cli` writes it as JSON.
@@ -79,6 +85,7 @@ __all__ = [
     "run_level",
     "finalize_coloring",
     "extract_arborescences",
+    "exchange_pass",
     "pack",
     "check_invariants",
 ]
@@ -253,12 +260,38 @@ def component_flow(
 
 
 def chain_demand_pairs(
-    leader: int, breakpoints: list[int] | tuple[int, ...]
+    g: DirectedGraph,
+    comp: frozenset,
+    leader: int,
+    breakpoints: Collection[int],
 ) -> tuple[tuple[int, int], ...]:
-    """Chain the leader through the breakpoints in ascending id order:
-    (leader, b1), (b1, b2), ... Degenerate self-pairs (the leader already
-    being the first breakpoint) are dropped as vacuous."""
-    ordered = sorted(breakpoints)
+    """Chain the leader through the breakpoints of its component `comp`:
+    (leader, b1), (b1, b2), ...
+
+    The breakpoints are taken in the pop order of a stack search from
+    the leader over the out-edges whose head is in `comp`. A vertex is
+    marked when it is pushed, and out-neighbours are pushed in descending
+    edge-id order, so consecutive breakpoints tend to lie a few hops
+    apart and their routes stay short. (A true DFS preorder, marking on
+    pop, raised the tree congestion on glued arborescences.) Breakpoints
+    the search does not reach follow in ascending id order. Degenerate
+    self-pairs (the leader being its own first breakpoint) are dropped as
+    vacuous."""
+    pending = set(breakpoints)
+    ordered: list[int] = []
+    marked = {leader}
+    stack = [leader]
+    while stack and pending:
+        u = stack.pop()
+        if u in pending:
+            pending.discard(u)
+            ordered.append(u)
+        for e in reversed(g.out_edges(u)):
+            w = g.edges[e][1]
+            if w in comp and w not in marked:
+                marked.add(w)
+                stack.append(w)
+    ordered += sorted(pending)
     pairs: list[tuple[int, int]] = []
     prev = leader
     for b in ordered:
@@ -328,7 +361,8 @@ def run_level(
         # Step 3: chain each color's leader through its breakpoints.
         for gamma in sorted(zc):
             breakpoints = [v for v in members if gamma in z_of[v]]
-            for pair in chain_demand_pairs(outcome[gamma].vertices[-1], breakpoints):
+            leader = outcome[gamma].vertices[-1]
+            for pair in chain_demand_pairs(g, comp, leader, breakpoints):
                 pairs.append(pair)
                 tags.append(gamma)
 
@@ -524,6 +558,61 @@ def extract_arborescences(
     )
 
 
+def exchange_pass(
+    g: DirectedGraph, trees: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Swap parent edges between the spanning arborescences `trees` to
+    spread their load; returns the new trees (edge ids ascending) and
+    their congestion.
+
+    The load of an edge is the number of trees that use it. Each tree
+    sweeps its vertices v != source by ascending id and moves v's parent
+    edge e to the in-edge e' of v of lowest load (lowest id on ties)
+    whose tail is not in v's subtree, when load(e') <= load(e) - 2. The
+    tail's ancestors, found by parent pointers, show whether it is in
+    the subtree. Sweeps repeat until one moves nothing: each move lowers
+    the sum of squared loads by at least 2, so the pass ends, and the
+    maximum load never rises."""
+    s = g.source
+    edges = g.edges
+    load = [0] * g.m
+    parents: list[list[int]] = []
+    for tree in trees:
+        parent = [-1] * g.n
+        for e in tree:
+            parent[edges[e][1]] = e
+            load[e] += 1
+        parents.append(parent)
+
+    def in_subtree(parent: list[int], x: int, v: int) -> bool:
+        while x != s:
+            if x == v:
+                return True
+            x = edges[parent[x]][0]
+        return False
+
+    moved = True
+    while moved:
+        moved = False
+        for parent in parents:
+            for v in range(g.n):
+                e = parent[v]
+                if v == s or load[e] < 2:
+                    continue
+                lighter = sorted((load[f], f) for f in g.in_edges(v) if load[f] <= load[e] - 2)
+                for _load, f in lighter:
+                    if not in_subtree(parent, edges[f][0], v):
+                        parent[v] = f
+                        load[e] -= 1
+                        load[f] += 1
+                        moved = True
+                        break
+    moved_trees = tuple(
+        tuple(sorted(parent[v] for v in range(g.n) if v != s)) for parent in parents
+    )
+    return moved_trees, max(load, default=0)
+
+
 def _cut_result(
     g: DirectedGraph, k: int, found: CutFound, levels: int | None, log: tuple
 ) -> PackingResult:
@@ -577,4 +666,11 @@ def pack(
     coloring = finalize_coloring(hierarchy, state, crit)
     bound = 5 * hierarchy.L * hierarchy.L * state.route_factor + hierarchy.L + 1
     result = extract_arborescences(g, coloring, k, bound)
-    return replace(result, levels=hierarchy.L, level_log=state.level_log)
+    trees, congestion = exchange_pass(g, result.trees)
+    return replace(
+        result,
+        trees=trees,
+        congestion=congestion,
+        levels=hierarchy.L,
+        level_log=state.level_log,
+    )

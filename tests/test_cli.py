@@ -474,6 +474,11 @@ _CORRUPTED_HIERARCHIES = [
     ("phi-target-float", lambda d: {**d, "phi_target": 0.0625}, 2, None),
     ("level-phis-float", lambda d: {**d, "level_phis": [0.0625, 0.0625]}, 2, None),
     ("phis-int", lambda d: {**d, "phi_target": 1, "level_phis": [1, 1]}, 2, None),
+    # Phi text the schema's pattern rejects, though `Fraction` reads it as
+    # the right value. Each verified ok before the pattern was checked.
+    ("phi-target-decimal", lambda d: {**d, "phi_target": "0.0625"}, 2, None),
+    ("phi-target-exponent", lambda d: {**d, "phi_target": "6.25e-2"}, 2, None),
+    ("level-phi-spaces", lambda d: {**d, "level_phis": [" 1/16 ", *d["level_phis"][1:]]}, 2, None),
 ]
 
 
@@ -572,8 +577,8 @@ class TestVerifyHierarchyResults:
         assert code == 2
         validate(payload, "error.schema.json")
 
-    # Fraction would build 10**3000000 (seconds of CPU) first; the
-    # exponent alone marks the field malformed.
+    # Fraction would build 10**3000000 (seconds of CPU) first; the phi
+    # pattern alone marks the field malformed.
     @pytest.mark.parametrize("change", [
         {"phi_target": "1e-3000000"},
         {"phi_target": "1E+1_000_000_0"},

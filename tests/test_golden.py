@@ -22,7 +22,7 @@ GOLDEN = {
     "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
     "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
     "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
-    "known_packing pack": "b75c169a33ab8313de3873e380d568f4278e87d5e0d3b256ec37f09cc6d912f4",
+    "known_packing pack": "360b3e661c356f2e51b55df96eb33793dd1f14779e8f191398bf55ea15eabe21",
     "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
     "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
     "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
@@ -42,7 +42,7 @@ GOLDEN = {
     "two_cliques_bridge mincut --verbose": "67776c7f76b0220d2df20441ca867ef6d060dc0ac7d867c339f52fbc42317f8b",
     # `verify` on the `mincut` and `pack` outputs above.
     "known_packing verify mincut": "4b4d40573885ebc007d66504c4edd4eb9a1af0671e6f149a88ccead5d928ef41",
-    "known_packing verify pack": "1e45f8fe3cc77805dde3a012e5f7a08b3a28e19c2e884e8b7d1fe8577914b9ee",
+    "known_packing verify pack": "80e9c95bcd1b27b5e061a9ce7de6d60378a2de9a0f5650ce6453ed71ec442759",
     "cycle_plus_chords verify mincut": "e2900554458411790ffe25e94d7d253ce91a34a88b10d9fb13a9b45eaac27370",
     "cycle_plus_chords verify pack": "aff962ca3c8b9483337b86cd6655e3605e86c63a92902ac3c61d74e6217eb242",
     "cycle_plus_chords_weighted verify mincut": "3cf4b54b0e866673775325ddc21b819e9ef07be55b2fe00444c2c2dcf4510d5a",
@@ -50,7 +50,7 @@ GOLDEN = {
     "two_cliques_bridge verify pack": "ff008999e96cdf7bd2c5fa72579fd1c297eadf17224bcc5e61bec6fe158be1a7",
     # `bench --seed 7` over a corpus of the known_packing and
     # two_cliques_bridge graphs.
-    "bench": "b943ab35161be71a98696ac536c23279bbc0d7527623da62154d70448759dc67",
+    "bench": "4d13f10c2d14b67112dfab6c0435680427a801a3eaf3154478af71a6716ec178",
 }
 
 
@@ -149,13 +149,13 @@ def test_gen_outputs_match_recorded_digests(capsys):
     assert not changed, f"gen output changed for: {changed}"
 
 
-# `pack` and `verify` on an instance whose level 1 routes 322 demand
-# pairs at congestion 9, so the digests pin the router's tie-breaking
+# `pack` and `verify` on an instance whose level 1 routes 318 demand
+# pairs at congestion 6, so the digests pin the router's tie-breaking
 # and reroute sweeps; the instances above route only a handful of pairs.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "e81e8f15bf9484373ccda37e805bad7e952608d6f9ebba5256664aa61a695aeb",
-    "verify pack": "ba74d587984b9000842664a8745f90a0d7e2674d38fc4f8a0f865dba4ed63b43",
+    "pack": "22f4c4155a1f16a5ae144e1519f3b15cd6048aea95a21d3cfb0f0488699cdeb2",
+    "verify pack": "c1ae331fb24986525bb80abc07b21eca0e74a8e2ede2b99d0a1ff11994371ea0",
 }
 
 

@@ -1,5 +1,6 @@
 """Arborescence packing: base case, the three level steps, extraction."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from arborpack.decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from arborpack.errors import InternalError, ParameterError, UnsupportedGraphError
-from arborpack.generators import gen_known_packing, gen_two_cliques_bridge, instance_stream
+from arborpack.generators import (
+    gen_known_packing,
+    gen_random_gnm,
+    gen_two_cliques_bridge,
+    instance_stream,
+)
 from arborpack.graphcore import cut_values, normalize
 from arborpack.oracle import exact_rooted_mincut, verify_packing
 from arborpack.packing import (
@@ -17,6 +23,7 @@ from arborpack.packing import (
     check_invariants,
     component_flow,
     critical_edges,
+    exchange_pass,
     extract_arborescences,
     finalize_coloring,
     init_base_colors,
@@ -259,18 +266,41 @@ class TestComponentFlow:
         assert len(used) == len(set(used))
 
 
+def search_graph():
+    """Leader 1 reaches 2 and 3; 2 reaches 3 again, 5, and the outside
+    vertex 6, which leads to 4; 3 leads to 4; 7 -> 8 are unreachable."""
+    edges = [(0, 1), (1, 2), (1, 3), (2, 6), (2, 3), (2, 5), (3, 4), (6, 4), (0, 7), (7, 8)]
+    return normalize([(u, v, 1) for u, v in edges], 9, 0), frozenset({1, 2, 3, 4, 5, 7, 8})
+
+
 class TestChainDemands:
     def test_empty(self):
-        assert chain_demand_pairs(7, []) == ()
+        g, comp = search_graph()
+        assert chain_demand_pairs(g, comp, 1, []) == ()
 
     def test_single_breakpoint(self):
-        assert chain_demand_pairs(7, [3]) == ((7, 3),)
+        g, comp = search_graph()
+        assert chain_demand_pairs(g, comp, 1, [4]) == ((1, 4),)
+
+    def test_search_order(self):
+        # Marking on push skips 2 -> 3, so 5 comes before 3; a true DFS
+        # preorder would give 1, 2, 3, 4, 5. Descending pushes pop 2
+        # before 3, and 6 lies outside the component, so 4 comes last.
+        g, comp = search_graph()
+        assert chain_demand_pairs(g, comp, 1, [5, 4, 3, 2]) == (
+            (1, 2), (2, 5), (5, 3), (3, 4),
+        )
 
     def test_ascending_order(self):
-        assert chain_demand_pairs(1, [5, 2, 9]) == ((1, 2), (2, 5), (5, 9))
+        # Breakpoints the search does not reach follow by ascending id.
+        g, comp = search_graph()
+        assert chain_demand_pairs(g, comp, 5, [8, 7, 1]) == ((5, 1), (1, 7), (7, 8))
+        assert chain_demand_pairs(g, comp, 1, [8, 4, 7]) == ((1, 4), (4, 7), (7, 8))
 
     def test_leader_equal_to_first_breakpoint_drops_self_pair(self):
-        assert chain_demand_pairs(2, [2, 5]) == ((2, 5),)
+        # The leader is its own first breakpoint, whatever its id.
+        g, comp = search_graph()
+        assert chain_demand_pairs(g, comp, 3, [1, 3, 4]) == ((3, 4), (4, 1))
 
 
 class TestRunLevel:
@@ -439,6 +469,46 @@ class TestPack:
     def test_deterministic(self):
         g = gen_known_packing(7, 2, seed=5)
         assert pack(g, 2, seed=9) == pack(g, 2, seed=9)
+
+    @given(
+        st.sampled_from(["known_packing", "random_gnm"]),
+        st.integers(3, 14),
+        st.integers(1, 3),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=25)
+    def test_exchange_pass_keeps_trees_and_congestion(self, kind, n, k, seed):
+        if kind == "known_packing":
+            g = gen_known_packing(n, k, seed=seed)
+        else:
+            g = gen_random_gnm(n, 3 * n, seed=seed)
+        extracted = []
+
+        def spy(*args):
+            extracted.append(extract_arborescences(*args))
+            return extracted[-1]
+
+        with mock.patch("arborpack.packing.extract_arborescences", spy):
+            result = pack(g, k, seed=seed)
+            assert pack(g, k, seed=seed) == result
+        assert verify_packing(g, result)["ok"]
+        if result.kind == "arborescences":
+            assert result.congestion <= extracted[0].congestion
+            assert exchange_pass(g, extracted[0].trees) == (result.trees, result.congestion)
+
+    def test_exchange_pass_moves_off_a_shared_edge(self):
+        # Both trees use 0 -> 1; vertex 1's other in-edge comes from 2,
+        # which is in 1's subtree in tree 1 only, so tree 2 moves there.
+        g = normalize([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 1, 1)], 3, 0)
+        trees, congestion = exchange_pass(g, [(0, 1), (0, 2)])
+        assert trees == ((0, 1), (2, 3))
+        assert congestion == 1
+
+    def test_exchange_pass_needs_a_load_gap_of_two(self):
+        # Moving a tree from edge 0 (load 2) to edge 1 (load 1) would only
+        # swap the two loads, so nothing moves.
+        g = normalize([(0, 1, 1), (0, 1, 1)], 2, 0)
+        assert exchange_pass(g, [(0,), (0,), (1,)]) == (((0,), (0,), (1,)), 2)
 
     @given(digraphs(min_n=2, max_n=7, max_m=18))
     @settings(max_examples=20)
