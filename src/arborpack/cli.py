@@ -409,6 +409,7 @@ def _cmd_bench(args) -> int:
     corpus = sorted(Path(args.corpus).glob("*.dmc"))
     if not corpus:
         raise ParameterError(f"no .dmc files under {args.corpus}")
+    phi = _phi(args.phi)
     for path in corpus:
         g = _load_graph(str(path))
         started = time.perf_counter()
@@ -419,7 +420,7 @@ def _cmd_bench(args) -> int:
             "m": g.m,
             "seed": args.seed,
         }
-        hier = build_hierarchy(g, _phi(args.phi), args.seed)
+        hier = build_hierarchy(g, phi, args.seed)
         report = approx_rooted_mincut(hier, args.seed)
         exact, _ = exact_rooted_mincut(g)
         record["value"] = report.best.rho
@@ -428,7 +429,7 @@ def _cmd_bench(args) -> int:
         k = max(1, exact)
         record["k"] = k
         try:
-            result = pack(g, k, _phi(args.phi), args.seed)
+            result = pack(g, k, phi, args.seed)
             record["pack_result"] = result.kind
             record["congestion"] = result.congestion
         except UnsupportedGraphError:

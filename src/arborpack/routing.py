@@ -2,11 +2,11 @@
 
 Demands are multisets of ordered vertex pairs constrained to the
 components of a partition; paths are sought in the whole graph. The
-router is sequential and congestion-aware: pairs are routed in seeded
-random order along shortest paths under the exponential edge length
-2^load (capped at 2^20), then up to three rerouting sweeps move the paths
-that sit on the most congested edges. Congestion is measured and reported
-exactly; no asymptotic bound is promised.
+router is sequential and congestion-aware: each pair is routed once, in
+seeded random order, along a shortest path under the exponential edge
+length 2^load (capped at 2^20), and is never moved afterwards.
+Congestion is measured and reported exactly; no asymptotic bound is
+promised.
 
 Each path is found by a bidirectional Dijkstra: a forward search from
 the source over out-edges meets a backward search from the target over
@@ -14,8 +14,8 @@ in-edges, so a search settles the vertices near the two ends of a short
 path rather than most of the graph. `route` builds each vertex's
 out-edges and in-edges once per call, as (edge id, head) and (edge id,
 tail) pairs in edge-id order, and keeps a per-edge length list beside
-the loads, updated whenever a path is placed or removed. The search
-reads only these lists, so an edge relaxation touches no graph method.
+the loads, updated as each path is placed. The search reads only these
+lists, so an edge relaxation touches no graph method.
 Every path is a shortest one under the current lengths; where shortest
 paths tie, which one is taken depends on how the two searches meet.
 """
@@ -33,7 +33,6 @@ from .seeds import derive_rng
 __all__ = ["Demand", "RoutingOutcome", "route", "respecting_check"]
 
 _LENGTH_EXP_CAP = 20
-_REROUTE_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,11 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     for eid, (u, v, _c) in enumerate(edges):
         out_adj[u].append((eid, v))
         in_adj[v].append((eid, u))
-    paths_e: list[tuple[int, ...] | None] = [None] * npairs
+    paths_e: list[tuple[int, ...]] = [()] * npairs
 
-    def place(idx: int) -> None:
+    order = list(range(npairs))
+    derive_rng(seed, "route-order").shuffle(order)
+    for idx in order:
         src, dst = demand.pairs[idx]
         es = _shortest_path(out_adj, in_adj, length, src, dst)
         if es is None:
@@ -172,23 +173,6 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
         for e in es:
             loads[e] += 1
             length[e] = 1 << min(loads[e], _LENGTH_EXP_CAP)
-
-    order = list(range(npairs))
-    derive_rng(seed, "route-order").shuffle(order)
-    for idx in order:
-        place(idx)
-
-    for _sweep in range(_REROUTE_SWEEPS):
-        congestion = max(loads, default=0)
-        if congestion <= 1:
-            break
-        hot = {e for e, load in enumerate(loads) if load == congestion}
-        victims = [i for i in range(npairs) if hot.intersection(paths_e[i])]
-        for idx in victims:
-            for e in paths_e[idx]:
-                loads[e] -= 1
-                length[e] = 1 << min(loads[e], _LENGTH_EXP_CAP)
-            place(idx)
 
     congestion = max(loads, default=0)
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arborpack import packing, routing
 from arborpack.errors import ParameterError, RoutingError
-from arborpack.generators import gen_two_cliques_bridge
+from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
 from arborpack.graphcore import DirectedGraph, normalize, scc
 from arborpack.routing import (
     _LENGTH_EXP_CAP,
@@ -214,6 +215,31 @@ class TestRoute:
                 worst = max(loads.values(), default=0)
                 best = worst if best is None else min(best, worst)
             assert out.congestion <= 2 * best
+
+    def test_each_pair_is_searched_once(self, monkeypatch):
+        # Level 1 of `gen known_packing --n 60 --k 6 --seed 4` places its
+        # chain demands at congestion above 1, so a router that moved
+        # paths off its hottest edges would search for them again.
+        searches = 0
+
+        def counting_search(*args):
+            nonlocal searches
+            searches += 1
+            return _shortest_path(*args)
+
+        calls = []
+
+        def counting_route(g, demand, seed=0):
+            before = searches
+            outcome = route(g, demand, seed)
+            calls.append((len(demand.pairs), searches - before, outcome.congestion))
+            return outcome
+
+        monkeypatch.setattr(routing, "_shortest_path", counting_search)
+        monkeypatch.setattr(packing, "route", counting_route)
+        packing.pack(gen_known_packing(60, 6, seed=4), 6, seed=1)
+        assert max(congestion for _, _, congestion in calls) >= 2
+        assert [pairs for pairs, _, _ in calls] == [made for _, made, _ in calls]
 
 
 class TestAgainstReference:
