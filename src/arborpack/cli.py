@@ -13,8 +13,10 @@ error (including a failed verification), 2 parse or parameter error
 The ARBOR_SEED environment variable supplies the default seed.
 
 Only this module writes and reads the result documents and parses phi
-text. `verify` holds every result field to its schema's JSON type (an
-integer is never a float or a boolean, a phi is a string), else exit 2.
+text. `verify` holds each result field it reads to its schema's JSON
+type (an integer is never a float or a boolean, a phi is a string), else
+exit 2; fields it does not read go unchecked, so some files that the
+schemas reject verify ok (ROADMAP item 8).
 """
 from __future__ import annotations
 

@@ -15,7 +15,8 @@ path rather than most of the graph. `route` builds each vertex's
 out-edges and in-edges once per call, as (edge id, head) and (edge id,
 tail) pairs in edge-id order, and keeps a per-edge length list beside
 the loads, updated as each path is placed. The search reads only these
-lists, so an edge relaxation touches no graph method.
+lists and, to read its path back, the graph's edge tuple, so an edge
+relaxation touches no graph method.
 Every path is a shortest one under the current lengths; where shortest
 paths tie, which one is taken depends on how the two searches meet.
 """
@@ -63,6 +64,7 @@ class RoutingOutcome:
 
 
 def _shortest_path(
+    edges: Sequence[tuple[int, int, int]],
     out_adj: list[list[tuple[int, int]]],
     in_adj: list[list[tuple[int, int]]],
     length: list[int],
@@ -72,80 +74,70 @@ def _shortest_path(
     """Bidirectional Dijkstra: the edge ids of a shortest src -> dst path
     for src != dst, or None if dst is unreachable from src.
 
-    `out_adj[u]` lists u's out-edges as (edge id, head) pairs and
-    `in_adj[v]` v's in-edges as (edge id, tail) pairs, both in edge-id
-    order; `length[e]` is edge e's current length, so one relaxation is
-    a few list reads. A forward search from src and a backward one from
-    dst each keep (distance, vertex) heap keys and skip stale entries;
-    each step pops the side with the smaller heap top, forward on a tie.
-    Every strict improvement of a tentative distance tries the vertex as
-    a meeting point, and the best meeting length changes only on strict
-    improvement. The search stops once the two heap tops sum to at least
-    that length, or once either heap is empty. Every length is at least
-    1, so the path found is shortest and simple; among tied shortest
-    paths, which one is found depends on the order of the pops.
+    `edges[e]` is edge e's (tail, head, capacity); `out_adj[u]` lists
+    u's out-edges as (edge id, head) pairs and `in_adj[v]` v's in-edges
+    as (edge id, tail) pairs, both in edge-id order; `length[e]` is edge
+    e's current length, so one relaxation is a few list reads. One loop
+    runs a forward search from src and a backward one from dst: each
+    step pops the side with the smaller heap top, forward on a tie,
+    skips a stale (distance, vertex) entry and records the edge that
+    reached each vertex, which leads back to src through its tail or on
+    to dst through its head. Every strict improvement of a tentative
+    distance tries the vertex as a meeting point, and the best meeting
+    length changes only on strict improvement. The search stops once the
+    two heap tops sum to at least that length, or once either heap is
+    empty. Every length is at least 1, so the path found is shortest and
+    simple; among tied shortest paths, which one is found depends on the
+    order of the pops.
     """
     n = len(out_adj)
     # A shortest path has at most n - 1 edges, each at most 2^cap long.
     inf = (n + 1) << _LENGTH_EXP_CAP
     dist_f = [inf] * n
     dist_b = [inf] * n
-    # v's forward parent: the edge that reached it from src, and its
-    # tail; its backward child: the edge that leaves it towards dst, and
-    # its head.
-    edge_f = [-1] * n
-    prev_f = [-1] * n
-    edge_b = [-1] * n
-    next_b = [-1] * n
+    # The edge that reached v: v's last edge from src, its first to dst.
+    via_f = [-1] * n
+    via_b = [-1] * n
     dist_f[src] = 0
     dist_b[dst] = 0
     heap_f = [(0, src)]
     heap_b = [(0, dst)]
+    sides = (
+        (heap_f, dist_f, dist_b, via_f, out_adj),
+        (heap_b, dist_b, dist_f, via_b, in_adj),
+    )
     best = inf
     meet = -1
     while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
+        top_f = heap_f[0][0]
+        top_b = heap_b[0][0]
+        if top_f + top_b >= best:
             break
-        if heap_f[0][0] <= heap_b[0][0]:
-            d, u = heappop(heap_f)
-            if d > dist_f[u]:
-                continue
-            for eid, v in out_adj[u]:
-                nd = d + length[eid]
-                if nd < dist_f[v]:
-                    dist_f[v] = nd
-                    edge_f[v] = eid
-                    prev_f[v] = u
-                    heappush(heap_f, (nd, v))
-                    if nd + dist_b[v] < best:
-                        best = nd + dist_b[v]
-                        meet = v
-        else:
-            d, u = heappop(heap_b)
-            if d > dist_b[u]:
-                continue
-            for eid, v in in_adj[u]:
-                nd = d + length[eid]
-                if nd < dist_b[v]:
-                    dist_b[v] = nd
-                    edge_b[v] = eid
-                    next_b[v] = u
-                    heappush(heap_b, (nd, v))
-                    if nd + dist_f[v] < best:
-                        best = nd + dist_f[v]
-                        meet = v
+        heap, dist, other, via, adj = sides[top_b < top_f]
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        for eid, v in adj[u]:
+            nd = d + length[eid]
+            if nd < dist[v]:
+                dist[v] = nd
+                via[v] = eid
+                heappush(heap, (nd, v))
+                if nd + other[v] < best:
+                    best = nd + other[v]
+                    meet = v
     if meet < 0:
         return None
     path: list[int] = []
     v = meet
     while v != src:
-        path.append(edge_f[v])
-        v = prev_f[v]
+        path.append(via_f[v])
+        v = edges[via_f[v]][0]
     path.reverse()
     v = meet
     while v != dst:
-        path.append(edge_b[v])
-        v = next_b[v]
+        path.append(via_b[v])
+        v = edges[via_b[v]][1]
     return path
 
 
@@ -166,7 +158,7 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     derive_rng(seed, "route-order").shuffle(order)
     for idx in order:
         src, dst = demand.pairs[idx]
-        es = _shortest_path(out_adj, in_adj, length, src, dst)
+        es = _shortest_path(edges, out_adj, in_adj, length, src, dst)
         if es is None:
             raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
         paths_e[idx] = tuple(es)
@@ -177,8 +169,7 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
     congestion = max(loads, default=0)
 
     # Exactness checks: endpoints and simplicity of the vertices read off
-    # each path's edges, and load accounting.
-    recount = [0] * g.m
+    # each path's edges.
     for idx in range(npairs):
         es = paths_e[idx]
         vs = [edges[es[0]][0]] + [edges[e][1] for e in es]
@@ -186,10 +177,6 @@ def route(g: DirectedGraph, demand: Demand, seed: int = 0) -> RoutingOutcome:
             raise InternalError(f"path for pair {idx} repeats a vertex")
         if (vs[0], vs[-1]) != demand.pairs[idx]:
             raise InternalError(f"path endpoints do not match demand pair {idx}")
-        for e in es:
-            recount[e] += 1
-    if recount != loads:
-        raise InternalError("per-edge loads do not match the emitted paths")
 
     return RoutingOutcome(paths_edges=tuple(paths_e), congestion=congestion)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborpack import packing, routing
-from arborpack.errors import ParameterError, RoutingError
+from arborpack.errors import InternalError, ParameterError, RoutingError
 from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
 from arborpack.graphcore import DirectedGraph, normalize, scc
 from arborpack.routing import (
@@ -216,6 +216,23 @@ class TestRoute:
                 best = worst if best is None else min(best, worst)
             assert out.congestion <= 2 * best
 
+    @pytest.mark.parametrize(
+        "pair, walk, message",
+        [
+            ((1, 2), (1, 2, 1, 2), "path for pair 0 repeats a vertex"),
+            ((1, 3), (1, 2), "path endpoints do not match demand pair 0"),
+        ],
+        ids=["repeated_vertex", "wrong_endpoint"],
+    )
+    def test_a_bad_search_result_is_caught(self, monkeypatch, pair, walk, message):
+        # The search hands back the edges of `walk`, a walk in the graph
+        # that is not a simple path for `pair`.
+        g = bidirected_cycle(5)
+        es = [next(e for e in g.out_edges(u) if g.head(e) == v) for u, v in zip(walk, walk[1:])]
+        monkeypatch.setattr(routing, "_shortest_path", lambda *args: es)
+        with pytest.raises(InternalError, match=message):
+            route(g, Demand((pair,), scc(g)))
+
     def test_each_pair_is_searched_once(self, monkeypatch):
         # Level 1 of `gen known_packing --n 60 --k 6 --seed 4` places its
         # chain demands at congestion above 1, so a router that moved
@@ -250,7 +267,7 @@ class TestAgainstReference:
         # summed lengths may not.
         g, loads, src, dst = case
         out_adj, in_adj, length = search_lists(g, loads)
-        found = _shortest_path(out_adj, in_adj, length, src, dst)
+        found = _shortest_path(g.edges, out_adj, in_adj, length, src, dst)
         expected = reference_shortest_path(g, src, dst, loads)
         if expected is None:
             assert found is None
@@ -260,6 +277,15 @@ class TestAgainstReference:
         assert (vs[0], vs[-1]) == (src, dst)
         assert len(set(vs)) == len(vs)
         assert sum(length[e] for e in found) == sum(length[e] for e in expected)
+
+    def test_a_tie_between_the_heap_tops_pops_forward(self):
+        # Both 1 -> 2 -> 4 and 1 -> 3 -> 4 are shortest. The tops tie at
+        # 0, so the forward side pops 1; then the backward side pops 4 and
+        # meets at 2, its lower-id in-edge. Popping backward on the tie
+        # would let the forward side meet at 3 and return [0, 3].
+        g = DirectedGraph(n=5, edges=((1, 3, 1), (1, 2, 1), (2, 4, 1), (3, 4, 1)), source=0)
+        out_adj, in_adj, length = search_lists(g, [0] * g.m)
+        assert _shortest_path(g.edges, out_adj, in_adj, length, 1, 4) == [1, 2]
 
     def test_loads_past_the_length_cap(self):
         # Every pair from one clique to the other crosses the single
