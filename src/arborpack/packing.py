@@ -225,9 +225,9 @@ def component_flow(
     the per-vertex critical degrees, sinks are i times the level-edge
     in-degrees, and the flow is capped at min(k, total sink).
     A short flow exposes a vertex set with fewer than k incoming edges
-    (returned as a cut); otherwise the flow decomposes into edge-disjoint
-    paths inside the component and the first |Z| of them are assigned to
-    the Z colors in ascending order. The result maps each Z color to its
+    (returned as a cut, whose bound `pack` checks); otherwise the flow
+    decomposes into edge-disjoint paths inside the component and the
+    first |Z| of them are assigned to the Z colors in ascending order. The result maps each Z color to its
     path, whose last vertex is that color's leader.
     """
     z = sorted(z_colors)
@@ -249,11 +249,6 @@ def component_flow(
         cstar = frozenset(res.min_cut_side & comp)
         if not cstar:
             raise InternalError("component cut case produced an empty side")
-        rho = cut_values(g, cstar).rho
-        if rho >= k:
-            raise InternalError(
-                f"component cut side has {rho} incoming edges, expected fewer than {k}"
-            )
         return CutFound(frozenset(range(g.n)) - cstar)
     paths = decompose_paths(problem, res)
     return {gamma: paths[j] for j, gamma in enumerate(z)}
@@ -307,7 +302,6 @@ def run_level(
     state: ColorState,
     crit_i: CriticalEdges,
     crit_prev: CriticalEdges,
-    seed: int = 0,
 ):
     """Compute the level-i color state from the level-(i-1) state, or
     return the certifying cut discovered on the way. `crit_i` and
@@ -376,7 +370,7 @@ def run_level(
                 f"level-{i} demand exceeds its respecting bound at vertex "
                 f"{violation[0]} ({violation[1]} > {violation[2]})"
             )
-        outcome = route(g, demand, seed=derive_seed(seed, "route", i))
+        outcome = route(g, demand)
         for idx, gamma in enumerate(tags):
             for e in outcome.paths_edges[idx]:
                 edge_colors[e].add(gamma)
@@ -639,7 +633,8 @@ def pack(
     seed: int = 0,
 ) -> PackingResult:
     """Produce k arborescences with measured congestion, or a cut with
-    outgoing capacity below k containing the source."""
+    outgoing capacity below k containing the source. `seed` drives the
+    hierarchy; the per-level steps draw no randomness."""
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     if not g.is_unit_capacity():
@@ -657,9 +652,7 @@ def pack(
     crit = critical_edges(hierarchy, 0)
     for i in range(1, hierarchy.L + 1):
         crit_prev, crit = crit, critical_edges(hierarchy, i)
-        outcome = run_level(
-            hierarchy, i, state, crit, crit_prev, seed=derive_seed(seed, "level", i)
-        )
+        outcome = run_level(hierarchy, i, state, crit, crit_prev)
         if isinstance(outcome, CutFound):
             return _cut_result(g, k, outcome, hierarchy.L, state.level_log)
         state = outcome

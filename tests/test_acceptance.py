@@ -248,10 +248,7 @@ def test_criterion_6_level_invariants():
             if not isinstance(state, ColorState):
                 continue
             for i in range(1, hier.L + 1):
-                outcome = run_level(
-                    hier, i, state, crit[i], crit[i - 1],
-                    seed=derive_seed(MASTER_SEED, "l6", idx, i, k),
-                )
+                outcome = run_level(hier, i, state, crit[i], crit[i - 1])
                 if not isinstance(outcome, ColorState):
                     break
                 state = outcome

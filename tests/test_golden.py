@@ -22,7 +22,7 @@ GOLDEN = {
     "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
     "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
     "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
-    "known_packing pack": "6ba3562760446a581752f718348d305f6645d24d1bd54aafb0dc5a5948bd675e",
+    "known_packing pack": "dafcd29e384140e53265d4ace7d0c4040223fa87ce685f4483750dadfd6f1756",
     "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
     "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
     "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
@@ -150,13 +150,14 @@ def test_gen_outputs_match_recorded_digests(capsys):
 
 
 # `pack` and `verify` on an instance whose level 1 routes 318 demand
-# pairs, each placed once, at congestion 8, so the digests pin the
-# router's pair order and tie-breaking; the instances above route only a
-# handful of pairs.
+# pairs, each along a fewest-edge path, at congestion 13, and whose
+# trees have congestion 1 after the exchange pass, so the digests pin
+# how the router's two searches break ties between such paths; the
+# instances above route only a handful of pairs.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "fbba32f03b69843d16034cfbeacf05d3050a8779ff70f21b6b5fd1d31a52c55e",
-    "verify pack": "c1ae331fb24986525bb80abc07b21eca0e74a8e2ede2b99d0a1ff11994371ea0",
+    "pack": "112d5a578ee372a88fe4cb77a54acc077ae717844f7c2743fc2935b75bdc2be6",
+    "verify pack": "b419be4c9e957b3dc6bb867fe2cade01da34001dc95c30514aea6017d9a5eaa0",
 }
 
 

@@ -311,9 +311,9 @@ class TestRunLevel:
         h = manual_hierarchy(g, [frozenset({1, 2, 3}), frozenset({0})])
         crit = [critical_edges(h, i) for i in range(3)]
         state = init_base_colors(g, 1)
-        s1 = run_level(h, 1, state, crit[1], crit[0], seed=3)
+        s1 = run_level(h, 1, state, crit[1], crit[0])
         assert isinstance(s1, ColorState)
-        s2 = run_level(h, 2, s1, crit[2], crit[1], seed=3)
+        s2 = run_level(h, 2, s1, crit[2], crit[1])
         assert isinstance(s2, ColorState)
         assert s2.vertex_colors == s1.vertex_colors
         assert s2.edge_colors == s1.edge_colors
@@ -324,7 +324,7 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
         state = init_base_colors(g, 1)
-        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1))
         assert isinstance(out, ColorState)
         assert check_invariants(h, 1, out, critical_edges(h, 1)) == []
         # The chain demand colors a route covering the cycle vertices.
@@ -339,7 +339,7 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 2)
         assert isinstance(state, ColorState)  # in-degrees are all >= 2
-        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1))
         assert isinstance(out, CutFound)
         assert 0 in out.source_side
 
@@ -347,7 +347,7 @@ class TestRunLevel:
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 1)
-        out = run_level(h, 1, state, *level_tables(h, 1), seed=3)
+        out = run_level(h, 1, state, *level_tables(h, 1))
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
         assert check_invariants(h, 1, out, critical_edges(h, 1))

@@ -10,13 +10,7 @@ from arborpack import packing, routing
 from arborpack.errors import InternalError, ParameterError, RoutingError
 from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
 from arborpack.graphcore import DirectedGraph, normalize, scc
-from arborpack.routing import (
-    _LENGTH_EXP_CAP,
-    Demand,
-    _shortest_path,
-    respecting_check,
-    route,
-)
+from arborpack.routing import Demand, _shortest_path, respecting_check, route
 
 
 def path_vertices(g: DirectedGraph, edges: tuple[int, ...]) -> tuple[int, ...]:
@@ -29,12 +23,10 @@ def path_vertices(g: DirectedGraph, edges: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vertices)
 
 
-def reference_shortest_path(
-    g: DirectedGraph, src: int, dst: int, loads: list[int]
-) -> tuple[int, ...] | None:
-    """A one-sided Dijkstra that reads the graph through its methods and
-    recomputes each length from the load: the reference for the lengths
-    of the paths `_shortest_path` finds."""
+def reference_shortest_path(g: DirectedGraph, src: int, dst: int) -> tuple[int, ...] | None:
+    """A one-sided Dijkstra at unit edge lengths that reads the graph
+    through its methods: the reference for the edge counts of the paths
+    `_shortest_path` finds."""
     inf = float("inf")
     dist: list[float] = [inf] * g.n
     parent: list[int] = [-1] * g.n
@@ -52,7 +44,7 @@ def reference_shortest_path(
             v = g.head(eid)
             if done[v]:
                 continue
-            nd = d + (1 << min(loads[eid], _LENGTH_EXP_CAP))
+            nd = d + 1
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = eid
@@ -69,29 +61,26 @@ def reference_shortest_path(
     return tuple(edges)
 
 
-def search_lists(g: DirectedGraph, loads: list[int]):
-    """The out-edge lists, in-edge lists and edge lengths that `route`
-    hands to `_shortest_path` when the edges carry `loads`."""
+def search_lists(g: DirectedGraph):
+    """The out-edge and in-edge lists that `route` hands to
+    `_shortest_path`."""
     out_adj = [[] for _ in range(g.n)]
     in_adj = [[] for _ in range(g.n)]
     for eid, (u, v, _c) in enumerate(g.edges):
         out_adj[u].append((eid, v))
         in_adj[v].append((eid, u))
-    length = [1 << min(load, _LENGTH_EXP_CAP) for load in loads]
-    return out_adj, in_adj, length
+    return out_adj, in_adj
 
 
 @st.composite
 def search_cases(draw):
-    """A multigraph with self-loops and parallel edges, loads that reach
-    past the length cap, and two distinct endpoints."""
+    """A multigraph with self-loops and parallel edges, and two distinct
+    endpoints."""
     n = draw(st.integers(2, 14))
     vertex = st.integers(0, n - 1)
     edges = tuple(draw(st.lists(st.tuples(vertex, vertex, st.just(1)), max_size=4 * n)))
-    load = st.one_of(st.integers(0, 3), st.integers(0, _LENGTH_EXP_CAP + 5))
-    loads = draw(st.lists(load, min_size=len(edges), max_size=len(edges)))
     src, dst = draw(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]))
-    return DirectedGraph(n=n, edges=edges, source=0), loads, src, dst
+    return DirectedGraph(n=n, edges=edges, source=0), src, dst
 
 
 def bidirected_cycle(n):
@@ -131,7 +120,7 @@ class TestRoute:
         g = bidirected_cycle(5)
         part = scc(g)
         pairs = ((1, 2), (2, 3), (3, 4), (4, 1))
-        out = route(g, Demand(pairs, part), seed=3)
+        out = route(g, Demand(pairs, part))
         assert out.congestion == 1
         assert all(len(p) == 1 for p in out.paths_edges)
 
@@ -154,8 +143,8 @@ class TestRoute:
         g = bidirected_cycle(6)
         part = scc(g)
         pairs = ((1, 3), (3, 5), (5, 2), (2, 4), (4, 1))
-        a = route(g, Demand(pairs, part), seed=9)
-        b = route(g, Demand(pairs, part), seed=9)
+        a = route(g, Demand(pairs, part))
+        b = route(g, Demand(pairs, part))
         assert a.paths_edges == b.paths_edges
         recount = {}
         for path in a.paths_edges:
@@ -163,11 +152,25 @@ class TestRoute:
                 recount[e] = recount.get(e, 0) + 1
         assert max(recount.values()) == a.congestion
 
+    def test_paths_do_not_depend_on_the_pair_order(self):
+        # The search reads no loads, so each pair gets the same path
+        # whether it is routed first or last.
+        g = gen_known_packing(30, 3, seed=2)
+        part = scc(g)
+        pairs = tuple(
+            (u, v) for comp in part.components if len(comp) > 1
+            for u, v in itertools.permutations(sorted(comp)[:6], 2)
+        )
+        forward = route(g, Demand(pairs, part))
+        backward = route(g, Demand(pairs[::-1], part))
+        assert len(pairs) > 1
+        assert forward.paths_edges == backward.paths_edges[::-1]
+
     def test_paths_are_simple_and_match_endpoints(self):
         g = bidirected_cycle(7)
         part = scc(g)
         pairs = ((1, 4), (4, 1), (2, 6), (6, 2))
-        out = route(g, Demand(pairs, part), seed=1)
+        out = route(g, Demand(pairs, part))
         for (src, dst), es in zip(pairs, out.paths_edges):
             vs = path_vertices(g, es)
             assert vs[0] == src and vs[-1] == dst
@@ -189,7 +192,7 @@ class TestRoute:
         ]
         for g, pairs in fixtures:
             part = scc(g)
-            out = route(g, Demand(pairs, part), seed=5)
+            out = route(g, Demand(pairs, part))
 
             def simple_paths(src, dst):
                 found = []
@@ -246,9 +249,9 @@ class TestRoute:
 
         calls = []
 
-        def counting_route(g, demand, seed=0):
+        def counting_route(g, demand):
             before = searches
-            outcome = route(g, demand, seed)
+            outcome = route(g, demand)
             calls.append((len(demand.pairs), searches - before, outcome.congestion))
             return outcome
 
@@ -264,11 +267,11 @@ class TestAgainstReference:
     @settings(max_examples=300)
     def test_search_finds_a_shortest_path(self, case):
         # Tied shortest paths may differ from the reference's; their
-        # summed lengths may not.
-        g, loads, src, dst = case
-        out_adj, in_adj, length = search_lists(g, loads)
-        found = _shortest_path(g.edges, out_adj, in_adj, length, src, dst)
-        expected = reference_shortest_path(g, src, dst, loads)
+        # edge counts may not.
+        g, src, dst = case
+        out_adj, in_adj = search_lists(g)
+        found = _shortest_path(g.edges, out_adj, in_adj, src, dst)
+        expected = reference_shortest_path(g, src, dst)
         if expected is None:
             assert found is None
             return
@@ -276,26 +279,26 @@ class TestAgainstReference:
         vs = path_vertices(g, tuple(found))
         assert (vs[0], vs[-1]) == (src, dst)
         assert len(set(vs)) == len(vs)
-        assert sum(length[e] for e in found) == sum(length[e] for e in expected)
+        assert len(found) == len(expected)
 
-    def test_a_tie_between_the_heap_tops_pops_forward(self):
-        # Both 1 -> 2 -> 4 and 1 -> 3 -> 4 are shortest. The tops tie at
-        # 0, so the forward side pops 1; then the backward side pops 4 and
-        # meets at 2, its lower-id in-edge. Popping backward on the tie
-        # would let the forward side meet at 3 and return [0, 3].
+    def test_a_tie_between_the_frontiers_expands_forward(self):
+        # Both 1 -> 2 -> 4 and 1 -> 3 -> 4 are shortest. The frontiers
+        # {1} and {4} tie, so the forward side expands first and reaches
+        # 3 and 2; then the backward side, now the smaller, expands 4 and
+        # meets at 2 through its lower-id in-edge. Expanding backward on
+        # the tie would let the forward side meet at 3 and return [0, 3].
         g = DirectedGraph(n=5, edges=((1, 3, 1), (1, 2, 1), (2, 4, 1), (3, 4, 1)), source=0)
-        out_adj, in_adj, length = search_lists(g, [0] * g.m)
-        assert _shortest_path(g.edges, out_adj, in_adj, length, 1, 4) == [1, 2]
+        out_adj, in_adj = search_lists(g)
+        assert _shortest_path(g.edges, out_adj, in_adj, 1, 4) == [1, 2]
 
-    def test_loads_past_the_length_cap(self):
+    def test_every_pair_shares_the_only_bridge(self):
         # Every pair from one clique to the other crosses the single
-        # bridge edge, whose load climbs past the exponent cap to 25.
+        # bridge edge, so its load, and the congestion, is 25.
         g = gen_two_cliques_bridge(5)
         side_a, side_b = range(1, 6), range(6, 11)
         pairs = tuple((u, v) for u in side_a for v in side_b)
         demand = Demand(pairs, scc(g))
-        out = route(g, demand, seed=4)
-        assert len(pairs) == 25 > _LENGTH_EXP_CAP
+        out = route(g, demand)
         assert out.congestion == 25
         (bridge,) = (e for e in range(g.m) if g.tail(e) in side_a and g.head(e) in side_b)
         assert all(bridge in path for path in out.paths_edges)
