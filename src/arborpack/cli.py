@@ -491,7 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", action="store_true",
                    help="also compute the exact value and the ratio")
     p.add_argument("--verbose", action="store_true",
-                   help="include every candidate examined")
+                   help="include the candidate cuts: every level-0 singleton and, "
+                        "per probed component, the first sample cut below the best so far")
     add_phi(p)
     add_seed(p)
     p.set_defaults(func=_cmd_mincut)

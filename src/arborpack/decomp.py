@@ -1,12 +1,15 @@
 """Terminal-set expander decomposition and the level hierarchy built on it.
 
-`decompose` is a desk-scale certify-or-cut scheme: inside every strongly
+`decompose` is a desk-scale certify-or-cut scheme: for every strongly
 connected component of the working graph it tries to certify that the
 terminal-degree demands route with congestion 1/phi, by pushing seeded
-random split-flow instances through an exact max-flow. When a trial flow
-falls short, the residual min-cut exposes a violating vertex set; its
-smaller-direction crossing edges join the cut set B and both sides are
-re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
+random split-flow instances through an exact max-flow. The demands sit
+on the component's vertices, but the trial flows are not confined to
+it: `_trial_flow` passes no edge filter, so a flow may route through
+edges outside the component (ROADMAP item 6 step 1 confines them).
+When a trial flow falls short, the residual min-cut exposes a
+violating vertex set; its smaller-direction crossing edges join the cut
+set B and both sides are re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
 not hoped for: if B grows past the budget, phi is halved and the
 offending component re-runs (routing always succeeds once the congestion
 allowance exceeds the total terminal degree, so this terminates). A

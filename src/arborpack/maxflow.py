@@ -7,9 +7,9 @@ sink-capacity functions. Virtual vertices are never visible to callers:
 the super-source in the final residual graph).
 
 `_dinic` runs the phases, for `max_flow` from the super-source and for
-the exact rooted min-cut in `oracle` from a growing set of real sources.
-Each phase labels vertices by their distance to the sink, with one
-backward BFS that stops at the first source it labels. The blocking flow
+`first_min_sink` from the super-source and a growing set of real
+sources. Each phase labels vertices by their distance to the sink, with
+one backward BFS that stops at the first source it labels. The blocking flow
 then walks from that source along current-arc pointers and takes only
 arcs whose head is one step closer to the sink, so every walk reaches
 the sink unless arcs saturated earlier in the phase. After an
@@ -36,6 +36,21 @@ get a supply or sink arc are extended. The blocking-flow search keeps an
 explicit stack, so path length is not bounded by Python's recursion
 limit.
 
+`first_min_sink` sweeps a sequence of sinks over one residual network,
+after Hao and Orlin ("A faster algorithm for finding the minimum cut in
+a directed graph", J. Algorithms 1994). Sink t_i takes flow from the
+super-source and from every earlier sink, until the flow reaches the
+least value found so far or no path is left; then t_i joins the
+sources. Every kept flow starts and ends in S_i = {super-source, t_1,
+..., t_{i-1}}, so for every X containing S_i the residual capacity
+leaving X is its capacity in the problem: run i adds exactly
+lambda(S_i, t_i), capped at the least value so far. As lambda(S_i, t_i)
+>= lambda(S_1, t_i), the sweep's least value is the least of the
+separate flows super-source -> t_i, and the first sink t* that attains
+it there attains it in the sweep: a minimum cut for t* whose sink side
+held an earlier sink t_j would give t_j a value no larger, so none
+does, and the run of t* adds exactly the least value.
+
 An optional `flow_bound` stops augmentation as soon as the flow reaches
 it. Such a run is `capped`: it skips the final residual search, and its
 `min_cut_side` is None. Any other run (no bound, or `value < flow_bound`)
@@ -56,7 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InternalError, ParameterError
 from .graphcore import DirectedGraph, EdgeSet
@@ -66,6 +81,7 @@ __all__ = [
     "FlowResult",
     "FlowPath",
     "max_flow",
+    "first_min_sink",
     "verify_flow",
     "decompose_paths",
 ]
@@ -156,6 +172,39 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         sink_used={v: cap[a ^ 1] for v, a in sink_arc.items()},
         capped=capped,
     )
+
+
+def first_min_sink(problem: FlowProblem, sinks: Sequence[int], bound: int) -> tuple[int, int]:
+    """The least max-flow value below `bound` from the problem's supplies
+    into one of `sinks`, and the first sink that reaches it; `(bound,
+    -1)` when no sink goes below `bound`.
+
+    One sweep over one residual network (see the module docstring); a
+    repeated sink already joined the sources and is skipped. The problem
+    must have no sink capacities and no `flow_bound`.
+    """
+    n = problem.graph.n
+    if problem.sink_capacity or problem.flow_bound is not None:
+        raise ParameterError("a sink sweep takes no sink capacities and no flow bound")
+    for t in sinks:
+        if not 0 <= t < n:
+            raise ParameterError(f"sink vertex {t} out of range")
+    best, first = bound, -1
+    if best <= 0:
+        return best, first
+    head, cap, adj, _supply_arc, _sink_arc = _residual_network(problem)
+    is_source = [False] * (n + 2)
+    is_source[n] = True
+    for t in sinks:
+        if is_source[t]:
+            continue
+        flow = _dinic(adj, head, cap, is_source, t, best)
+        if flow < best:
+            best, first = flow, t
+            if not best:
+                break
+        is_source[t] = True
+    return best, first
 
 
 def _residual_network(problem: FlowProblem):

@@ -5,13 +5,19 @@ it was built on, walking every level. Level 0 scans each non-source
 vertex directly (its in-capacity is the cut value of the singleton). At
 level i >= 1, one pass over the level-i edges groups those with both
 endpoints in one component, and each component that holds such edges
-is probed, in component order, with capacity-weighted samples of them:
-a sampled endpoint v yields the exact minimum over sets T with v in T
-inside the component of the capacity entering T, computed by
-contracting everything outside the component into a virtual
-super-source and running one exact max-flow. A component's supplies
-and inside edges are found once, before its first probe. The global
-minimum candidate wins.
+is probed, in component order, with capacity-weighted samples of them.
+A sampled endpoint v stands for the exact minimum over sets T with v in
+T inside the component of the capacity entering T: the max-flow into v
+with everything outside the component contracted into a virtual
+super-source. One sweep (`maxflow.first_min_sink`) over one residual
+network of the component finds the least of these values over the
+samples in draw order and the first sample that attains it, and only
+when that value is below the best cut so far does that one sample get
+an exact max-flow, whose residual graph gives its cut side
+(`mincut_into_component`). A sample whose value ties the best cut
+would not replace it, so the outcome is that of probing every sample
+in turn and keeping the first strictly smaller cut. The global minimum
+candidate wins.
 
 The RNG is split per (level, component), so the outcome is independent
 of any processing order.
@@ -27,7 +33,7 @@ from typing import Sequence
 from .decomp import Hierarchy
 from .errors import EmptySampleError, InternalError, ParameterError
 from .graphcore import DirectedGraph, EdgeSet, cut_values, edges_within
-from .maxflow import FlowProblem, max_flow
+from .maxflow import FlowProblem, first_min_sink, max_flow
 from .seeds import derive_rng
 
 __all__ = [
@@ -56,6 +62,10 @@ class CutCandidate:
 
 @dataclass(frozen=True)
 class MincutReport:
+    """The best cut and every candidate made: one singleton per
+    non-source vertex, then at most one probe cut per component, in
+    level and component order."""
+
     best: CutCandidate
     candidates: tuple[CutCandidate, ...]
 
@@ -126,7 +136,9 @@ def mincut_into_component(
 
 def approx_rooted_mincut(hierarchy: Hierarchy, seed: int = 0) -> MincutReport:
     """Approximate rooted min-cut of the hierarchy's graph; returns the
-    best candidate plus every candidate examined."""
+    best candidate plus every candidate made: the level-0 singletons
+    and, for each probed component whose samples go below the best cut
+    so far, the cut of the first sample that attains its least value."""
     g = hierarchy.graph
     if g.n < 2:
         raise ParameterError("rooted min-cut needs at least one non-source vertex")
@@ -159,10 +171,13 @@ def approx_rooted_mincut(hierarchy: Hierarchy, seed: int = 0) -> MincutReport:
             comp = part.components[comp_id]
             rng = derive_rng(seed, "mincut", i, comp_id)
             inputs = probe_inputs(g, comp)
-            computed: dict[int, CutCandidate] = {}
-            for v in sample_endpoints(g, inside[comp_id], trials, rng):
-                if v not in computed:
-                    computed[v] = mincut_into_component(g, comp, v, inputs, i)
-                consider(computed[v])
+            samples = sample_endpoints(g, inside[comp_id], trials, rng)
+            problem = FlowProblem(g, inputs[0], {}, edge_filter=inputs[1])
+            value, v = first_min_sink(problem, samples, best.rho)
+            if v >= 0:
+                cand = mincut_into_component(g, comp, v, inputs, i)
+                if cand.rho != value:
+                    raise InternalError(f"probe of {v} cuts {cand.rho}, the sweep found {value}")
+                consider(cand)
     assert best is not None
     return MincutReport(best, tuple(candidates))

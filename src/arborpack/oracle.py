@@ -6,23 +6,14 @@ exhaustive rooted min-cut and cut-expansion oracles for small graphs,
 and structural validators for arborescences and packing results. Every
 function is pure and safe to run concurrently.
 
-The exact rooted min-cut grows a source set, after Hao and Orlin ("A
-faster algorithm for finding the minimum cut in a directed graph",
-J. Algorithms 1994), on one residual network with Dinic phases. The
-sinks t_1, t_2, ... are the non-source vertices by ascending
-in-capacity, then id; S_i = {s, t_1, ..., t_{i-1}}. Sink t_i takes flow
-from every vertex of S_i, which has unlimited supply, until the flow
-reaches the smallest value found so far or no path is left; then t_i
-joins S. The kept flow has all its sources and sinks in S_i, so for
-every X containing S_i the residual capacity leaving X is c(X): run i
-adds exactly lambda(S_i, t_i), capped at the best value. Each earlier
-sink t_j has lambda(S_j, t_j) >= lambda(s, t_j), so the sweep's minimum
-is lambda, and the first sink that reaches it is the first minimising
-sink t* of the n - 1 separate flows s -> t: a minimum s-t* cut whose
-sink side held an earlier sink t_j would give lambda(s, t_j) <= lambda,
-so none does, and the run of t* adds exactly lambda. The witness is V
-minus the vertices s reaches in the residual network of a maximum s-t*
-flow: the same set for every maximum flow.
+The exact rooted min-cut is one source-growing sweep,
+`maxflow.first_min_sink`, after Hao and Orlin ("A faster algorithm for
+finding the minimum cut in a directed graph", J. Algorithms 1994). The
+source s has a supply above every cut, and the sinks are the non-source
+vertices by ascending in-capacity, then id. The sweep returns lambda and
+the first minimising sink t* of the n - 1 separate flows s -> t. The
+witness is V minus the vertices s reaches in the residual network of a
+maximum s-t* flow: the same set for every maximum flow.
 
 The exhaustive oracles are pure Python. Both build each vertex mask T
 (bit v = vertex v) from T' = T - v, v being T's lowest vertex, as
@@ -39,7 +30,7 @@ from typing import Iterable
 
 from .errors import InternalError, ParameterError, ScaleError
 from .graphcore import DirectedGraph, EdgeSet, Partition, cut_values, restricted_degrees
-from .maxflow import FlowProblem, _dinic, max_flow
+from .maxflow import FlowProblem, first_min_sink, max_flow
 
 __all__ = [
     "exact_rooted_mincut",
@@ -67,21 +58,9 @@ def exact_rooted_mincut(g: DirectedGraph) -> tuple[int, frozenset]:
     if g.n < 2:
         raise ParameterError("rooted min-cut needs at least one non-source vertex")
     s = g.source
-    head, base_cap, adj = g.residual_arcs
-    cap = list(base_cap)
-    in_s = [False] * g.n
-    in_s[s] = True
     big = g.total_capacity() + 1
-    best, t_star = big, -1
-    for t in sorted((v for v in range(g.n) if v != s), key=lambda v: (g.in_capacity(v), v)):
-        # Augment from S into t until the flow reaches the best value:
-        # a run that reaches it cannot improve the minimum.
-        flow = _dinic(adj, head, cap, in_s, t, best)
-        if flow < best:
-            best, t_star = flow, t
-            if not best:
-                break
-        in_s[t] = True
+    sinks = sorted((v for v in range(g.n) if v != s), key=lambda v: (g.in_capacity(v), v))
+    best, t_star = first_min_sink(FlowProblem(g, {s: big}, {}), sinks, big)
     res = max_flow(FlowProblem(g, {s: big}, {t_star: big}))
     if res.value != best:
         raise InternalError(f"max-flow into sink {t_star} is {res.value}, the sweep found {best}")

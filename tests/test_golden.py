@@ -34,12 +34,13 @@ GOLDEN = {
     "two_cliques_bridge mincut": "124826a3e104e11efac92ba16ab1fd772a7af398062328a9882eb018b382263b",
     "two_cliques_bridge mincut --exact": "038b27ef0368150f89816adb1f10973bef4ea64d1fca55c518d424129442a8ee",
     "two_cliques_bridge pack": "206fbb8c9553c610b1718c18fd1027cdf37b701c3cf507a87e7579a65e2d27a3",
-    # `mincut --verbose`: the candidate order pins the order in which
-    # the search visits levels and components.
-    "known_packing mincut --verbose": "b81fc9def3b84c7b62c6bfbc67bb7e5b85592e889c8cb2941c2b1e4e47481c51",
-    "cycle_plus_chords mincut --verbose": "f42dff98e40a80b294e3c8fd6b03df8fc5f837d1510013c64fb80196c2f1c18d",
-    "cycle_plus_chords_weighted mincut --verbose": "e784935934396d6da4d0c8e94efa7e73a62d97274162d09d4732347622b30204",
-    "two_cliques_bridge mincut --verbose": "67776c7f76b0220d2df20441ca867ef6d060dc0ac7d867c339f52fbc42317f8b",
+    # `mincut --verbose`: the candidates pin the level-0 singletons and
+    # which component sweeps went below the best cut so far, in the
+    # order the search visits levels and components.
+    "known_packing mincut --verbose": "6c7bc0e9917aeb175aa8afdbbbe97ae0aea4ed6c85fa5ee880a06fa6925304ad",
+    "cycle_plus_chords mincut --verbose": "7303d51a573dae077a89e310d42ed70fef2d56ab497a60e315e00953aa927560",
+    "cycle_plus_chords_weighted mincut --verbose": "e0250cb9a81818a0490cac305f47c59d9fc6c089bffc42733947e1d63347c593",
+    "two_cliques_bridge mincut --verbose": "acb021c2b2a6df4aab124c92d054ddfaf825ed53a710c6fd268b04e1d5a0f513",
     # `verify` on the `mincut` and `pack` outputs above.
     "known_packing verify mincut": "4b4d40573885ebc007d66504c4edd4eb9a1af0671e6f149a88ccead5d928ef41",
     "known_packing verify pack": "80e9c95bcd1b27b5e061a9ce7de6d60378a2de9a0f5650ce6453ed71ec442759",
@@ -224,7 +225,7 @@ def test_exact_mincut_at_scale_matches_recorded_digests(capsys, tmp_path):
 CONTRACTED_GEN = EXACT_GOLDEN["cycle_plus_chords n=1200"][0]
 CONTRACTED_GOLDEN = {
     "hierarchy": "58fe4b02e80ece31627a6a5137264dd9b493dd79fe1ef752df9c0301941ad50d",
-    "mincut --verbose": "51291f0dd3e9531f02cc0a73b2eac07d68c054011b78ffa6099af24bccd84c58",
+    "mincut --verbose": "7bcb3f72ff3429c19b378a95f22f352663cabefc342dd45e0fca6ae3c5105d0c",
 }
 
 

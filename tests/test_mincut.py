@@ -1,19 +1,27 @@
 """Approximate rooted min-cut: sampling, component cuts, soundness."""
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arborpack import maxflow
 from arborpack.decomp import build_hierarchy
 from arborpack.errors import EmptySampleError, ParameterError
+from arborpack.generators import instance_stream
 from arborpack.graphcore import cut_values, normalize
+from arborpack.maxflow import FlowProblem, first_min_sink
 from arborpack.mincut import (
+    _TRIALS_PER_LOG2_N,
+    CutCandidate,
     approx_rooted_mincut,
     mincut_into_component,
     probe_inputs,
     sample_endpoints,
 )
 from arborpack.oracle import exact_rooted_mincut
+from arborpack.seeds import derive_rng
 
 from .conftest import digraphs
 
@@ -157,3 +165,97 @@ class TestStructuralEdgeCases:
         assert exact == (w // 5) + 123456  # rho({3})
         assert report.best.rho >= exact
         assert cut_values(g, report.best.vertex_set).rho == report.best.rho
+
+
+def per_sample_best(h, seed: int) -> CutCandidate:
+    """The search probing every sample with its own max-flow, in turn,
+    and keeping a cut only when it is strictly smaller: the reference
+    for the one-sweep-per-component search."""
+    g = h.graph
+    best = min(
+        (CutCandidate(frozenset({v}), g.in_capacity(v), 0, v) for v in range(g.n) if v != g.source),
+        key=lambda c: c.rho,
+    )
+    trials = max(1, math.ceil(_TRIALS_PER_LOG2_N * math.log2(max(g.n, 2))))
+    for i in range(1, h.L + 1):
+        part = h.partition(i)
+        inside: dict[int, list[int]] = {}
+        for e in h.level_edges(i):
+            comp_id = part.comp_of[g.tail(e)]
+            if comp_id == part.comp_of[g.head(e)]:
+                inside.setdefault(comp_id, []).append(e)
+        for comp_id in sorted(inside):
+            comp = part.components[comp_id]
+            inputs = probe_inputs(g, comp)
+            rng = derive_rng(seed, "mincut", i, comp_id)
+            for v in sample_endpoints(g, inside[comp_id], trials, rng):
+                cand = mincut_into_component(g, comp, v, inputs, i)
+                if cand.rho < best.rho:
+                    best = cand
+    return best
+
+
+@pytest.fixture
+def dinic_calls(monkeypatch):
+    """The sink of each Dinic run that `first_min_sink` makes."""
+    calls = []
+    real = maxflow._dinic
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(maxflow, "_dinic", counting)
+    return calls
+
+
+class TestFirstMinSink:
+    @given(digraphs(min_n=2, max_n=8, max_m=20, max_cap=3), st.data())
+    @settings(max_examples=60)
+    def test_matches_per_sample_probes(self, g, data):
+        h = build_hierarchy(g, seed=2)
+        level = data.draw(st.integers(0, h.L), label="level")
+        comps = [c for c in h.partition(level).components if g.source not in c]
+        comp = data.draw(st.sampled_from(comps), label="component")
+        samples = data.draw(
+            st.lists(st.sampled_from(sorted(comp)), min_size=1, max_size=8), label="samples"
+        )
+        bound = data.draw(st.integers(0, g.total_capacity() + 2), label="bound")
+        supplies, intra, _big = inputs = probe_inputs(g, comp)
+        expected = (bound, -1)
+        for v in samples:
+            rho = mincut_into_component(g, comp, v, inputs).rho
+            if rho < expected[0]:
+                expected = (rho, v)
+        problem = FlowProblem(g, supplies, {}, edge_filter=intra)
+        assert first_min_sink(problem, samples, bound) == expected
+
+    def test_best_equals_per_sample_search_on_instance_stream(self):
+        for _name, g in instance_stream(60, seed=25, n_max=24, m_max=100, max_cap=4):
+            h = build_hierarchy(g, seed=1)
+            for seed in (0, 7):
+                assert approx_rooted_mincut(h, seed).best == per_sample_best(h, seed)
+
+    def test_out_of_range_sink_raises(self):
+        g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
+        for t in (-1, 3):
+            with pytest.raises(ParameterError):
+                first_min_sink(FlowProblem(g, {0: 5}, {}), [1, t], 5)
+
+    def test_sink_capacities_raise(self):
+        g = normalize([(0, 1, 1)], 2, 0)
+        with pytest.raises(ParameterError):
+            first_min_sink(FlowProblem(g, {0: 5}, {1: 5}), [1], 5)
+
+    def test_repeated_sink_is_swept_once(self, dinic_calls):
+        # 0 -> 1 -> 2 and 0 -> 2: sink 2 takes 2 units, then sink 1,
+        # entered by one unit edge, takes 1; the repeats run no flow.
+        g = normalize([(0, 1, 1), (1, 2, 2), (0, 2, 1)], 3, 0)
+        problem = FlowProblem(g, {0: 9}, {})
+        assert first_min_sink(problem, [2, 1, 2, 1, 1], 9) == (1, 1)
+        assert dinic_calls == [2, 1]
+
+    def test_zero_bound_runs_no_flow(self, dinic_calls):
+        g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
+        assert first_min_sink(FlowProblem(g, {0: 5}, {}), [1, 2], 0) == (0, -1)
+        assert dinic_calls == []
