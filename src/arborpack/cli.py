@@ -13,10 +13,10 @@ error (including a failed verification), 2 parse or parameter error
 The ARBOR_SEED environment variable supplies the default seed.
 
 Only this module writes and reads the result documents and parses phi
-text. `verify` holds each result field it reads to its schema's JSON
-type (an integer is never a float or a boolean, a phi is a string), else
-exit 2; fields it does not read go unchecked, so some files that the
-schemas reject verify ok (ROADMAP item 8).
+text. `verify` checks a result file against the shipped schema of its
+kind before it reads a field; a file the schema rejects, or one with an
+integer written as a float such as 9.0, is a parameter error naming the
+JSON path (exit 2).
 """
 from __future__ import annotations
 
@@ -265,58 +265,73 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _int_field(payload: dict, key: str) -> int:
-    value = payload.get(key)
-    if type(value) is not int:
-        raise ParameterError(f"result field {key!r} must be an integer")
-    return value
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
+               "boolean": (bool,), "array": (list,), "object": (dict,)}
+_KEYWORDS = set("$schema $id title type const enum minimum pattern minItems items required "
+                "properties additionalProperties allOf if then".split())
+_SCHEMAS: dict[str, dict] = {}
 
 
-def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ParameterError(f"{what} must be a list of integers")
-    return value
-
-
-def _json_list(value, item: type, what: str) -> list:
-    """`value` if a list of `item`s; else a TypeError, which `verify` reads as malformed."""
-    if not isinstance(value, list) or any(type(x) is not item for x in value):
-        raise TypeError(f"{what} must be a list of {item.__name__} values")
-    return value
-
-
-# The schema's phi pattern, `^[0-9]+(/[0-9]+)?$`, with a sign allowed so
-# that a negative phi reads as a value out of range, like "0" or "5".
-_PHI_FIELD = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _phi_field(value) -> Fraction:
-    if type(value) is not str:
-        raise TypeError("each phi must be a string")
-    if not _PHI_FIELD.fullmatch(value):
-        raise ValueError(f"phi {value[:40]!r} is not an integer or a ratio of integers")
-    return Fraction(value)
+def schema_violations(value, schema: dict, path: str):
+    """Yield, lazily, each way in which the JSON `value` at `path` breaks
+    `schema`; a keyword not in `_KEYWORDS` raises `InternalError`. Unlike
+    JSON Schema, an integer is never a float such as 9.0, and `const` and
+    `enum` compare types too."""
+    kind = type(value)
+    for key, want in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties" and want is not False):
+            raise InternalError(f"schema keyword {key!r}: {want!r} is not supported")
+        if key == "type" and kind not in _JSON_TYPES[want]:
+            yield f"{path} must be of type {want}"
+        elif key in ("const", "enum"):
+            options = [want] if key == "const" else want
+            if not any(kind is type(o) and value == o for o in options):
+                yield f"{path} must be {' or '.join(map(json.dumps, options))}"
+        elif key == "minimum" and kind in (int, float) and value < want:
+            yield f"{path} must be at least {want}"
+        elif key == "pattern" and kind is str and not re.search(want, value):
+            yield f"{path} must match {want}"
+        elif key == "minItems" and kind is list and len(value) < want:
+            yield f"{path} must have at least {want} items"
+        elif key == "items" and kind is list and not (  # lists of ids take one flat pass
+            want == {"type": "integer", "minimum": 0}
+            and all(type(x) is int for x in value) and min(value, default=0) >= 0
+        ):
+            for i, item in enumerate(value):
+                yield from schema_violations(item, want, f"{path}[{i}]")
+        elif key == "required" and kind is dict:
+            yield from (f"{path} lacks {name!r}" for name in want if name not in value)
+        elif key == "properties" and kind is dict:
+            for name, sub in want.items():
+                if name in value:
+                    yield from schema_violations(value[name], sub, f"{path}.{name}")
+        elif key == "additionalProperties" and kind is dict:
+            known = schema.get("properties", {})
+            yield from (f"{path} has no field {name!r}" for name in value if name not in known)
+        elif key == "allOf":
+            for sub in want:
+                yield from schema_violations(value, sub, path)
+        elif key == "if" and next(schema_violations(value, want, path), None) is None:
+            yield from schema_violations(value, schema.get("then", {}), path)
 
 
 def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
-    """The hierarchy a JSON result describes, built on g from its levels
-    and phis once its n, m and source match g's; the partitions it lists
-    must be the derived ones. Raises an `ArborError` for a well-formed
-    but wrong result, and a builtin error (`KeyError`, `TypeError`, ...)
-    for a missing field or one of a JSON type its schema does not allow."""
-    header = [data["n"], data["m"], data["source"]]
-    if _json_list(header, int, "[n, m, source]") != [g.n, g.m, g.source]:
+    """The hierarchy a schema-valid `hierarchy` result describes, built
+    on g from its levels and phis once its n, m and source match g's; the
+    partitions it lists must be the derived ones. Raises an `ArborError`
+    for a wrong result, and a `ValueError`, `ZeroDivisionError` or
+    `IndexError` for phi text that names no number or an id past n."""
+    if [data["n"], data["m"], data["source"]] != [g.n, g.m, g.source]:
         raise ParameterError("hierarchy was not built on this graph")
-    levels = _json_list(data["levels"], list, "levels")
-    levels = tuple(frozenset(_json_list(ids, int, "each level")) for ids in levels)
-    partitions = _json_list(data["partitions"], list, "partitions")
-    phi_target = _phi_field(data["phi_target"])
-    level_phis = tuple(map(_phi_field, _json_list(data["level_phis"], str, "level_phis")))
-    if not levels or len(partitions) != len(levels) + 1:
+    levels = tuple(map(frozenset, data["levels"]))
+    partitions = data["partitions"]
+    phi_target = Fraction(data["phi_target"])
+    level_phis = tuple(map(Fraction, data["level_phis"]))
+    if len(partitions) != len(levels) + 1:
         raise InternalError("level/partition counts are inconsistent")
     hier = Hierarchy(g, phi_target, levels, level_phis)
     for i, (groups, part) in enumerate(zip(partitions, hier.partitions)):
-        claimed = sorted((frozenset(_json_list(c, int, "a component")) for c in groups), key=min)
+        claimed = sorted(map(frozenset, groups), key=min)
         # Looking each id up first makes one outside the vertex table a
         # malformed field rather than a wrong partition.
         named = {part.comp_of[v] for comp in claimed for v in comp}
@@ -326,7 +341,8 @@ def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
 
 
 def _read_result(path: str) -> dict:
-    """The JSON object in a result file; `ParameterError` if there is none."""
+    """The result document in a file, checked against the schema of its
+    kind; `ParameterError` if there is none or it breaks the schema."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -339,40 +355,36 @@ def _read_result(path: str) -> dict:
         raise ParameterError("result file nests JSON too deeply") from exc
     if not isinstance(payload, dict):
         raise ParameterError("result file must hold a JSON object")
+    kind = payload.get("kind")
+    if kind not in ("hierarchy", "mincut", "packing"):
+        raise ParameterError(f"cannot verify result of kind {kind!r}")
+    if kind not in _SCHEMAS:
+        schema = Path(__file__).parent / "schemas" / f"{kind}.schema.json"
+        _SCHEMAS[kind] = json.loads(schema.read_text())
+    error = next(schema_violations(payload, _SCHEMAS[kind], "$"), None)
+    if error:
+        raise ParameterError(f"malformed {kind} result: {error}")
     return payload
 
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     payload = _read_result(args.result)
-    kind = payload.get("kind")
+    kind = payload["kind"]
     if kind == "packing":
-        k = _int_field(payload, "k")
-        if payload.get("result") == "arborescences":
-            trees = payload.get("trees")
-            if not isinstance(trees, list):
-                raise ParameterError("result field 'trees' must be a list")
-            result = PackingResult(
-                kind="arborescences",
-                k=k,
-                trees=tuple(tuple(_int_list(t, "each tree")) for t in trees),
-                congestion=_int_field(payload, "congestion"),
-            )
-        elif payload.get("result") == "cut":
-            result = PackingResult(
-                kind="cut",
-                k=k,
-                cut_vertices=frozenset(_int_list(payload.get("cut"), "result field 'cut'")),
-                cut_delta=_int_field(payload, "delta"),
-            )
+        if payload["result"] == "arborescences":
+            trees = tuple(map(tuple, payload["trees"]))
+            result = PackingResult("arborescences", payload["k"], trees, payload["congestion"])
         else:
-            raise ParameterError("packing field 'result' must be 'arborescences' or 'cut'")
+            side = frozenset(payload["cut"])
+            delta = payload["delta"]
+            result = PackingResult("cut", payload["k"], cut_vertices=side, cut_delta=delta)
         report = verify_packing(g, result)
     elif kind == "mincut":
         # The checks stay here, beside the `cut_values` call that the
         # stage benchmark traces as `cli.cut_values`.
-        side = frozenset(_int_list(payload.get("cut"), "result field 'cut'"))
-        value = _int_field(payload, "value")
+        side = frozenset(payload["cut"])
+        value = payload["value"]
         if g.n < 2:
             raise ParameterError("rooted min-cut needs at least one non-source vertex")
         rho = cut_values(g, side).rho
@@ -384,25 +396,21 @@ def _cmd_verify(args) -> int:
             {"name": "value_reeval", "ok": rho == value, "detail": f"recomputed {rho}"},
             {
                 "name": "ids_in_range",
-                "ok": all(0 <= v < g.n for v in side),
+                "ok": all(v < g.n for v in side),
                 "detail": f"ids in 0..{g.n - 1}",
             },
         ]
         report = {"kind": "verify", "ok": all(c["ok"] for c in checks), "checks": checks}
-    elif kind == "hierarchy":
+    else:
         try:
             hierarchy_from_json(payload, g)
             ok, detail = True, ""
-        except (
-            KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError
-        ) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise ParameterError(f"malformed hierarchy result: {exc!r}") from exc
         except ArborError as exc:
             ok, detail = False, str(exc)
         check = {"name": "hierarchy_invariants", "ok": ok, "detail": detail}
         report = {"kind": "verify", "ok": ok, "checks": [check]}
-    else:
-        raise ParameterError(f"cannot verify result of kind {kind!r}")
     _emit(report)
     return 0 if report["ok"] else 1
 

@@ -390,7 +390,6 @@ def run_level(
                 "demand_pairs": len(pairs),
                 "congestion": congestion,
                 "factor": str(max(state.route_factor, factor)),
-                "respecting_ok": True,
             },
         ),
     )

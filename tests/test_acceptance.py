@@ -233,7 +233,8 @@ def test_criterion_5_completeness_on_feasible_instances():
 
 
 def test_criterion_6_level_invariants():
-    """Invariants 1-3 and the demand bound hold after every level step."""
+    """Invariants 1-3 hold after every level step; `run_level` itself
+    raises on a demand past its bound."""
     checked_levels = 0
     violations = []
     for idx, (name, g) in enumerate(
@@ -256,9 +257,6 @@ def test_criterion_6_level_invariants():
                 found = check_invariants(hier, i, state, crit[i])
                 if found:
                     violations.append(f"{name} level {i}: {found[0]}")
-                entry = state.level_log[-1]
-                if not entry["respecting_ok"]:
-                    violations.append(f"{name} level {i}: demand bound")
     report(
         "criterion 6 (level invariants)",
         not violations and checked_levels > 0,

@@ -1,15 +1,21 @@
 """Export hygiene: every name a module lists in `__all__` exists, and so
-does every name the stage benchmark wraps to trace a layer; no module
-imports a name it never uses."""
+does every name the stage benchmark wraps to trace a layer, whose hooks
+give every per-layer metric a number; no module imports a name it never
+uses."""
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import arborpack
+from arborpack import cli
+from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
 
 # `__main__` runs the CLI on import, so it is left out.
 MODULES = ["arborpack"] + [
@@ -48,6 +54,45 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             unresolved.append(f"arborpack.{module_name}.{attr}")
     assert not unresolved, f"traced names missing: {unresolved}"
+
+
+def test_traced_pipeline_gives_every_metric_a_number(tmp_path):
+    # A hook that reads a changed argument or result shape raises, or
+    # leaves its metric without a number, although every name resolves.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+
+    def call(*argv) -> str:
+        buf = io.StringIO()
+        span = tracer.begin(tracing.CLI_SPAN)
+        try:
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([str(a) for a in argv]) == 0, argv
+        finally:
+            tracer.end(span)
+        return buf.getvalue()
+
+    tracer.install()
+    try:
+        for name, g in (("known", gen_known_packing(40, 3, seed=1)),
+                        ("bridge", gen_two_cliques_bridge(5, seed=0))):
+            graph = tmp_path / f"{name}.dmc"
+            graph.write_text(cli.format_graph(g))
+            call("hierarchy", graph, "--seed", 1)
+            approx = call("mincut", graph, "--seed", 1)
+            lam = json.loads(call("mincut", graph, "--exact"))["value"]
+            packed = call("pack", graph, "--k", lam, "--seed", 1)
+            for what, text in (("mincut", approx), ("pack", packed)):
+                result = tmp_path / f"{name}-{what}.json"
+                result.write_text(text)
+                call("verify", result, graph)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert len(metrics) == 50
+    bad = {name: metric for name, metric in metrics.items()
+           if "missing" in metric or type(metric["value"]) not in (int, float)}
+    assert not bad, f"metrics without a number: {bad}"
 
 
 def unused_imports(source: str) -> list[str]:

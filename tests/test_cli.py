@@ -389,12 +389,12 @@ class TestVerifyMalformedResults:
         validate(json.loads(out), "error.schema.json")
 
     def test_hierarchy_for_another_n_allocates_nothing(self, capsys, tmp_path, graph_file):
-        # n, m and source are compared with the graph's before any other
-        # field is read.
+        # The schema check builds nothing from n, and n, m and source are
+        # compared with the graph's before any other field is read.
         result_file = tmp_path / "h.json"
         result_file.write_text(json.dumps({
             "kind": "hierarchy", "n": 10**15, "m": 12, "source": 0, "phi_target": "1/16",
-            "levels": [list(range(12))], "partitions": [[[0]]], "level_phis": ["1/16"],
+            "levels": [list(range(12))], "partitions": [[[0]], [[0]]], "level_phis": ["1/16"],
         }))
         code, out = run_cli(capsys, "verify", str(result_file), str(graph_file))
         assert code == 1
@@ -432,8 +432,8 @@ _FOREIGN = "hierarchy was not built on this graph"
 # --seed 0` (seed 1): partitions [singletons], [[0], [1..4], [5..8]] and
 # [[0], [1..8]]; levels all 27 edges and [25]. Each row is the exit code
 # and, for a verify report, its `ok` and detail; an exit-2 row is a JSON
-# parameter error. A negative id that still indexes the n-entry vertex
-# table reads as a wrong partition, one past either end as malformed.
+# parameter error. A negative id breaks the schema, and one past the
+# n-entry vertex table is malformed too.
 _CORRUPTED_HIERARCHIES = [
     ("moved-vertex", _partition_1_case([[0], [1, 2, 3], [4, 5, 6, 7, 8]]), 1, _LEVEL_1_WRONG),
     ("merged-components", _partition_1_case([[0], [1, 2, 3, 4, 5, 6, 7, 8]]), 1, _LEVEL_1_WRONG),
@@ -442,7 +442,7 @@ _CORRUPTED_HIERARCHIES = [
      lambda d: {**d, "partitions": d["partitions"] + d["partitions"][-1:]}, 1, _COUNTS),
     ("reversed-partitions", lambda d: {**d, "partitions": d["partitions"][::-1]}, 1,
      "level-0 partition does not match its SCCs"),
-    ("negative-id", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, -1]]), 1, _LEVEL_1_WRONG),
+    ("negative-id", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, -1]]), 2, None),
     ("id-below-minus-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, -10]]), 2, None),
     ("id-equal-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, 9]]), 2, None),
     ("id-far-past-n", _partition_1_case([[0], [1, 2, 3, 4], [5, 6, 7, 8, 10**6]]), 2, None),
@@ -452,7 +452,7 @@ _CORRUPTED_HIERARCHIES = [
     ("partition-int", lambda d: {**d, "partitions": [d["partitions"][0], 7, []]}, 2, None),
     ("level-missing-edge", _levels_case([_ALL_EDGES[1:], [25]]), 1, _COVER),
     ("level-id-equal-m", _levels_case([_ALL_EDGES, [25, 27]]), 1, _COVER),
-    ("empty-levels", _levels_case([]), 1, _COUNTS),
+    ("empty-levels", _levels_case([]), 2, None),
     ("fifty-extra-levels", _levels_case([_ALL_EDGES, [25]] + [[]] * 50), 1, _COUNTS),
     ("wrong-n", lambda d: {**d, "n": 10}, 1, _FOREIGN),
     ("wrong-m", lambda d: {**d, "m": 28}, 1, _FOREIGN),
@@ -534,12 +534,13 @@ class TestVerifyHierarchyResults:
             assert payload["checks"][0]["detail"] == detail
 
 
-    # Each of these verified ok before the phi fields were checked.
+    # Each of these verified ok before the phi fields were checked. A
+    # negative phi breaks the schema's pattern, so it is malformed.
     @pytest.mark.parametrize("change, detail", [
         ({"phi_target": "5"}, "phi_target must be in (0, 1], got 5"),
         ({"phi_target": "0"}, "phi_target must be in (0, 1], got 0"),
         ({"level_phis": ["7/3", "1/16"]}, "level 1 phi 7/3 is not phi_target / 2^h"),
-        ({"level_phis": ["1/16", "-1"]}, "level 2 phi -1 is not phi_target / 2^h"),
+        ({"level_phis": ["1/16", "-1"]}, None),
         ({"level_phis": ["1/16", "0"]}, "level 2 phi 0 is not phi_target / 2^h"),
         ({"level_phis": ["1/16", "1/48"]}, "level 2 phi 1/48 is not phi_target / 2^h"),
         ({"level_phis": ["1/16", "1/8"]}, "level 2 phi 1/8 is not phi_target / 2^h"),
@@ -551,9 +552,13 @@ class TestVerifyHierarchyResults:
     def test_impossible_phi_fields_fail(self, capsys, tmp_path, built, change, detail):
         graph, data = built
         code, report = self.verify(capsys, tmp_path, graph, {**data, **change})
-        assert (code, report["ok"]) == (1, False)
-        validate(report, "verify.schema.json")
-        assert report["checks"][0]["detail"].startswith(detail)
+        if detail is None:
+            assert (code, report["error_type"]) == (2, "parameter")
+            validate(report, "error.schema.json")
+        else:
+            assert (code, report["ok"]) == (1, False)
+            validate(report, "verify.schema.json")
+            assert report["checks"][0]["detail"].startswith(detail)
 
     def test_last_halving_verifies(self, capsys, tmp_path, built):
         # `decompose` halves phi at most 64 times.

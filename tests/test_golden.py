@@ -22,11 +22,11 @@ GOLDEN = {
     "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
     "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
     "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
-    "known_packing pack": "dafcd29e384140e53265d4ace7d0c4040223fa87ce685f4483750dadfd6f1756",
+    "known_packing pack": "1a81f399ff5c645f03e2342e3ad0c0e0074f31f47d5089ccc4d71929349a6657",
     "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
     "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
     "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
-    "cycle_plus_chords pack": "5ae051822ae6bb0d018ca6eb1a83c2ff02c78a0c28b26dce302d44f783ab0798",
+    "cycle_plus_chords pack": "c6142a789c1e679a23db8eb8543380db956784f48efc90d1e0a3ac192b297693",
     "cycle_plus_chords_weighted hierarchy": "2bd406b8375657444fa844b0bf1a1a569de70936d811e14e3907d3d28c165218",
     "cycle_plus_chords_weighted mincut": "eeb4b00bd87c4866d9ef1b9855e85ddfe5a94d0c7d24869ad4b5c11b89b4c772",
     "cycle_plus_chords_weighted mincut --exact": "41f28eb331950245cb5990af9a48b22f5d743335d3d14f422dcf0836981de345",
@@ -157,7 +157,7 @@ def test_gen_outputs_match_recorded_digests(capsys):
 # instances above route only a handful of pairs.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "112d5a578ee372a88fe4cb77a54acc077ae717844f7c2743fc2935b75bdc2be6",
+    "pack": "df07b51b0252f5c66e16ea8a3ab184111e8118848e9823da56c642ef65693414",
     "verify pack": "b419be4c9e957b3dc6bb867fe2cade01da34001dc95c30514aea6017d9a5eaa0",
 }
 

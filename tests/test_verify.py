@@ -2,14 +2,15 @@
 
 The reference below is the older verdict, which re-solved the exact
 rooted min-cut for every result. The certificate checks must agree with
-it on every result except two kinds, which they reject: a side that
-names a vertex id outside the graph, and a packing cut whose side is the
-whole vertex set.
+it on every schema-valid result except two kinds, which they reject: a
+side that names a vertex id past the graph, and a packing cut whose side
+is the whole vertex set. A result that its schema rejects is malformed.
 """
 import contextlib
 import io
 import json
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,11 @@ from arborpack.cli import format_graph, main, packing_to_json
 from arborpack.decomp import build_hierarchy
 from arborpack.graphcore import cut_values, normalize
 from arborpack.mincut import approx_rooted_mincut
-from arborpack.oracle import exact_rooted_mincut, verify_arborescence
-from arborpack.packing import pack
+from arborpack.oracle import exact_rooted_mincut, verify_arborescence, verify_packing
+from arborpack.packing import PackingResult, pack
 
 from .conftest import digraphs
+from .test_schemas import load_schema
 
 
 def reference_ok(g, payload) -> bool:
@@ -64,6 +66,10 @@ def rejected_by_certificate_only(g, payload) -> bool:
     return payload.get("result") == "cut" and side >= set(range(g.n))
 
 
+def schema_valid(payload) -> bool:
+    return jsonschema.Draft202012Validator(load_schema(payload["kind"])).is_valid(payload)
+
+
 def run_verify(work, g, payload) -> tuple[int, dict]:
     graph = work / "g.dmc"
     graph.write_text(format_graph(g))
@@ -90,7 +96,8 @@ def results(draw, command):
         payload = packing_to_json(pack(g, k, seed=seed))
     else:
         best = approx_rooted_mincut(build_hierarchy(g, seed=seed), seed).best
-        payload = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
+        payload = {"kind": "mincut", "method": "approx", "cut": sorted(best.vertex_set),
+                   "value": best.rho}
     if payload["kind"] == "mincut":
         ways = ["value", "source", "id out of range"]
     elif payload["result"] == "cut":
@@ -107,7 +114,7 @@ def results(draw, command):
     elif way in ("k", "value", "delta", "congestion"):
         payload[way] += shift
     elif way == "no trees":
-        payload.update(k=0, trees=[], congestion=0)
+        payload.update(trees=[], congestion=0)
     elif way == "source":
         payload["cut"] = sorted(set(payload["cut"]) ^ {g.source})
     elif way == "whole side":
@@ -135,6 +142,10 @@ class TestAgainstOracle:
     def test_verdict_matches_oracle(self, work, command, data):
         g, payload = data.draw(results(command))
         code, report = run_verify(work, g, payload)
+        if not schema_valid(payload):
+            # A negative id, value, delta or congestion, or k = 0.
+            assert (code, report["error_type"]) == (2, "parameter"), payload
+            return
         assert code == (0 if report["ok"] else 1)
         if rejected_by_certificate_only(g, payload):
             assert not report["ok"], payload
@@ -148,7 +159,7 @@ class TestAgainstOracle:
          "side_proper"),
         ({"kind": "packing", "k": 2, "result": "cut", "cut": [0, 8], "delta": 1},
          "ids_in_range"),
-        ({"kind": "mincut", "cut": [1, 8], "value": 1}, "ids_in_range"),
+        ({"kind": "mincut", "method": "approx", "cut": [1, 8], "value": 1}, "ids_in_range"),
     ], ids=["packing-cut-is-V", "packing-cut-id-out-of-range", "mincut-id-out-of-range"])
     def test_rejected_by_certificate_only(self, work, payload, failing):
         g = normalize([(0, 1, 1)], 3, 0)
@@ -158,22 +169,29 @@ class TestAgainstOracle:
         assert [c["name"] for c in report["checks"] if not c["ok"]] == [failing]
 
     def test_mincut_ids_outside_the_graph_add_nothing(self, work):
-        # -1 and n name no vertex: the value is re-evaluated over {1}
-        # alone (vertex 2 = n - 1 has an edge in, which -1 must not
-        # reach), and only the range check fails.
+        # n and n + 1 name no vertex: the value is re-evaluated over {1}
+        # alone, and only the range check fails. A negative id breaks the
+        # schema (-1 would index vertex 2 = n - 1, which has an edge in).
         g = normalize([(0, 1, 1), (0, 2, 1)], 3, 0)
-        code, report = run_verify(work, g, {"kind": "mincut", "cut": [-1, 1, 3], "value": 1})
+        payload = {"kind": "mincut", "method": "approx", "cut": [1, 3, 4], "value": 1}
+        code, report = run_verify(work, g, payload)
         assert code == 1 and not report["ok"]
         assert [c["name"] for c in report["checks"] if not c["ok"]] == ["ids_in_range"]
+        code, report = run_verify(work, g, {**payload, "cut": [-1, 1, 3]})
+        assert (code, report["error_type"]) == (2, "parameter")
 
     @pytest.mark.parametrize("edges, ok", [([], True), ([(0, 1, 1)], False)])
     def test_zero_trees_certify_only_an_edgeless_graph(self, work, edges, ok):
+        # `verify_packing` holds this; a result file with k = 0 breaks the
+        # schema, whatever the graph.
         g = normalize(edges, 2, 0)
         payload = {"kind": "packing", "k": 0, "result": "arborescences", "trees": [],
                    "congestion": 0}
         assert reference_ok(g, payload) == ok
+        result = PackingResult("arborescences", 0, (), 0)
+        assert verify_packing(g, result)["ok"] == ok
         code, report = run_verify(work, g, payload)
-        assert (code, report["ok"]) == ((0, True) if ok else (1, False))
+        assert (code, report["error_type"]) == (2, "parameter")
 
     def test_mincut_on_one_vertex_is_a_parameter_error(self, work):
         g = normalize([], 1, 0)
@@ -188,7 +206,8 @@ def test_verify_runs_no_max_flow(tmp_path, monkeypatch):
     trees = packing_to_json(pack(tree_graph, 2))
     cut = packing_to_json(pack(path_graph, 2))
     best = approx_rooted_mincut(build_hierarchy(tree_graph), 0).best
-    mincut = {"kind": "mincut", "cut": sorted(best.vertex_set), "value": best.rho}
+    mincut = {"kind": "mincut", "method": "approx", "cut": sorted(best.vertex_set),
+              "value": best.rho}
     assert trees["result"] == "arborescences" and cut["result"] == "cut"
 
     def forbidden(*_args, **_kwargs):
