@@ -25,7 +25,7 @@ from .oracle import (
     verify_packing,
 )
 from .packing import PackingResult, pack
-from .routing import Demand, RoutingOutcome, respecting_check, route
+from .routing import Demand, RoutingOutcome, route
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "normalize",
     "pack",
     "probe_inputs",
-    "respecting_check",
     "restricted_degrees",
     "route",
     "sample_endpoints",

@@ -18,7 +18,10 @@ walks its non-source components once, and runs three steps on each:
      the component, so consecutive breakpoints tend to lie close.
 
 The chain demands of all components are then routed once per level with
-measured congestion.
+measured congestion, each pair along a path inside its own component.
+So every step of level i stays inside its level-i component: Y colors
+park on edges whose tails joined it at level i, the flow of step 2 runs
+on its edges, and so does every routed path of step 3.
 
 The per-level steps take the hierarchy alone and read the graph off it.
 `pack` builds each level's table of critical incoming edges once, as
@@ -31,17 +34,17 @@ against its problem with `verify_flow` first.
 Each level also counts every vertex's level-edge in-degree once; the
 counts set the flow sinks and the bound on the chain demands.
 
-Three invariants are re-checked by direct search after every level:
-each color can reach every vertex from a colored vertex in its component
-(Invariant 1), vertex color counts stay within (i+1) times the critical
-degree (Invariant 2), and edge color counts stay within 5 i^2 times the
-observed routing factor (Invariant 3, instrumented form). The final
-coloring distributes leftover vertex colors over top-level critical
-edges, and a DFS per color extracts the arborescences. An exchange
-pass then moves parent edges off edges that many trees share, onto
-in-edges that at least two fewer trees use; the reported congestion is
-that of the exchanged trees, while the instrumented bound is checked on
-the extracted ones.
+Three invariants are re-checked by direct search after every level: each
+color can reach every vertex from a colored vertex of its component over
+colored edges inside that component (Invariant 1), vertex color counts
+stay within (i+1) times the critical degree (Invariant 2), and edge
+color counts stay within 5 i^2 times the observed routing factor
+(Invariant 3, instrumented form). The final coloring distributes
+leftover vertex colors over top-level critical edges, and a DFS per
+color extracts the arborescences. An exchange pass then moves parent
+edges off edges that many trees share, onto in-edges that at least two
+fewer trees use; the reported congestion is that of the exchanged trees,
+while the instrumented bound is checked on the extracted ones.
 
 Packing is defined for unit-capacity graphs; weighted inputs are
 rejected. `pack` returns a `PackingResult`; `cli` writes it as JSON.
@@ -68,7 +71,7 @@ from .graphcore import (
     reachable_from,
 )
 from .maxflow import FlowProblem, decompose_paths, max_flow
-from .routing import Demand, respecting_check, route
+from .routing import Demand, route
 from .seeds import derive_seed
 
 __all__ = [
@@ -268,10 +271,11 @@ def chain_demand_pairs(
     marked when it is pushed, and out-neighbours are pushed in descending
     edge-id order, so consecutive breakpoints tend to lie a few hops
     apart and their routes stay short. (A true DFS preorder, marking on
-    pop, raised the tree congestion on glued arborescences.) Breakpoints
-    the search does not reach follow in ascending id order. Degenerate
-    self-pairs (the leader being its own first breakpoint) are dropped as
-    vacuous."""
+    pop, raised the tree congestion on glued arborescences.) In `pack`
+    the search reaches every breakpoint, because each component is
+    strongly connected; breakpoints it does not reach otherwise follow in
+    ascending id order. Degenerate self-pairs (the leader being its own
+    first breakpoint) are dropped as vacuous."""
     pending = set(breakpoints)
     ordered: list[int] = []
     marked = {leader}
@@ -360,17 +364,19 @@ def run_level(
                 pairs.append(pair)
                 tags.append(gamma)
 
-    # Check the demand bound, route once, and color the routed paths.
-    congestion = 0
-    if pairs:
-        demand = Demand(tuple(pairs), part)
-        ok, violation = respecting_check(demand, [3 * i * d for d in indeg])
-        if not ok:
+    # Check the demand bound (each vertex is an end of at most
+    # 3 i indeg[v] pairs), route once inside the level-i components, and
+    # color the routed paths.
+    participation = Counter(v for pair in pairs for v in pair)
+    for v in sorted(participation):
+        if participation[v] > 3 * i * indeg[v]:
             raise InvariantError(
                 f"level-{i} demand exceeds its respecting bound at vertex "
-                f"{violation[0]} ({violation[1]} > {violation[2]})"
+                f"{v} ({participation[v]} > {3 * i * indeg[v]})"
             )
-        outcome = route(g, demand)
+    congestion = 0
+    if pairs:
+        outcome = route(g, Demand(tuple(pairs), part))
         for idx, gamma in enumerate(tags):
             for e in outcome.paths_edges[idx]:
                 edge_colors[e].add(gamma)
@@ -422,7 +428,9 @@ def check_invariants(
 ) -> list[str]:
     """Re-derive the three per-level invariants by direct search, with
     `crit` the level-i critical-edge table; returns a list of violation
-    descriptions (empty when all hold)."""
+    descriptions (empty when all hold). The search for Invariant 1
+    follows only colored edges inside the component, since every step
+    of level i stays inside its level-i component."""
     violations: list[str] = []
     g = hierarchy.graph
     s = g.source
@@ -458,7 +466,7 @@ def check_invariants(
             while stack:
                 u = stack.pop()
                 for w, _e in adj[u]:
-                    if w not in reached:
+                    if w in comp and w not in reached:
                         reached.add(w)
                         stack.append(w)
             missing = comp - reached

@@ -1,19 +1,19 @@
-"""Integral demand routing with measured congestion.
+"""Integral demand routing inside a partition, with measured congestion.
 
-Demands are multisets of ordered vertex pairs constrained to the
-components of a partition; paths are sought in the whole graph. Each
-pair is routed once, in the demand's order, along a path with the
-fewest edges, found by a bidirectional breadth-first search over
-out-edge and in-edge lists that `route` builds once per call. The
+A demand is a multiset of ordered vertex pairs and a partition. `route`
+builds out-edge and in-edge lists once per call from the edges whose two
+ends lie in one component, so every path stays inside the component of
+its pair, and a pair that crosses components has no path. Each pair is
+routed once, in the demand's order, along a path with the fewest edges,
+found by a bidirectional breadth-first search over those lists. The
 search reads no loads, so a pair's path does not depend on the other
 pairs, and where fewest-edge paths tie, which one is taken depends on
-how the two sides meet. Congestion is measured and reported exactly;
-no bound is promised, and the exchange pass in `packing`, not the
-router, spreads the trees' load.
+how the two sides meet. Congestion is measured and reported exactly; no
+bound is promised, and the exchange pass in `packing`, not the router,
+spreads the trees' load.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -21,13 +21,13 @@ from typing import Sequence
 from .errors import InternalError, ParameterError, RoutingError
 from .graphcore import DirectedGraph, Partition
 
-__all__ = ["Demand", "RoutingOutcome", "route", "respecting_check"]
+__all__ = ["Demand", "RoutingOutcome", "route"]
 
 
 @dataclass(frozen=True)
 class Demand:
-    """A multiset of ordered vertex pairs, each inside one component of
-    the partition it must respect."""
+    """A multiset of ordered vertex pairs and the partition whose
+    components their paths must stay inside."""
 
     pairs: tuple[tuple[int, int], ...]
     partition: Partition
@@ -36,10 +36,6 @@ class Demand:
         for src, dst in self.pairs:
             if src == dst:
                 raise ParameterError(f"demand pair ({src}, {dst}) has equal endpoints")
-            if self.partition.comp_of[src] != self.partition.comp_of[dst]:
-                raise ParameterError(
-                    f"demand pair ({src}, {dst}) crosses components"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,28 +55,26 @@ def _shortest_path(
     dst: int,
 ) -> list[int] | None:
     """Bidirectional BFS: the edge ids of a fewest-edge src -> dst path
-    for src != dst, or None if dst is unreachable from src.
+    over the given lists for src != dst, or None if there is none.
 
     `edges[e]` is edge e's (tail, head, capacity); `out_adj[u]` lists
     u's out-edges as (edge id, head) pairs and `in_adj[v]` v's in-edges
     as (edge id, tail) pairs, both in edge-id order. A forward side
     grows from src over out-edges and a backward side from dst over
     in-edges; each step expands one whole level of the side with the
-    smaller frontier, forward on a tie. `via[side][v]` is the edge that
-    reached v, which leads back to src through its tail or on to dst
-    through its head. The path runs through the first vertex that one
-    side reaches after the other side has. It has the fewest edges:
+    smaller frontier, forward on a tie. `via[side]` maps each vertex that
+    side has reached to the edge that reached it, which leads back to
+    src through its tail or on to dst through its head, so a search
+    costs what it reaches. The path runs through the first vertex that
+    one side reaches after the other side has. It has the fewest edges:
     until the sides meet, every vertex one side has reached is farther
     from the other end than the other side's frontier, so a path through
     a vertex of the level being expanded is as short as any. It is
     simple, since a vertex on both halves would have met the sides
     earlier. The search stops without a path once a frontier is empty.
     """
-    n = len(out_adj)
-    # -1: not reached yet; each side's root holds -2, which no edge has.
-    via = ([-1] * n, [-1] * n)
-    via[0][src] = -2
-    via[1][dst] = -2
+    # Each side's root maps to -1, which no edge has.
+    via: tuple[dict[int, int], dict[int, int]] = ({src: -1}, {dst: -1})
     frontiers = [[src], [dst]]
     meet = -1
     while meet < 0 and frontiers[0] and frontiers[1]:
@@ -89,9 +83,9 @@ def _shortest_path(
         adj = in_adj if side else out_adj
         nxt = []
         for eid, v in chain.from_iterable(adj[u] for u in frontiers[side]):
-            if mine[v] == -1:
+            if v not in mine:
                 mine[v] = eid
-                if other[v] != -1:
+                if v in other:
                     meet = v
                     break
                 nxt.append(v)
@@ -114,19 +108,23 @@ def _shortest_path(
 
 def route(g: DirectedGraph, demand: Demand) -> RoutingOutcome:
     """Route every demand pair, once each and in order, along a simple
-    fewest-edge path in g; check each path's endpoints and simplicity."""
+    fewest-edge path inside its component of `demand.partition`; check
+    each path's endpoints and simplicity. A pair with no such path, one
+    that crosses components included, raises `RoutingError`."""
     edges = g.edges
+    comp_of = demand.partition.comp_of
     out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     in_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid, (u, v, _c) in enumerate(edges):
-        out_adj[u].append((eid, v))
-        in_adj[v].append((eid, u))
+        if comp_of[u] == comp_of[v]:
+            out_adj[u].append((eid, v))
+            in_adj[v].append((eid, u))
     loads = [0] * g.m
     paths_e: list[tuple[int, ...]] = []
     for idx, (src, dst) in enumerate(demand.pairs):
         es = _shortest_path(edges, out_adj, in_adj, src, dst)
         if es is None:
-            raise RoutingError(f"no path from {src} to {dst} for demand pair {idx}")
+            raise RoutingError(f"no path from {src} to {dst} in its component for pair {idx}")
         # Exactness checks: endpoints and simplicity of the vertices read
         # off the path's edges.
         vs = [edges[es[0]][0]] + [edges[e][1] for e in es]
@@ -138,19 +136,3 @@ def route(g: DirectedGraph, demand: Demand) -> RoutingOutcome:
             loads[e] += 1
         paths_e.append(tuple(es))
     return RoutingOutcome(paths_edges=tuple(paths_e), congestion=max(loads, default=0))
-
-
-def respecting_check(
-    demand: Demand, bound: Sequence[int]
-) -> tuple[bool, tuple[int, int, int] | None]:
-    """True iff every vertex's demand participation stays within its
-    entry of `bound`, a list indexed by vertex id.
-
-    On failure returns (False, (vertex, participation, bound)) for the
-    smallest violating vertex id.
-    """
-    participation = Counter(v for pair in demand.pairs for v in pair)
-    for v in sorted(participation):
-        if participation[v] > bound[v]:
-            return False, (v, participation[v], bound[v])
-    return True, None

@@ -151,13 +151,13 @@ def test_gen_outputs_match_recorded_digests(capsys):
 
 
 # `pack` and `verify` on an instance whose level 1 routes 318 demand
-# pairs, each along a fewest-edge path, at congestion 13, and whose
-# trees have congestion 1 after the exchange pass, so the digests pin
-# how the router's two searches break ties between such paths; the
-# instances above route only a handful of pairs.
+# pairs, each along a fewest-edge path inside its component, at
+# congestion 14, and whose trees have congestion 1 after the exchange
+# pass, so the digests pin how the router's two searches break ties
+# between such paths; the instances above route only a handful of pairs.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "df07b51b0252f5c66e16ea8a3ab184111e8118848e9823da56c642ef65693414",
+    "pack": "9e21c1c1a1abe625b82682c7d88b4be3e6afc002cc1246f161e90eecdb2752db",
     "verify pack": "b419be4c9e957b3dc6bb867fe2cade01da34001dc95c30514aea6017d9a5eaa0",
 }
 

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborpack.decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
-from arborpack.errors import InternalError, ParameterError, UnsupportedGraphError
+from arborpack import packing
+from arborpack.errors import (
+    InternalError,
+    InvariantError,
+    ParameterError,
+    UnsupportedGraphError,
+)
 from arborpack.generators import (
     gen_known_packing,
     gen_random_gnm,
@@ -351,6 +357,44 @@ class TestRunLevel:
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
         assert check_invariants(h, 1, out, critical_edges(h, 1))
+
+    def test_demand_above_the_respecting_bound_is_rejected(self, monkeypatch):
+        # Repeating the first chain pair of the only color makes its tail
+        # an end of more than 3 i times its level-edge in-degree pairs.
+        g = rooted_triangle()
+        h = build_hierarchy(g, seed=1)
+        chain = packing.chain_demand_pairs
+        monkeypatch.setattr(
+            packing, "chain_demand_pairs", lambda *args: chain(*args)[:1] * 4
+        )
+        state = init_base_colors(g, 1)
+        bound = r"level-1 demand exceeds its respecting bound at vertex \d+ \(4 > 3\)"
+        with pytest.raises(InvariantError, match=bound):
+            run_level(h, 1, state, *level_tables(h, 1))
+
+
+class TestCheckInvariants:
+    def test_a_color_reaches_its_component_only_through_its_own_edges(self):
+        # Level 1 splits {1, 2} from {3}: the edges 1 -> 3 and 3 -> 2 lie
+        # above it (the doubled edges between 1 and 2 keep the halving).
+        # Color 1 reaches 2 from 1 only by way of 3, which is not
+        # Invariant 1; the edge 1 -> 2 inside the component is.
+        g = normalize(
+            [(0, 1, 1), (1, 2, 1), (2, 1, 1), (1, 3, 1), (3, 2, 1), (1, 2, 1), (2, 1, 1)],
+            4,
+            0,
+        )
+        h = manual_hierarchy(g, [{0, 1, 2, 5, 6}, {3, 4}])
+        assert h.partition(1).components == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
+        edge_colors = {e: set() for e in range(g.m)}
+        edge_colors[3] = {1}
+        edge_colors[4] = {1}
+        state = ColorState(1, 1, edge_colors, {1: {1}, 2: set(), 3: {1}}, Fraction(1))
+        assert check_invariants(h, 1, state, critical_edges(h, 1)) == [
+            "color 1: vertex 2 unreachable from a colored vertex of its component (invariant 1)"
+        ]
+        edge_colors[1] = {1}
+        assert check_invariants(h, 1, state, critical_edges(h, 1)) == []
 
 
 class TestFinalizeColoring:

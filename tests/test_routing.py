@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from arborpack import packing, routing
 from arborpack.errors import InternalError, ParameterError, RoutingError
-from arborpack.generators import gen_known_packing, gen_two_cliques_bridge
-from arborpack.graphcore import DirectedGraph, normalize, scc
-from arborpack.routing import Demand, _shortest_path, respecting_check, route
+from arborpack.generators import gen_known_packing, gen_two_cliques_bridge, instance_stream
+from arborpack.graphcore import DirectedGraph, Partition, normalize, scc
+from arborpack.routing import Demand, _shortest_path, route
 
 
 def path_vertices(g: DirectedGraph, edges: tuple[int, ...]) -> tuple[int, ...]:
@@ -97,11 +97,6 @@ class TestDemand:
         with pytest.raises(ParameterError):
             Demand(((1, 1),), scc(g))
 
-    def test_rejects_cross_component_pair(self):
-        g = normalize([(1, 2, 1)], 3, 0)
-        with pytest.raises(ParameterError):
-            Demand(((1, 2),), scc(g))
-
 
 class TestRoute:
     def test_empty_demand(self):
@@ -138,6 +133,48 @@ class TestRoute:
         restricted = normalize([(1, 2, 1), (2, 1, 1), (3, 1, 1)], 4, 0)
         with pytest.raises(RoutingError):
             route(restricted, Demand(((2, 3),), scc(g)))
+
+    def test_a_pair_that_crosses_components_has_no_path(self):
+        # 1 -> 2 is an edge, but 1 and 2 lie in two components.
+        g = normalize([(1, 2, 1)], 3, 0)
+        with pytest.raises(RoutingError, match="no path from 1 to 2"):
+            route(g, Demand(((1, 2),), scc(g)))
+
+    def test_the_path_stays_inside_the_component(self):
+        # The cycle 1 -> 2 -> 3 -> 5 -> 1 plus 1 -> 4 -> 5, with 4 in a
+        # component of its own: the fewest-edge path 1 -> 4 -> 5 leaves
+        # the component of the pair (1, 5), so 1 -> 2 -> 3 -> 5 is taken.
+        g = normalize(
+            [(1, 2, 1), (2, 3, 1), (3, 5, 1), (5, 1, 1), (1, 4, 1), (4, 5, 1)], 6, 0
+        )
+        part = Partition(
+            comp_of=(0, 1, 1, 1, 2, 1),
+            components=(frozenset({0}), frozenset({1, 2, 3, 5}), frozenset({4})),
+        )
+        out = route(g, Demand(((1, 5),), part))
+        assert [path_vertices(g, es) for es in out.paths_edges] == [(1, 2, 3, 5)]
+
+    def test_pack_routes_every_pair_inside_its_component(self, monkeypatch):
+        # A search over the whole graph routes one of these pairs (at
+        # k = 3) through a vertex of another component.
+        routed = []
+
+        def recording_route(g, demand):
+            outcome = route(g, demand)
+            routed.append((g, demand, outcome))
+            return outcome
+
+        monkeypatch.setattr(packing, "route", recording_route)
+        graphs = instance_stream(30, seed=3, n_max=60, m_max=400, unit_only=True, n_mean=20.0)
+        for _name, g in graphs:
+            for k in (2, 3):
+                packing.pack(g, k, seed=1)
+        assert sum(len(demand.pairs) for _g, demand, _out in routed) > 200
+        for g, demand, outcome in routed:
+            comp_of = demand.partition.comp_of
+            for (src, _dst), es in zip(demand.pairs, outcome.paths_edges):
+                vs = path_vertices(g, es)
+                assert {comp_of[v] for v in vs} == {comp_of[src]}, (demand.pairs, es)
 
     def test_loads_match_paths_and_outcome_is_deterministic(self):
         g = bidirected_cycle(6)
@@ -302,23 +339,3 @@ class TestAgainstReference:
         assert out.congestion == 25
         (bridge,) = (e for e in range(g.m) if g.tail(e) in side_a and g.head(e) in side_b)
         assert all(bridge in path for path in out.paths_edges)
-
-
-class TestRespectingCheck:
-    def test_empty_demand(self):
-        g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
-        ok, violation = respecting_check(Demand((), scc(g)), [0, 0, 0])
-        assert ok and violation is None
-
-    def test_repeated_pair_exceeds_bound(self):
-        g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
-        demand = Demand(((1, 2), (1, 2)), scc(g))
-        ok, violation = respecting_check(demand, [0, 1, 4])
-        assert not ok
-        assert violation == (1, 2, 1)
-
-    def test_bound_met(self):
-        g = normalize([(1, 2, 1), (2, 1, 1)], 3, 0)
-        demand = Demand(((1, 2), (2, 1)), scc(g))
-        ok, violation = respecting_check(demand, [0, 2, 2])
-        assert ok

@@ -130,6 +130,7 @@ def mutation_sites(doc) -> dict:
         key = path[-1] if path else None
         ways = ["extra"] * (type(value) is dict) + ["type"] * bool(path)
         ways += ["drop"] * isinstance(key, str) + ["negative", "float"] * (type(value) is int)
+        ways += ["empty"] * (type(value) is list and bool(value))
         ways += ["enum"] * (key in ("kind", "method", "result"))
         phi = key == "factor" or bool(path) and path[0] in ("phi_target", "level_phis")
         ways += ["phi"] * phi
@@ -170,6 +171,8 @@ def mutated(draw, doc):
         parent[key] = float(old)
     elif way == "enum":
         parent[key] = draw(st.sampled_from([v for v in _ENUMS if v != old]))
+    elif way == "empty":
+        parent[key] = []
     else:
         parent[key] = draw(st.sampled_from(_PHIS))
     return doc, way
@@ -220,3 +223,25 @@ def test_verify_agrees_with_jsonschema_on_malformed_files(results, data):
     assert (code == 2) == rejected, (way, payload, report)
     if code == 2:
         assert report["error_type"] == "parameter"
+
+
+@pytest.mark.parametrize("case", ["empty_component", "negative_candidate_id"])
+def test_verify_rejects_what_the_schema_rejects(results, case):
+    # An empty component would reach `min()` when the partitions are
+    # compared, and a candidate cut lists vertex ids like every other
+    # id list: the schema rejects both, and `verify` names the path.
+    work, found = results
+    if case == "empty_component":
+        graph, doc = next((g, copy.deepcopy(d)) for g, d in found if d["kind"] == "hierarchy")
+        doc["partitions"][1].append([])
+        where = f"$.partitions[1][{len(doc['partitions'][1]) - 1}] must have at least 1 items"
+    else:
+        graph, doc = next((g, copy.deepcopy(d)) for g, d in found if d.get("candidates"))
+        doc["candidates"][0]["cut"][0] = -1
+        where = "$.candidates[0].cut[0] must be at least 0"
+    assert not jsonschema.Draft202012Validator(load_schema(doc["kind"])).is_valid(doc)
+    result = work / f"{case}.json"
+    result.write_text(json.dumps(doc))
+    code, report = run(["verify", result, graph])
+    assert code == 2
+    assert report["message"] == f"malformed {doc['kind']} result: {where}"
