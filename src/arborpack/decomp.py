@@ -320,8 +320,9 @@ class Hierarchy:
     another graph; two hierarchies are equal only when their graphs are.
 
     Level 0 has no edge set; its partition is all singletons because every
-    edge counts as higher-level there. Partitions refine upward (a laminar
+    edge counts as higher-level there. Partitions coarsen upward (a laminar
     family): the edges above level i - 1 include those above level i.
+    `packing.critical_edges` turns this into one critical level per edge.
     """
 
     graph: DirectedGraph = field(repr=False)
@@ -329,13 +330,11 @@ class Hierarchy:
     levels: tuple[frozenset, ...]
     level_phis: tuple[Fraction, ...]
     partitions: tuple[Partition, ...] = field(init=False)
-    _above: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
         # Entry i is the union of E_j for j > i; validate bounds L.
-        above = tuple(frozenset().union(*self.levels[i:]) for i in range(self.L + 1))
-        object.__setattr__(self, "_above", above)
+        above = (frozenset().union(*self.levels[i:]) for i in range(self.L + 1))
         object.__setattr__(self, "partitions", tuple(scc(self.graph, up) for up in above))
         s = self.graph.source
         for i, part in enumerate(self.partitions):
@@ -351,12 +350,6 @@ class Hierarchy:
         if not 1 <= i <= self.L:
             raise ParameterError(f"level {i} out of range 1..{self.L}")
         return self.levels[i - 1]
-
-    def edges_above(self, i: int) -> frozenset:
-        """Union of E_j for j > i (all edges at i = 0)."""
-        if not 0 <= i <= self.L:
-            raise ParameterError(f"level {i} out of range 0..{self.L}")
-        return self._above[i]
 
     def partition(self, i: int) -> Partition:
         if not 0 <= i <= self.L:

@@ -24,11 +24,12 @@ park on edges whose tails joined it at level i, the flow of step 2 runs
 on its edges, and so does every routed path of step 3.
 
 The per-level steps take the hierarchy alone and read the graph off it.
-`pack` builds each level's table of critical incoming edges once, as
-the climb reaches that level, and hands it to every step that reads it.
-Step 1 reads each vertex's split off the tables of levels i and i-1:
-E_X is its level-i critical set, and the rest of its level-(i-1)
-critical set divides into the level-i edges (E_Z) and the others (E_Y).
+`pack` builds one critical-edge table per run, holding each edge's
+first level at which it is no longer critical; each step reads an
+edge's class off it in one pass over a vertex's in-edges. Step 1 splits
+each vertex's level-(i-1) critical in-edges: E_X stay critical at level
+i, and those that stop there divide into the level-i edges (E_Z) and
+the others (E_Y).
 Step 2 decomposes its flow with `decompose_paths`, which checks the flow
 against its problem with `verify_flow` first.
 Each level also counts every vertex's level-edge in-degree once; the
@@ -94,20 +95,40 @@ __all__ = [
 ]
 
 
-#: Critical incoming edges per vertex at one level: edges from another
-#: component of that level, and higher-level edges. delta(v) = len(crit[v]).
-CriticalEdges = tuple[frozenset, ...]
+#: Entry e is the first level at which edge e is not critical (L + 1 if
+#: none), so e is critical at level i exactly when i < crit[e].
+CriticalEdges = tuple[int, ...]
 
 
-def critical_edges(hierarchy: Hierarchy, i: int) -> CriticalEdges:
+def critical_edges(hierarchy: Hierarchy) -> CriticalEdges:
+    """For each edge e, the first level i >= top(e) at which e's tail
+    and head share a level-i component, or L + 1 if there is none; top(e)
+    is the highest level whose edge set holds e (the sets need not nest).
+
+    An edge is critical at level i when it enters from another level-i
+    component or lies above level i, which e does exactly when i < top(e).
+    The hierarchy is laminar: the edges above level i shrink as i grows,
+    so the level-i partition coarsens, and ends that share a component at
+    one level share one at every higher level. So e is critical at every
+    level below its entry and at none from it on."""
     g = hierarchy.graph
-    part = hierarchy.partition(i)
-    above = hierarchy.edges_above(i)
-    sets: list[set] = [set() for _ in range(g.n)]
-    for eid, (u, v, _c) in enumerate(g.edges):
-        if part.comp_of[u] != part.comp_of[v] or eid in above:
-            sets[v].add(eid)
-    return tuple(frozenset(s) for s in sets)
+    top = [0] * g.m
+    for i, level in enumerate(hierarchy.levels, start=1):
+        for e in level:
+            top[e] = i
+    comp_of = [part.comp_of for part in hierarchy.partitions]
+    entry = []
+    for e, (u, v, _c) in enumerate(g.edges):
+        i = top[e]
+        while i <= hierarchy.L and comp_of[i][u] != comp_of[i][v]:
+            i += 1
+        entry.append(i)
+    return tuple(entry)
+
+
+def _critical_degree(g: DirectedGraph, crit: CriticalEdges, i: int, v: int) -> int:
+    """delta_i(v): the number of v's in-edges critical at level i."""
+    return sum(1 for e in g.in_edges(v) if crit[e] > i)
 
 
 @dataclass
@@ -166,33 +187,20 @@ def init_base_colors(g: DirectedGraph, k: int):
 
 
 def partition_critical(
-    hierarchy: Hierarchy,
-    i: int,
-    v: int,
-    crit_i: CriticalEdges,
-    crit_prev: CriticalEdges,
-) -> tuple[frozenset, frozenset, frozenset]:
-    """Split v's level-(i-1) critical incoming edges into (E_X, E_Y, E_Z).
-
-    E_X are the level-i critical edges (`crit_i`). The rest of the
-    level-(i-1) critical set (`crit_prev`) became internal at level i:
-    E_Z are those that are level-i edges, E_Y the lower-level edges whose
-    tails joined v's component only at level i. Partitions refine upward
-    and the edges above level i are among those above level i-1, so
-    `crit_i[v]` must be a subset of `crit_prev[v]`.
-    """
-    if not 1 <= i <= hierarchy.L:
-        raise ParameterError(f"level {i} out of range 1..{hierarchy.L}")
-    if v == hierarchy.graph.source:
-        raise ParameterError("the source has no critical incoming edges")
-    ex = crit_i[v]
-    if not ex <= crit_prev[v]:
-        raise InternalError(
-            f"level-{i} critical edges of vertex {v} are not critical at level {i - 1}"
-        )
-    rest = crit_prev[v] - ex
-    ez = rest & hierarchy.level_edges(i)
-    return ex, rest - ez, ez
+    hierarchy: Hierarchy, i: int, v: int, crit: CriticalEdges
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Split v's level-(i-1) critical incoming edges, in edge-id order,
+    into E_X, still critical at level i (crit[e] > i), and the edges that
+    became internal at level i (crit[e] = i): E_Y, whose tails joined v's
+    component only at level i, and E_Z, the level-i edges."""
+    level_i = hierarchy.level_edges(i)
+    ex, ey, ez = [], [], []
+    for e in hierarchy.graph.in_edges(v):
+        if crit[e] > i:
+            ex.append(e)
+        elif crit[e] == i:
+            (ez if e in level_i else ey).append(e)
+    return tuple(ex), tuple(ey), tuple(ez)
 
 
 def split_colors(
@@ -224,8 +232,8 @@ def component_flow(
     """Wire the component's Z colors with one exact max-flow.
 
     `indeg[v]` is v's in-degree over the level-i edges, counted once per
-    level, and `crit` is the level-i critical-edge table. Supplies are
-    the per-vertex critical degrees, sinks are i times the level-edge
+    level, and `crit` is the critical-edge table. Supplies are the
+    per-vertex level-i critical degrees, sinks are i times the level-edge
     in-degrees, and the flow is capped at min(k, total sink).
     A short flow exposes a vertex set with fewer than k incoming edges
     (returned as a cut, whose bound `pack` checks); otherwise the flow
@@ -244,7 +252,7 @@ def component_flow(
         raise InternalError(
             f"{len(z)} colors need wiring but the flow bound is only {bound}"
         )
-    supplies = {v: len(crit[v]) for v in members if crit[v]}
+    supplies = {v: d for v in members if (d := _critical_degree(g, crit, i, v))}
     intra = edges_within(g, comp)
     problem = FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=intra)
     res = max_flow(problem)
@@ -304,12 +312,11 @@ def run_level(
     hierarchy: Hierarchy,
     i: int,
     state: ColorState,
-    crit_i: CriticalEdges,
-    crit_prev: CriticalEdges,
+    crit: CriticalEdges,
 ):
     """Compute the level-i color state from the level-(i-1) state, or
-    return the certifying cut discovered on the way. `crit_i` and
-    `crit_prev` are the critical-edge tables of levels i and i-1."""
+    return the certifying cut discovered on the way. `crit` is the
+    critical-edge table."""
     if state.level != i - 1:
         raise ParameterError(f"state is at level {state.level}, expected {i - 1}")
     k = state.k
@@ -334,21 +341,19 @@ def run_level(
         # in-edges), Z (wire through the component).
         z_of: dict[int, set] = {}
         for v in members:
-            ex, ey, ez = partition_critical(hierarchy, i, v, crit_i, crit_prev)
+            ex, ey, ez = partition_critical(hierarchy, i, v, crit)
             x, y, z = split_colors(
                 state.vertex_colors.get(v, set()),
                 (len(ex) * i, len(ey) * i, len(ez) * i),
             )
             vertex_colors[v] |= x
-            if y:
-                ey_sorted = sorted(ey)
-                for idx, gamma in enumerate(sorted(y)):
-                    edge_colors[ey_sorted[idx % len(ey_sorted)]].add(gamma)
+            for idx, gamma in enumerate(sorted(y)):
+                edge_colors[ey[idx % len(ey)]].add(gamma)
             z_of[v] = z
 
         # Step 2: one flow hands each Z color a path and a leader.
         zc = set().union(*z_of.values())
-        outcome = component_flow(g, indeg, i, comp, crit_i, zc, k)
+        outcome = component_flow(g, indeg, i, comp, crit, zc, k)
         if isinstance(outcome, CutFound):
             return outcome
         for gamma, path in sorted(outcome.items()):
@@ -399,7 +404,7 @@ def run_level(
             },
         ),
     )
-    violations = check_invariants(hierarchy, i, new_state, crit_i)
+    violations = check_invariants(hierarchy, i, new_state, crit)
     if violations:
         raise InvariantError("; ".join(violations))
     return new_state
@@ -427,7 +432,7 @@ def check_invariants(
     crit: CriticalEdges,
 ) -> list[str]:
     """Re-derive the three per-level invariants by direct search, with
-    `crit` the level-i critical-edge table; returns a list of violation
+    `crit` the critical-edge table; returns a list of violation
     descriptions (empty when all hold). The search for Invariant 1
     follows only colored edges inside the component, since every step
     of level i stays inside its level-i component."""
@@ -440,7 +445,7 @@ def check_invariants(
         if v == s:
             continue
         have = len(state.vertex_colors.get(v, ()))
-        allowed = len(crit[v]) * (i + 1)
+        allowed = _critical_degree(g, crit, i, v) * (i + 1)
         if have > allowed:
             violations.append(
                 f"vertex {v} holds {have} colors, bound is {allowed} (invariant 2)"
@@ -479,9 +484,10 @@ def check_invariants(
 
 
 def finalize_coloring(hierarchy: Hierarchy, state: ColorState, crit: CriticalEdges) -> dict:
-    """Fold the top-level vertex colors onto their critical incoming edges
-    (`crit`, the level-L table; round-robin, at most L+1 colors received
-    per edge) and return the final per-edge coloring."""
+    """Fold the top-level vertex colors onto their level-L critical
+    incoming edges (those with entry L + 1 in the critical-edge table
+    `crit`; round-robin, at most L+1 colors received per edge) and
+    return the final per-edge coloring."""
     if state.level != hierarchy.L:
         raise ParameterError(
             f"state is at level {state.level}, expected top level {hierarchy.L}"
@@ -495,7 +501,7 @@ def finalize_coloring(hierarchy: Hierarchy, state: ColorState, crit: CriticalEdg
         colors = sorted(state.vertex_colors.get(v, ()))
         if not colors:
             continue
-        targets = sorted(crit[v])
+        targets = [e for e in g.in_edges(v) if crit[e] > top]
         if not targets:
             raise InvariantError(
                 f"vertex {v} still holds colors but has no critical incoming edge"
@@ -656,10 +662,9 @@ def pack(
     state = init_base_colors(g, k)
     if isinstance(state, CutFound):
         return _cut_result(g, k, state, hierarchy.L, ())
-    crit = critical_edges(hierarchy, 0)
+    crit = critical_edges(hierarchy)
     for i in range(1, hierarchy.L + 1):
-        crit_prev, crit = crit, critical_edges(hierarchy, i)
-        outcome = run_level(hierarchy, i, state, crit, crit_prev)
+        outcome = run_level(hierarchy, i, state, crit)
         if isinstance(outcome, CutFound):
             return _cut_result(g, k, outcome, hierarchy.L, state.level_log)
         state = outcome

@@ -243,18 +243,18 @@ def test_criterion_6_level_invariants():
         )
     ):
         hier = build_hierarchy(g, DEFAULT_PHI, derive_seed(MASTER_SEED, "h6", idx))
-        crit = [critical_edges(hier, i) for i in range(hier.L + 1)]
+        crit = critical_edges(hier)
         for k in (1, 1 + idx % 3):
             state = init_base_colors(g, k)
             if not isinstance(state, ColorState):
                 continue
             for i in range(1, hier.L + 1):
-                outcome = run_level(hier, i, state, crit[i], crit[i - 1])
+                outcome = run_level(hier, i, state, crit)
                 if not isinstance(outcome, ColorState):
                     break
                 state = outcome
                 checked_levels += 1
-                found = check_invariants(hier, i, state, crit[i])
+                found = check_invariants(hier, i, state, crit)
                 if found:
                     violations.append(f"{name} level {i}: {found[0]}")
     report(

@@ -240,7 +240,8 @@ class TestBuildHierarchy:
     def test_partitions_are_derived(self):
         g = gen_two_cliques_bridge(4, seed=0)
         h = build_hierarchy(g, PHI, seed=1)
-        assert h.partitions == tuple(scc(g, h.edges_above(i)) for i in range(h.L + 1))
+        above = [frozenset().union(*h.levels[i:]) for i in range(h.L + 1)]
+        assert h.partitions == tuple(scc(g, up) for up in above)
         assert h.graph is g
 
     def test_hierarchies_on_different_graphs_differ(self):

@@ -42,12 +42,12 @@ GOLDEN = {
     "cycle_plus_chords_weighted mincut --verbose": "e0250cb9a81818a0490cac305f47c59d9fc6c089bffc42733947e1d63347c593",
     "two_cliques_bridge mincut --verbose": "acb021c2b2a6df4aab124c92d054ddfaf825ed53a710c6fd268b04e1d5a0f513",
     # `verify` on the `mincut` and `pack` outputs above.
-    "known_packing verify mincut": "4b4d40573885ebc007d66504c4edd4eb9a1af0671e6f149a88ccead5d928ef41",
+    "known_packing verify mincut": "bd3351677830fe995e1c5b6144d015751f929fa98c528466e1aa52b7ce75e6c2",
     "known_packing verify pack": "80e9c95bcd1b27b5e061a9ce7de6d60378a2de9a0f5650ce6453ed71ec442759",
-    "cycle_plus_chords verify mincut": "e2900554458411790ffe25e94d7d253ce91a34a88b10d9fb13a9b45eaac27370",
+    "cycle_plus_chords verify mincut": "6e9182cbb327db396f139f7714b450f4c922cf7f2adb197ec0ca2a7623351b36",
     "cycle_plus_chords verify pack": "aff962ca3c8b9483337b86cd6655e3605e86c63a92902ac3c61d74e6217eb242",
-    "cycle_plus_chords_weighted verify mincut": "3cf4b54b0e866673775325ddc21b819e9ef07be55b2fe00444c2c2dcf4510d5a",
-    "two_cliques_bridge verify mincut": "3bea37c661a6559a07d188799222a493419a176a75bc242af7a7ddfbed8fbba0",
+    "cycle_plus_chords_weighted verify mincut": "884d0be453711b449154c9d9165885205b5f81f62519da4de64430d30191cc09",
+    "two_cliques_bridge verify mincut": "26d029fb209b867bb88f662cf5ee85bae3796df9e28dd63a6ff1d217b9d9ef36",
     "two_cliques_bridge verify pack": "ff008999e96cdf7bd2c5fa72579fd1c297eadf17224bcc5e61bec6fe158be1a7",
     # `bench --seed 7` over a corpus of the known_packing and
     # two_cliques_bridge graphs.

@@ -1,4 +1,5 @@
 """Arborescence packing: base case, the three level steps, extraction."""
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -60,21 +61,25 @@ def manual_hierarchy(g, levels, phi=DEFAULT_PHI):
     )
 
 
-def level_tables(h, i):
-    """The critical-edge tables of levels i and i-1, as `run_level` takes them."""
-    return critical_edges(h, i), critical_edges(h, i - 1)
+def reference_critical(hierarchy, i, v):
+    """v's level-i critical in-edges by definition: those from another
+    level-i component, and those in some E_j with j > i."""
+    g = hierarchy.graph
+    comp = hierarchy.partition(i).component(v)
+    above = frozenset().union(*hierarchy.levels[i:])
+    return frozenset(e for e in g.in_edges(v) if g.tail(e) not in comp or e in above)
 
 
-def reference_partition_critical(g, hierarchy, i, v, crit_i, crit_prev):
-    """The earlier split, derived again from partition lookups and in-edge
-    scans and checked to partition `crit_prev[v]`: the reference for
-    `partition_critical`."""
+def reference_partition_critical(g, hierarchy, i, v):
+    """The split derived again from partition lookups and in-edge scans,
+    and checked to partition v's level-(i-1) critical set: the reference
+    for `partition_critical`."""
     comp_i = hierarchy.partition(i).component(v)
     comp_prev = hierarchy.partition(i - 1).component(v)
-    above_prev = hierarchy.edges_above(i - 1)
+    above_prev = frozenset().union(*hierarchy.levels[i - 1 :])
     level_i = hierarchy.level_edges(i)
 
-    ex = crit_i[v]
+    ex = reference_critical(hierarchy, i, v)
     ey = frozenset(
         e
         for e in g.in_edges(v)
@@ -82,27 +87,43 @@ def reference_partition_critical(g, hierarchy, i, v, crit_i, crit_prev):
     )
     ez = frozenset(e for e in g.in_edges(v) if e in level_i) - ex - ey
     union = ex | ey | ez
-    if union != crit_prev[v] or len(ex) + len(ey) + len(ez) != len(union):
+    if union != reference_critical(hierarchy, i - 1, v) or len(union) != len(ex) + len(ey) + len(ez):
         raise InternalError(
             f"(E_X, E_Y, E_Z) do not partition the critical set of vertex {v}"
         )
-    return ex, ey, ez
+    return tuple(sorted(ex)), tuple(sorted(ey)), tuple(sorted(ez))
 
 
 def assert_splits_match_reference(g, h) -> list:
-    """Compare both splits on every level and non-source vertex of h;
-    returns the splits compared."""
+    """Compare the split read off `critical_edges(h)` with the reference
+    on every level and non-source vertex of h, and check that entry
+    L + 1 marks exactly the level-L critical edges; returns the splits
+    compared."""
     splits = []
-    crit = critical_edges(h, 0)
+    crit = critical_edges(h)
     for i in range(1, h.L + 1):
-        crit_prev, crit = crit, critical_edges(h, i)
         for v in range(g.n):
             if v == g.source:
                 continue
-            got = partition_critical(h, i, v, crit, crit_prev)
-            assert got == reference_partition_critical(g, h, i, v, crit, crit_prev), (i, v)
+            got = partition_critical(h, i, v, crit)
+            assert got == reference_partition_critical(g, h, i, v), (i, v)
             splits.append(got)
+    top = frozenset().union(*(reference_critical(h, h.L, v) for v in range(g.n)))
+    assert top == {e for e in range(g.m) if crit[e] == h.L + 1}
     return splits
+
+
+def nonnested_hierarchies():
+    """L = 3 hierarchies on random unit graphs in which E_3 holds an edge
+    outside E_2, with the edges of E_3 - E_2 that each one holds. No
+    built hierarchy of `instance_stream` gives one: there L <= 2."""
+    for seed in range(30):
+        g = gen_random_gnm(8, 24, seed=seed)
+        rng = random.Random(seed)
+        e2 = frozenset(rng.sample(range(g.m), g.m // 2))
+        outside = rng.choice(sorted(frozenset(range(g.m)) - e2))
+        e3 = frozenset(rng.sample(sorted(e2), g.m // 4 - 1)) | {outside}
+        yield manual_hierarchy(g, [range(g.m), e2, e3]), e3 - e2
 
 
 class TestInitBaseColors:
@@ -134,29 +155,26 @@ class TestPartitionCritical:
         other = next(
             e for e, (u, v, _) in enumerate(g.edges) if (u, v) == (b, a)
         )
-        crit2, crit1 = critical_edges(h, 2), critical_edges(h, 1)
+        crit = critical_edges(h)
         # Head of the promoted bridge: its old critical edge is now a
         # level-2 in-edge from inside the merged component (E_Z).
-        ex, ey, ez = partition_critical(h, 2, b, crit2, crit1)
-        assert (ex, ey, ez) == (frozenset(), frozenset(), frozenset({cut_edge}))
+        assert partition_critical(h, 2, b, crit) == ((), (), (cut_edge,))
         # Head of the surviving bridge: its old critical edge arrives from
         # the newly merged region at a lower level (E_Y).
-        ex, ey, ez = partition_critical(h, 2, a, crit2, crit1)
-        assert (ex, ey, ez) == (frozenset(), frozenset({other}), frozenset())
+        assert partition_critical(h, 2, a, crit) == ((), (other,), ())
         # A vertex whose critical edges all come from outside the merged
         # component keeps them in E_X.
         source_edge = next(e for e, (u, v, _) in enumerate(g.edges) if u == 0)
-        ex, ey, ez = partition_critical(h, 2, g.head(source_edge), crit2, crit1)
-        assert (ex, ey, ez) == (frozenset({source_edge}), frozenset(), frozenset())
+        head = g.head(source_edge)
+        assert partition_critical(h, 2, head, crit) == ((source_edge,), (), ())
 
     def test_degenerate_when_nothing_merges(self):
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
-        crit = critical_edges(h, 1)
-        ex, ey, ez = partition_critical(h, 1, 1, crit, critical_edges(h, 0))
-        assert ex == crit[1]
-        assert ey == frozenset()
+        ex, ey, ez = partition_critical(h, 1, 1, critical_edges(h))
+        assert ex == tuple(sorted(reference_critical(h, 1, 1)))
+        assert ey == ()
 
     @given(digraphs(min_n=2, max_n=9, max_m=30, max_cap=3), st.integers(0, 2**16))
     @settings(max_examples=60)
@@ -172,36 +190,45 @@ class TestPartitionCritical:
         assert len(splits) > 3000
         assert all(any(split[part] for split in splits) for part in range(3))
 
-    def test_level_set_outside_the_lower_level_set_is_rejected(self):
-        g = rooted_triangle()
-        h = build_hierarchy(g, seed=1)
-        crit_prev = critical_edges(h, 0)  # every in-edge, at level 0
-        into_2 = next(e for e in range(g.m) if g.head(e) == 2)
-        grown = tuple(
-            c | {into_2} if v == 1 else c for v, c in enumerate(critical_edges(h, 1))
-        )
-        shrunk = tuple(frozenset() for _ in range(g.n))
-        for crit_i, crit_before in ((grown, crit_prev), (crit_prev, shrunk)):
-            with pytest.raises(InternalError, match="not critical at level 0"):
-                partition_critical(h, 1, 1, crit_i, crit_before)
+    def test_matches_reference_where_a_level_set_does_not_nest(self):
+        # An edge of E_3 - E_2 lies above level 2, so it is critical there
+        # even where its ends share a level-2 component.
+        in_ez = shared = 0
+        for h, outside in nonnested_hierarchies():
+            g = h.graph
+            assert h.L == 3
+            splits = assert_splits_match_reference(g, h)
+            in_ez += sum(e in split[2] for split in splits for e in outside)
+            part = h.partition(2)
+            shared += sum(part.comp_of[g.tail(e)] == part.comp_of[g.head(e)] for e in outside)
+        assert in_ez and shared, (in_ez, shared)
 
 
-class TestCriticalTables:
-    def test_pack_builds_each_level_table_once(self, monkeypatch):
-        import arborpack.packing as packing
+class TestCriticalTable:
+    def test_pack_builds_one_table_and_every_step_reads_it(self, monkeypatch):
+        built, read = [], []
+        build, run, finalize = packing.critical_edges, packing.run_level, packing.finalize_coloring
 
-        built = []
-        original = packing.critical_edges
+        def counting(hierarchy):
+            built.append(build(hierarchy))
+            return built[-1]
 
-        def counting(hierarchy, i):
-            built.append(i)
-            return original(hierarchy, i)
+        def run_level_reading(hierarchy, i, state, crit):
+            read.append(crit)
+            return run(hierarchy, i, state, crit)
+
+        def finalize_reading(hierarchy, state, crit):
+            read.append(crit)
+            return finalize(hierarchy, state, crit)
 
         monkeypatch.setattr(packing, "critical_edges", counting)
+        monkeypatch.setattr(packing, "run_level", run_level_reading)
+        monkeypatch.setattr(packing, "finalize_coloring", finalize_reading)
         result = pack(gen_two_cliques_bridge(4, seed=0), 1, seed=7)
         assert result.kind == "arborescences"
         assert result.levels == 2
-        assert built == [0, 1, 2]
+        assert len(built) == 1
+        assert len(read) == 3 and all(crit is built[0] for crit in read)
 
 
 class TestSplitColors:
@@ -222,12 +249,16 @@ class TestSplitColors:
 
 
 def flow_inputs(g, level_edges, deltas):
-    """The level-edge in-degree list and a level-1 critical table in which
-    vertex v has deltas.get(v, 0) edges, as `run_level` hands them to
-    `component_flow` (which reads only the sizes of the table's sets)."""
+    """The level-edge in-degree list and a critical-edge table in which
+    the first deltas.get(v, 0) in-edges of vertex v, and no others, are
+    critical at level 1, as `run_level` hands them to `component_flow`."""
     indeg = [sum(1 for e in g.in_edges(v) if e in level_edges) for v in range(g.n)]
-    crit = tuple(frozenset(range(deltas.get(v, 0))) for v in range(g.n))
-    return indeg, crit
+    crit = [1] * g.m
+    for v, delta in deltas.items():
+        assert len(g.in_edges(v)) >= delta
+        for e in g.in_edges(v)[:delta]:
+            crit[e] = 2
+    return indeg, tuple(crit)
 
 
 class TestComponentFlow:
@@ -255,8 +286,9 @@ class TestComponentFlow:
         assert cut_values(g, cstar).rho < 2
 
     def test_two_disjoint_paths_and_leaders(self):
+        # Vertex 1 has two critical in-edges, one from the source.
         g = normalize(
-            [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (4, 1, 1)], 5, 0
+            [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (4, 1, 1), (0, 1, 1)], 5, 0
         )
         level = frozenset({2, 3})  # the two edges into vertex 4
         indeg, crit = flow_inputs(g, level, {1: 2})
@@ -315,11 +347,11 @@ class TestRunLevel:
         # and every vertex keeps its colors in X; no flow, no routing.
         g = rooted_triangle()
         h = manual_hierarchy(g, [frozenset({1, 2, 3}), frozenset({0})])
-        crit = [critical_edges(h, i) for i in range(3)]
+        crit = critical_edges(h)
         state = init_base_colors(g, 1)
-        s1 = run_level(h, 1, state, crit[1], crit[0])
+        s1 = run_level(h, 1, state, crit)
         assert isinstance(s1, ColorState)
-        s2 = run_level(h, 2, s1, crit[2], crit[1])
+        s2 = run_level(h, 2, s1, crit)
         assert isinstance(s2, ColorState)
         assert s2.vertex_colors == s1.vertex_colors
         assert s2.edge_colors == s1.edge_colors
@@ -330,9 +362,9 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         assert h.L == 1
         state = init_base_colors(g, 1)
-        out = run_level(h, 1, state, *level_tables(h, 1))
+        out = run_level(h, 1, state, critical_edges(h))
         assert isinstance(out, ColorState)
-        assert check_invariants(h, 1, out, critical_edges(h, 1)) == []
+        assert check_invariants(h, 1, out, critical_edges(h)) == []
         # The chain demand colors a route covering the cycle vertices.
         colored = {e for e, cols in out.edge_colors.items() if cols}
         assert colored
@@ -345,7 +377,7 @@ class TestRunLevel:
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 2)
         assert isinstance(state, ColorState)  # in-degrees are all >= 2
-        out = run_level(h, 1, state, *level_tables(h, 1))
+        out = run_level(h, 1, state, critical_edges(h))
         assert isinstance(out, CutFound)
         assert 0 in out.source_side
 
@@ -353,10 +385,10 @@ class TestRunLevel:
         g = rooted_triangle()
         h = build_hierarchy(g, seed=1)
         state = init_base_colors(g, 1)
-        out = run_level(h, 1, state, *level_tables(h, 1))
+        out = run_level(h, 1, state, critical_edges(h))
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
-        assert check_invariants(h, 1, out, critical_edges(h, 1))
+        assert check_invariants(h, 1, out, critical_edges(h))
 
     def test_demand_above_the_respecting_bound_is_rejected(self, monkeypatch):
         # Repeating the first chain pair of the only color makes its tail
@@ -370,7 +402,7 @@ class TestRunLevel:
         state = init_base_colors(g, 1)
         bound = r"level-1 demand exceeds its respecting bound at vertex \d+ \(4 > 3\)"
         with pytest.raises(InvariantError, match=bound):
-            run_level(h, 1, state, *level_tables(h, 1))
+            run_level(h, 1, state, critical_edges(h))
 
 
 class TestCheckInvariants:
@@ -390,11 +422,11 @@ class TestCheckInvariants:
         edge_colors[3] = {1}
         edge_colors[4] = {1}
         state = ColorState(1, 1, edge_colors, {1: {1}, 2: set(), 3: {1}}, Fraction(1))
-        assert check_invariants(h, 1, state, critical_edges(h, 1)) == [
+        assert check_invariants(h, 1, state, critical_edges(h)) == [
             "color 1: vertex 2 unreachable from a colored vertex of its component (invariant 1)"
         ]
         edge_colors[1] = {1}
-        assert check_invariants(h, 1, state, critical_edges(h, 1)) == []
+        assert check_invariants(h, 1, state, critical_edges(h)) == []
 
 
 class TestFinalizeColoring:
@@ -408,7 +440,7 @@ class TestFinalizeColoring:
             vertex_colors={v: set() for v in range(1, g.n)},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(h, state, critical_edges(h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h))
         assert final[0] == frozenset({1})
         assert all(not final[e] for e in range(1, g.m))
 
@@ -422,7 +454,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(h, state, critical_edges(h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h))
         assert final[0] == frozenset({1, 2})
 
     def test_round_robin_quota(self):
@@ -436,7 +468,7 @@ class TestFinalizeColoring:
             vertex_colors={1: {1, 2, 3, 4}},
             route_factor=Fraction(1),
         )
-        final = finalize_coloring(h, state, critical_edges(h, h.L))
+        final = finalize_coloring(h, state, critical_edges(h))
         assert final[0] == frozenset({1, 3})
         assert final[1] == frozenset({2, 4})
 
