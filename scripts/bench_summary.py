@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Summarize bench JSON-lines output: approximation ratios and congestion.
 
+A packing of k arborescences has congestion at least ceil(k / exact),
+where exact is the rooted min-cut, and by Edmonds' theorem that floor
+can be reached; the summary counts the packs at it, one above it, and
+two or more above it.
+
 Example:
     arborpack bench corpus/ --seed 1 > bench.jsonl
     python scripts/bench_summary.py bench.jsonl
@@ -23,6 +28,7 @@ def main() -> int:
 
     ratios = []
     congestions = []
+    above_floor = Counter()
     outcomes = Counter()
     count = 0
     try:
@@ -37,17 +43,22 @@ def main() -> int:
                     ratio, result, congestion = (
                         rec["ratio"], rec["pack_result"], rec["congestion"]
                     )
+                    if congestion is not None:
+                        floor = -(-rec["k"] // rec["exact"])
                 except ValueError:
                     return fail(f"line {lineno} is not JSON")
                 except KeyError as exc:
                     return fail(f"line {lineno}: bench record lacks key {exc}")
                 except TypeError:
                     return fail(f"line {lineno} is not a JSON object")
+                except ZeroDivisionError:
+                    return fail(f"line {lineno}: a packing into trees has exact 0")
                 count += 1
                 ratios.append(ratio)
                 outcomes[result or "skipped"] += 1
                 if congestion is not None:
                     congestions.append(congestion)
+                    above_floor[min(congestion - floor, 2)] += 1
     except (OSError, UnicodeDecodeError) as exc:
         return fail(f"cannot read {args.records}: {exc}")
     if not count:
@@ -63,6 +74,8 @@ def main() -> int:
     if congestions:
         print(f"tree congestion:  mean {sum(congestions) / len(congestions):.2f}  "
               f"max {max(congestions)}")
+        print(f"vs ceil(k/exact): at the floor {above_floor[0]}, "
+              f"one above {above_floor[1]}, two or more above {above_floor[2]}")
     return 0
 
 

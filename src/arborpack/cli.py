@@ -342,7 +342,8 @@ def hierarchy_from_json(data: dict, g: DirectedGraph) -> Hierarchy:
 
 def _read_result(path: str) -> dict:
     """The result document in a file, checked against the schema of its
-    kind; `ParameterError` if there is none or it breaks the schema."""
+    kind; `ParameterError` if there is none or it breaks the schema, and
+    `InternalError` if the installed schema file cannot be read."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -360,7 +361,10 @@ def _read_result(path: str) -> dict:
         raise ParameterError(f"cannot verify result of kind {kind!r}")
     if kind not in _SCHEMAS:
         schema = Path(__file__).parent / "schemas" / f"{kind}.schema.json"
-        _SCHEMAS[kind] = json.loads(schema.read_text())
+        try:
+            _SCHEMAS[kind] = json.loads(schema.read_text())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise InternalError(f"cannot load schema file {schema}: {exc}") from exc
     error = next(schema_violations(payload, _SCHEMAS[kind], "$"), None)
     if error:
         raise ParameterError(f"malformed {kind} result: {error}")

@@ -42,17 +42,22 @@ stay within (i+1) times the critical degree (Invariant 2), and edge
 color counts stay within 5 i^2 times the observed routing factor
 (Invariant 3, instrumented form). The final coloring distributes
 leftover vertex colors over top-level critical edges, and a DFS per
-color extracts the arborescences. An exchange pass then moves parent
-edges off edges that many trees share, onto in-edges that at least two
-fewer trees use; the reported congestion is that of the exchanged trees,
-while the instrumented bound is checked on the extracted ones.
+color extracts the arborescences. An exchange pass then moves trees off
+edges that many of them share. Its first move swaps a vertex's parent
+edge for another in-edge that at least two fewer trees use; when no swap
+is left, its second move re-hangs a whole subtree from such an edge
+entering it, rewiring the subtree over its own edges. Each move lowers
+the sorted load vector in lexicographic order, so the pass ends and the
+maximum load never rises. The reported congestion is that of the
+exchanged trees, while the instrumented bound is checked on the
+extracted ones.
 
 Packing is defined for unit-capacity graphs; weighted inputs are
 rejected. `pack` returns a `PackingResult`; `cli` writes it as JSON.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Mapping, Sequence
@@ -568,18 +573,33 @@ def extract_arborescences(
 def exchange_pass(
     g: DirectedGraph, trees: Sequence[Sequence[int]]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Swap parent edges between the spanning arborescences `trees` to
+    """Move parent edges between the spanning arborescences `trees` to
     spread their load; returns the new trees (edge ids ascending) and
     their congestion.
 
-    The load of an edge is the number of trees that use it. Each tree
-    sweeps its vertices v != source by ascending id and moves v's parent
-    edge e to the in-edge e' of v of lowest load (lowest id on ties)
-    whose tail is not in v's subtree, when load(e') <= load(e) - 2. The
-    tail's ancestors, found by parent pointers, show whether it is in
-    the subtree. Sweeps repeat until one moves nothing: each move lowers
-    the sum of squared loads by at least 2, so the pass ends, and the
-    maximum load never rises."""
+    The load of an edge is the number of trees that use it. The pass has
+    two moves, and the second runs only when the first has none left.
+
+    - A swap: each tree sweeps its vertices v != source by ascending id
+      and moves v's parent edge e to the in-edge e' of v of lowest load
+      (lowest id on ties) whose tail is not in v's subtree, when
+      load(e') <= load(e) - 2. The tail's ancestors, found by parent
+      pointers, show whether it is in the subtree. Sweeps repeat until
+      one moves nothing.
+    - A re-hang, when a whole sweep moved nothing: the first tree T and
+      vertex v (by ascending id) whose parent edge e has load L >= 2 and
+      whose subtree S can hang from an edge f = (x, y), x outside S and
+      y in S, with load(f) <= L - 2. Candidates f go by (load, id). A
+      0-1 BFS from y over the edges inside S, where T's edges cost 0,
+      other edges of load <= L - 2 cost 1 and the rest are barred, must
+      reach all of S; then y hangs from f and every other vertex of S
+      from its BFS-tree edge, and the sweeps resume. Since x is outside
+      S, none of its ancestors is in S, so T stays an arborescence.
+
+    A swap is the re-hang with y = v, so both moves end every edge whose
+    load rises at L - 1 or below while e's load falls from L: the load
+    vector, sorted descending, falls in lexicographic order. So the pass
+    ends, and the maximum load never rises."""
     s = g.source
     edges = g.edges
     load = [0] * g.m
@@ -598,6 +618,55 @@ def exchange_pass(
             x = edges[parent[x]][0]
         return False
 
+    def rehang(parent: list[int]) -> bool:
+        children: list[list[int]] = [[] for _ in range(g.n)]
+        for w in range(g.n):
+            if w != s:
+                children[edges[parent[w]][0]].append(w)
+        for v in range(g.n):
+            if v == s or load[parent[v]] < 2:
+                continue
+            cap = load[parent[v]] - 2
+            subtree = {v}
+            stack = [v]
+            while stack:
+                for w in children[stack.pop()]:
+                    subtree.add(w)
+                    stack.append(w)
+            entering = sorted(
+                (load[f], f)
+                for y in subtree
+                for f in g.in_edges(y)
+                if load[f] <= cap and edges[f][0] not in subtree
+            )
+            failed: set[int] = set()  # what y reaches does not depend on f
+            for _load, f in entering:
+                y = edges[f][1]
+                if y in failed:
+                    continue
+                via = {y: f}
+                dist = {y: 0}
+                queue = deque([y])
+                while queue:
+                    u = queue.popleft()
+                    for a in g.out_edges(u):
+                        w = edges[a][1]
+                        cost = 0 if parent[w] == a else 1
+                        if w in subtree and (cost == 0 or load[a] <= cap):
+                            if dist[u] + cost < dist.get(w, g.n):
+                                dist[w] = dist[u] + cost
+                                via[w] = a
+                                (queue.appendleft if cost == 0 else queue.append)(w)
+                if len(via) < len(subtree):
+                    failed.add(y)
+                    continue
+                for w, a in via.items():
+                    load[parent[w]] -= 1
+                    load[a] += 1
+                    parent[w] = a
+                return True
+        return False
+
     moved = True
     while moved:
         moved = False
@@ -614,6 +683,8 @@ def exchange_pass(
                         load[f] += 1
                         moved = True
                         break
+        if not moved:
+            moved = any(rehang(parent) for parent in parents)
     moved_trees = tuple(
         tuple(sorted(parent[v] for v in range(g.n) if v != s)) for parent in parents
     )

@@ -2,15 +2,21 @@
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arborpack
 from arborpack.cli import format_graph, hierarchy_from_json, hierarchy_to_json, main, parse_graph
 from arborpack.decomp import build_hierarchy
 from arborpack.errors import InputError
@@ -408,6 +414,33 @@ class TestVerifyMalformedResults:
             code, out = run_cli(capsys, *argv)
             assert code == 2
             validate(json.loads(out), "error.schema.json")
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled"])
+    def test_unreadable_schema_is_a_json_error(self, capsys, tmp_path, graph_file, damage):
+        # A copy of the package whose schemas/ is gone, or whose packing
+        # schema is not JSON, run in a fresh interpreter.
+        copy = tmp_path / "site" / "arborpack"
+        skip = ["__pycache__"] + (["schemas"] if damage == "missing" else [])
+        shutil.copytree(Path(arborpack.__file__).parent, copy, ignore=shutil.ignore_patterns(*skip))
+        if damage == "garbled":
+            (copy / "schemas" / "packing.schema.json").write_text("not json {")
+        code, out = run_cli(capsys, "pack", str(graph_file), "--k", "1")
+        assert code == 0
+        (tmp_path / "pack.json").write_text(out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "arborpack", "verify", "pack.json", str(graph_file)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(copy.parent)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        validate(payload, "error.schema.json")
+        assert payload["error_type"] == "operation"
+        assert "packing.schema.json" in payload["message"]
 
 
 def _levels_case(levels):

@@ -22,7 +22,12 @@ from arborpack.generators import (
     instance_stream,
 )
 from arborpack.graphcore import cut_values, normalize
-from arborpack.oracle import exact_rooted_mincut, verify_packing
+from arborpack.oracle import (
+    bruteforce_rooted_mincut,
+    exact_rooted_mincut,
+    verify_arborescence,
+    verify_packing,
+)
 from arborpack.packing import (
     ColorState,
     CutFound,
@@ -41,6 +46,22 @@ from arborpack.packing import (
 )
 
 from .conftest import digraphs
+
+
+def _random_arborescence(g, rng):
+    """A spanning arborescence of g grown from the source by adding a
+    random frontier edge at a time, or None if g has none."""
+    seen = {g.source}
+    tree = []
+    frontier = list(g.out_edges(g.source))
+    while frontier:
+        e = frontier.pop(rng.randrange(len(frontier)))
+        v = g.edges[e][1]
+        if v not in seen:
+            seen.add(v)
+            tree.append(e)
+            frontier += g.out_edges(v)
+    return tuple(sorted(tree)) if len(seen) == g.n else None
 
 
 def path3():
@@ -571,6 +592,9 @@ class TestPack:
         if result.kind == "arborescences":
             assert result.congestion <= extracted[0].congestion
             assert exchange_pass(g, extracted[0].trees) == (result.trees, result.congestion)
+            # A second pass moves nothing, and no pass beats ceil(k / lambda).
+            assert exchange_pass(g, result.trees) == (result.trees, result.congestion)
+            assert result.congestion >= -(-k // bruteforce_rooted_mincut(g)[0])
 
     def test_exchange_pass_moves_off_a_shared_edge(self):
         # Both trees use 0 -> 1; vertex 1's other in-edge comes from 2,
@@ -585,6 +609,50 @@ class TestPack:
         # swap the two loads, so nothing moves.
         g = normalize([(0, 1, 1), (0, 1, 1)], 2, 0)
         assert exchange_pass(g, [(0,), (0,), (1,)]) == (((0,), (0,), (1,)), 2)
+
+    def test_exchange_pass_rehangs_a_subtree(self):
+        # Both trees enter {1, 2} over edge 0. Vertex 1's other in-edge
+        # comes from 2, below it in both trees, and vertex 2's parent edge
+        # has load 1, so no swap applies. Tree 1's subtree {1, 2} can hang
+        # from 3 -> 2 instead, with 2 -> 1 inside it.
+        g = normalize(
+            [(0, 1, 1), (1, 2, 1), (2, 1, 1), (3, 2, 1), (0, 3, 1), (0, 3, 1), (1, 2, 1)],
+            4,
+            0,
+        )
+        trees, congestion = exchange_pass(g, [(0, 1, 4), (0, 5, 6)])
+        assert trees == ((2, 3, 4), (0, 5, 6))
+        assert congestion == 1
+        assert all(verify_arborescence(g, tree) == (True, None) for tree in trees)
+
+    def test_exchange_pass_rehangs_only_over_lighter_edges(self):
+        # As above, but a third tree holds 2 -> 1 (edge 2), so rewiring
+        # tree 1 over it would only move load 2 from edge 0 to edge 2:
+        # nothing moves. Three trees need congestion 2 here anyway.
+        g = normalize(
+            [(0, 1, 1), (1, 2, 1), (2, 1, 1), (3, 2, 1), (0, 3, 1), (0, 3, 1), (1, 2, 1),
+             (0, 3, 1), (3, 2, 1)],
+            4,
+            0,
+        )
+        trees = ((0, 1, 4), (0, 5, 6), (2, 7, 8))
+        assert exchange_pass(g, trees) == (trees, 2)
+
+    @given(st.integers(2, 10), st.integers(2, 4), st.integers(0, 10**6))
+    @settings(max_examples=100)
+    def test_exchange_pass_on_copies_of_one_tree(self, n, k, seed):
+        # k copies of one random arborescence of a random unit graph load
+        # every edge they use k times, so re-hangs apply far more often
+        # than on the trees `pack` extracts.
+        g = gen_random_gnm(n, 3 * n, seed=seed)
+        tree = _random_arborescence(g, random.Random(seed))
+        if tree is None:
+            return
+        moved, congestion = exchange_pass(g, [tree] * k)
+        assert all(verify_arborescence(g, t) == (True, None) for t in moved)
+        assert congestion <= k
+        assert exchange_pass(g, moved) == (moved, congestion)
+        assert congestion >= -(-k // bruteforce_rooted_mincut(g)[0])
 
     @given(digraphs(min_n=2, max_n=7, max_m=18))
     @settings(max_examples=20)

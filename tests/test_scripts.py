@@ -46,6 +46,21 @@ def test_corpus_bench_summary(tmp_path):
     assert "instances:        5" in summary.stdout
 
 
+def test_summary_counts_packs_against_their_floor(tmp_path):
+    # The floor is ceil(k / exact); a cut result has no congestion.
+    packs = [(2, 2, 1), (2, 2, 2), (3, 1, 3), (4, 4, 3), (2, 1, None)]
+    (tmp_path / "bench.jsonl").write_text("".join(
+        json.dumps({"ratio": 1.0, "k": k, "exact": exact, "congestion": congestion,
+                    "pack_result": "cut" if congestion is None else "arborescences"})
+        + "\n"
+        for k, exact, congestion in packs
+    ))
+    res = run(SCRIPTS / "bench_summary.py", "bench.jsonl", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert ("vs ceil(k/exact): at the floor 2, one above 1, two or more above 1\n"
+            in res.stdout)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -53,8 +68,10 @@ def test_corpus_bench_summary(tmp_path):
         ('{"kind": "bench"}\n', "lacks key 'ratio'"),
         ("not json\n", "is not JSON"),
         ("[1, 2]\n", "is not a JSON object"),
+        ('{"ratio": 1, "pack_result": "arborescences", "congestion": 1, "k": 1, "exact": 0}\n',
+         "has exact 0"),
     ],
-    ids=["missing_file", "no_ratio", "not_json", "not_object"],
+    ids=["missing_file", "no_ratio", "not_json", "not_object", "zero_exact"],
 )
 def test_summary_errors_are_one_line(tmp_path, content, message):
     if content is not None:
