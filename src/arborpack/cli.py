@@ -418,38 +418,47 @@ def _cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _bench_record(path: Path, phi: Fraction, args) -> dict:
+    g = _load_graph(str(path))
+    started = time.perf_counter()
+    record: dict = {
+        "kind": "bench",
+        "file": path.name,
+        "n": g.n,
+        "m": g.m,
+        "seed": args.seed,
+    }
+    hier = build_hierarchy(g, phi, args.seed)
+    report = approx_rooted_mincut(hier, args.seed)
+    exact, _ = exact_rooted_mincut(g)
+    record["value"] = report.best.rho
+    record["exact"] = exact
+    record["ratio"] = (report.best.rho / exact) if exact else 1.0
+    k = max(1, exact)
+    record["k"] = k
+    try:
+        result = pack(g, k, phi, args.seed)
+        record["pack_result"] = result.kind
+        record["congestion"] = result.congestion
+    except UnsupportedGraphError:
+        record["pack_result"] = None
+        record["congestion"] = None
+    if args.timing:
+        record["wall_time_s"] = round(time.perf_counter() - started, 6)
+    return record
+
+
 def _cmd_bench(args) -> int:
     corpus = sorted(Path(args.corpus).glob("*.dmc"))
     if not corpus:
         raise ParameterError(f"no .dmc files under {args.corpus}")
     phi = _phi(args.phi)
     for path in corpus:
-        g = _load_graph(str(path))
-        started = time.perf_counter()
-        record: dict = {
-            "kind": "bench",
-            "file": path.name,
-            "n": g.n,
-            "m": g.m,
-            "seed": args.seed,
-        }
-        hier = build_hierarchy(g, phi, args.seed)
-        report = approx_rooted_mincut(hier, args.seed)
-        exact, _ = exact_rooted_mincut(g)
-        record["value"] = report.best.rho
-        record["exact"] = exact
-        record["ratio"] = (report.best.rho / exact) if exact else 1.0
-        k = max(1, exact)
-        record["k"] = k
         try:
-            result = pack(g, k, phi, args.seed)
-            record["pack_result"] = result.kind
-            record["congestion"] = result.congestion
-        except UnsupportedGraphError:
-            record["pack_result"] = None
-            record["congestion"] = None
-        if args.timing:
-            record["wall_time_s"] = round(time.perf_counter() - started, 6)
+            record = _bench_record(path, phi, args)
+        except ArborError as exc:
+            # Same class, so the exit code stays; the message names the file.
+            raise type(exc)(f"{path.name}: {exc}") from exc
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 

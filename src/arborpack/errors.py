@@ -47,4 +47,5 @@ class PropertyOneError(InternalError):
 
 
 class RoutingError(ArborError):
-    """A demand pair could not be routed (destination unreachable)."""
+    """A demand's root cannot reach one of its terminals inside its
+    component."""

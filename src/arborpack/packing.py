@@ -13,15 +13,15 @@ walks its non-source components once, and runs three steps on each:
      budgets to level-edge budgets, one path per Z color, whose endpoint
      becomes that color's leader (a short flow means some subset has
      fewer than k incoming edges, which is a certifying cut);
-  3. chain demands connect each color's leader through its breakpoints,
-     taken in the pop order of a stack search from the leader inside
-     the component, so consecutive breakpoints tend to lie close.
+  3. each color's demand pairs its leader with its breakpoints, and one
+     stack search from the leader inside the component reaches them all.
 
-The chain demands of all components are then routed once per level with
-measured congestion, each pair along a path inside its own component.
-So every step of level i stays inside its level-i component: Y colors
-park on edges whose tails joined it at level i, the flow of step 2 runs
-on its edges, and so does every routed path of step 3.
+The demands of all components are then routed once per level with
+measured congestion, each color along the tree of its own search, so
+the color reaches its breakpoints from its leader. So every step of
+level i stays inside its level-i component: Y colors park on edges
+whose tails joined it at level i, the flow of step 2 runs on its edges,
+and so does every routed tree of step 3.
 
 The per-level steps take the hierarchy alone and read the graph off it.
 `pack` builds one critical-edge table per run, holding each edge's
@@ -33,7 +33,10 @@ the others (E_Y).
 Step 2 decomposes its flow with `decompose_paths`, which checks the flow
 against its problem with `verify_flow` first.
 Each level also counts every vertex's level-edge in-degree once; the
-counts set the flow sinks and the bound on the chain demands.
+counts set the flow sinks. They also bound the demands: a vertex v is
+the root of at most i indeg[v] of them, its sink capacity in step 2, and
+a terminal of at most as many, since step 1 caps its Z colors at i times
+its level-edge in-degree.
 
 Three invariants are re-checked by direct search after every level: each
 color can reach every vertex from a colored vertex of its component over
@@ -90,7 +93,6 @@ __all__ = [
     "partition_critical",
     "split_colors",
     "component_flow",
-    "chain_demand_pairs",
     "run_level",
     "finalize_coloring",
     "extract_arborescences",
@@ -270,49 +272,6 @@ def component_flow(
     return {gamma: paths[j] for j, gamma in enumerate(z)}
 
 
-def chain_demand_pairs(
-    g: DirectedGraph,
-    comp: frozenset,
-    leader: int,
-    breakpoints: Collection[int],
-) -> tuple[tuple[int, int], ...]:
-    """Chain the leader through the breakpoints of its component `comp`:
-    (leader, b1), (b1, b2), ...
-
-    The breakpoints are taken in the pop order of a stack search from
-    the leader over the out-edges whose head is in `comp`. A vertex is
-    marked when it is pushed, and out-neighbours are pushed in descending
-    edge-id order, so consecutive breakpoints tend to lie a few hops
-    apart and their routes stay short. (A true DFS preorder, marking on
-    pop, raised the tree congestion on glued arborescences.) In `pack`
-    the search reaches every breakpoint, because each component is
-    strongly connected; breakpoints it does not reach otherwise follow in
-    ascending id order. Degenerate self-pairs (the leader being its own
-    first breakpoint) are dropped as vacuous."""
-    pending = set(breakpoints)
-    ordered: list[int] = []
-    marked = {leader}
-    stack = [leader]
-    while stack and pending:
-        u = stack.pop()
-        if u in pending:
-            pending.discard(u)
-            ordered.append(u)
-        for e in reversed(g.out_edges(u)):
-            w = g.edges[e][1]
-            if w in comp and w not in marked:
-                marked.add(w)
-                stack.append(w)
-    ordered += sorted(pending)
-    pairs: list[tuple[int, int]] = []
-    prev = leader
-    for b in ordered:
-        if b != prev:
-            pairs.append((prev, b))
-        prev = b
-    return tuple(pairs)
-
-
 def run_level(
     hierarchy: Hierarchy,
     i: int,
@@ -335,7 +294,7 @@ def run_level(
 
     edge_colors = {e: set(cols) for e, cols in state.edge_colors.items()}
     vertex_colors: dict[int, set] = {v: set() for v in range(g.n) if v != s}
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, tuple[int, ...]]] = []
     tags: list[int] = []
     for comp in part.components:
         if comp == singleton_source:
@@ -366,29 +325,18 @@ def run_level(
                 edge_colors[e].add(gamma)
             vertex_colors[path.vertices[0]].add(gamma)
 
-        # Step 3: chain each color's leader through its breakpoints.
+        # Step 3: one demand per color, from its leader to its breakpoints.
         for gamma in sorted(zc):
-            breakpoints = [v for v in members if gamma in z_of[v]]
             leader = outcome[gamma].vertices[-1]
-            for pair in chain_demand_pairs(g, comp, leader, breakpoints):
-                pairs.append(pair)
-                tags.append(gamma)
+            pairs.append((leader, tuple(v for v in members if gamma in z_of[v])))
+            tags.append(gamma)
 
-    # Check the demand bound (each vertex is an end of at most
-    # 3 i indeg[v] pairs), route once inside the level-i components, and
-    # color the routed paths.
-    participation = Counter(v for pair in pairs for v in pair)
-    for v in sorted(participation):
-        if participation[v] > 3 * i * indeg[v]:
-            raise InvariantError(
-                f"level-{i} demand exceeds its respecting bound at vertex "
-                f"{v} ({participation[v]} > {3 * i * indeg[v]})"
-            )
+    # Route once inside the level-i components and color the routed trees.
     congestion = 0
     if pairs:
         outcome = route(g, Demand(tuple(pairs), part))
-        for idx, gamma in enumerate(tags):
-            for e in outcome.paths_edges[idx]:
+        for gamma, tree in zip(tags, outcome.paths_edges):
+            for e in tree:
                 edge_colors[e].add(gamma)
         congestion = outcome.congestion
 

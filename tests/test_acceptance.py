@@ -233,8 +233,7 @@ def test_criterion_5_completeness_on_feasible_instances():
 
 
 def test_criterion_6_level_invariants():
-    """Invariants 1-3 hold after every level step; `run_level` itself
-    raises on a demand past its bound."""
+    """Invariants 1-3 hold after every level step."""
     checked_levels = 0
     violations = []
     for idx, (name, g) in enumerate(

@@ -93,6 +93,11 @@ def test_traced_pipeline_gives_every_metric_a_number(tmp_path):
     bad = {name: metric for name, metric in metrics.items()
            if "missing" in metric or type(metric["value"]) not in (int, float)}
     assert not bad, f"metrics without a number: {bad}"
+    # A traced name that is still imported but off the pipeline's path
+    # reads 0 calls.
+    idle = sorted(name for name, metric in metrics.items()
+                  if name.endswith("_calls") and not metric["value"] > 0)
+    assert not idle, f"traced calls that never happen: {idle}"
 
 
 def unused_imports(source: str) -> list[str]:

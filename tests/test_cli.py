@@ -236,6 +236,22 @@ class TestSubcommands:
         for line in lines:
             validate(json.loads(line), "bench.schema.json")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p dmc 3 1 1\nx 1 2\n", "c.dmc: line 2: unknown line type 'x'"),
+        ("p dmc 1 0 1\n", "c.dmc: rooted min-cut needs at least one non-source vertex"),
+    ], ids=["parse_error", "single_vertex"])
+    def test_bench_error_names_its_file(self, capsys, tmp_path, text, message):
+        # a.dmc is benched first; then c.dmc fails with exit code 2.
+        (tmp_path / "a.dmc").write_text("p dmc 3 2 1\na 1 2\na 2 1\n")
+        (tmp_path / "c.dmc").write_text(text)
+        code, out = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 2
+        record, _, error = out.partition("\n")
+        assert json.loads(record)["file"] == "a.dmc"
+        payload = json.loads(error)
+        validate(payload, "error.schema.json")
+        assert payload["message"] == message
+
     # "{graph}" stands for a valid graph file, "{dir}" for its directory,
     # so only the arguments themselves are wrong.
     @pytest.mark.parametrize("argv", [

@@ -22,11 +22,11 @@ GOLDEN = {
     "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
     "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
     "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
-    "known_packing pack": "1a81f399ff5c645f03e2342e3ad0c0e0074f31f47d5089ccc4d71929349a6657",
+    "known_packing pack": "cb8206061cacb8b7e9dcfa559a1d35af07395aa029b12a8c7a2c6d9b1915ea51",
     "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
     "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
     "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
-    "cycle_plus_chords pack": "c6142a789c1e679a23db8eb8543380db956784f48efc90d1e0a3ac192b297693",
+    "cycle_plus_chords pack": "784c0432021c6b6b1482d9c27189e02a345cb55ec0d28f2a0b0b83798f1db88d",
     "cycle_plus_chords_weighted hierarchy": "2bd406b8375657444fa844b0bf1a1a569de70936d811e14e3907d3d28c165218",
     "cycle_plus_chords_weighted mincut": "eeb4b00bd87c4866d9ef1b9855e85ddfe5a94d0c7d24869ad4b5c11b89b4c772",
     "cycle_plus_chords_weighted mincut --exact": "41f28eb331950245cb5990af9a48b22f5d743335d3d14f422dcf0836981de345",
@@ -150,15 +150,15 @@ def test_gen_outputs_match_recorded_digests(capsys):
     assert not changed, f"gen output changed for: {changed}"
 
 
-# `pack` and `verify` on an instance whose level 1 routes 318 demand
-# pairs, each along a fewest-edge path inside its component, at
-# congestion 14, and whose trees have congestion 1 after the exchange
-# pass, so the digests pin how the router's two searches break ties
-# between such paths; the instances above route only a handful of pairs.
+# `pack` and `verify` on an instance whose level 1 routes one tree per
+# color, six in all, at congestion 5, and whose trees have congestion 2
+# after the exchange pass, so the digests pin the order in which the
+# router's stack search pushes out-edges and the exchange pass's moves
+# off shared edges; the instances above route only a few small trees.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "9e21c1c1a1abe625b82682c7d88b4be3e6afc002cc1246f161e90eecdb2752db",
-    "verify pack": "b419be4c9e957b3dc6bb867fe2cade01da34001dc95c30514aea6017d9a5eaa0",
+    "pack": "a37171116e3539980f86c36cfa5b659d97a66b08668bfb3cf92a243b75746b5e",
+    "verify pack": "c1ae331fb24986525bb80abc07b21eca0e74a8e2ede2b99d0a1ff11994371ea0",
 }
 
 

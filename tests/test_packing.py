@@ -31,7 +31,6 @@ from arborpack.oracle import (
 from arborpack.packing import (
     ColorState,
     CutFound,
-    chain_demand_pairs,
     check_invariants,
     component_flow,
     critical_edges,
@@ -263,8 +262,6 @@ class TestSplitColors:
         assert split_colors({3, 1, 2}, (1, 1, 1)) == ({1}, {2}, {3})
 
     def test_overflow_rejected(self):
-        from arborpack.errors import InvariantError
-
         with pytest.raises(InvariantError):
             split_colors({1, 2, 3}, (1, 1, 0))
 
@@ -325,43 +322,6 @@ class TestComponentFlow:
         assert len(used) == len(set(used))
 
 
-def search_graph():
-    """Leader 1 reaches 2 and 3; 2 reaches 3 again, 5, and the outside
-    vertex 6, which leads to 4; 3 leads to 4; 7 -> 8 are unreachable."""
-    edges = [(0, 1), (1, 2), (1, 3), (2, 6), (2, 3), (2, 5), (3, 4), (6, 4), (0, 7), (7, 8)]
-    return normalize([(u, v, 1) for u, v in edges], 9, 0), frozenset({1, 2, 3, 4, 5, 7, 8})
-
-
-class TestChainDemands:
-    def test_empty(self):
-        g, comp = search_graph()
-        assert chain_demand_pairs(g, comp, 1, []) == ()
-
-    def test_single_breakpoint(self):
-        g, comp = search_graph()
-        assert chain_demand_pairs(g, comp, 1, [4]) == ((1, 4),)
-
-    def test_search_order(self):
-        # Marking on push skips 2 -> 3, so 5 comes before 3; a true DFS
-        # preorder would give 1, 2, 3, 4, 5. Descending pushes pop 2
-        # before 3, and 6 lies outside the component, so 4 comes last.
-        g, comp = search_graph()
-        assert chain_demand_pairs(g, comp, 1, [5, 4, 3, 2]) == (
-            (1, 2), (2, 5), (5, 3), (3, 4),
-        )
-
-    def test_ascending_order(self):
-        # Breakpoints the search does not reach follow by ascending id.
-        g, comp = search_graph()
-        assert chain_demand_pairs(g, comp, 5, [8, 7, 1]) == ((5, 1), (1, 7), (7, 8))
-        assert chain_demand_pairs(g, comp, 1, [8, 4, 7]) == ((1, 4), (4, 7), (7, 8))
-
-    def test_leader_equal_to_first_breakpoint_drops_self_pair(self):
-        # The leader is its own first breakpoint, whatever its id.
-        g, comp = search_graph()
-        assert chain_demand_pairs(g, comp, 3, [1, 3, 4]) == ((3, 4), (4, 1))
-
-
 class TestRunLevel:
     def test_identical_partitions_are_a_no_op(self):
         # E_2 holds only the source edge, so level-1 and level-2 SCCs agree
@@ -386,7 +346,7 @@ class TestRunLevel:
         out = run_level(h, 1, state, critical_edges(h))
         assert isinstance(out, ColorState)
         assert check_invariants(h, 1, out, critical_edges(h)) == []
-        # The chain demand colors a route covering the cycle vertices.
+        # The color's demand tree colors edges inside the cycle.
         colored = {e for e, cols in out.edge_colors.items() if cols}
         assert colored
 
@@ -410,20 +370,6 @@ class TestRunLevel:
         out.vertex_colors[1] = set()
         out.edge_colors[0] = set()
         assert check_invariants(h, 1, out, critical_edges(h))
-
-    def test_demand_above_the_respecting_bound_is_rejected(self, monkeypatch):
-        # Repeating the first chain pair of the only color makes its tail
-        # an end of more than 3 i times its level-edge in-degree pairs.
-        g = rooted_triangle()
-        h = build_hierarchy(g, seed=1)
-        chain = packing.chain_demand_pairs
-        monkeypatch.setattr(
-            packing, "chain_demand_pairs", lambda *args: chain(*args)[:1] * 4
-        )
-        state = init_base_colors(g, 1)
-        bound = r"level-1 demand exceeds its respecting bound at vertex \d+ \(4 > 3\)"
-        with pytest.raises(InvariantError, match=bound):
-            run_level(h, 1, state, critical_edges(h))
 
 
 class TestCheckInvariants:
