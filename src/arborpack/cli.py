@@ -143,7 +143,7 @@ def _load_graph(path: str) -> DirectedGraph:
     g, diag = parse_graph(text)
     if diag.dropped_self_loops or diag.dropped_source_incoming:
         print(
-            f"note: dropped {diag.dropped_self_loops} self-loops and "
+            f"note: {Path(path).name}: dropped {diag.dropped_self_loops} self-loops and "
             f"{diag.dropped_source_incoming} source-incoming arcs",
             file=sys.stderr,
         )

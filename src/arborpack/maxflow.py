@@ -16,7 +16,9 @@ the sink unless arcs saturated earlier in the phase. After an
 augmentation the walk resumes at the tail of the first saturated arc.
 These are the arcs a source-side level graph offers minus its dead ends,
 so the augmenting paths and their order are those of the textbook
-forward labelling.
+forward labelling. The caller owns the label and current-arc arrays
+(one pair per `max_flow` call or per sweep), and a phase resets just
+the vertices its search labelled: it costs their arcs, not n.
 
 Before its phases, `max_flow` makes the augmentations of the first two,
 the phases of 2-arc paths (source, v, sink) and 3-arc paths (source, u,
@@ -69,7 +71,6 @@ configuration, nor on which problems ran on the graph before.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -152,15 +153,11 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         limit = min(limit, bound)
 
     flow_total = _short_paths(adj, head, cap, supply_arc, 2 * problem.graph.m, limit)
-    is_source = [False] * (n + 2)
-    is_source[source] = True
-    flow_total += _dinic(adj, head, cap, is_source, sink, limit - flow_total)
+    is_source = [False] * n + [True, False]
+    dist, it = [-1] * (n + 2), [0] * (n + 2)
+    flow_total += _dinic(adj, head, cap, is_source, sink, limit - flow_total, dist, it)
     capped = flow_total == bound
-    if capped:
-        cut_side = None
-    else:
-        reached = _reached(adj, head, cap, source)
-        cut_side = frozenset([v for v in range(n) if not reached[v]])
+    cut_side = None if capped else _unreached(adj, head, cap, source, n)
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
     # flow on it.
@@ -193,12 +190,12 @@ def first_min_sink(problem: FlowProblem, sinks: Sequence[int], bound: int) -> tu
     if best <= 0:
         return best, first
     head, cap, adj, _supply_arc, _sink_arc = _residual_network(problem)
-    is_source = [False] * (n + 2)
-    is_source[n] = True
+    is_source = [False] * n + [True, False]
+    dist, it = [-1] * (n + 2), [0] * (n + 2)
     for t in sinks:
         if is_source[t]:
             continue
-        flow = _dinic(adj, head, cap, is_source, t, best)
+        flow = _dinic(adj, head, cap, is_source, t, best, dist, it)
         if flow < best:
             best, first = flow, t
             if not best:
@@ -307,43 +304,45 @@ def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
     return limit - room
 
 
-def _dinic(adj, head, cap, is_source, sink: int, limit: int) -> int:
-    """Augment from the vertices with `is_source[v]` true into `sink`,
-    phase by phase, up to `limit`; returns the flow added."""
-    flow = 0
-    while flow < limit:
-        dist, start = _distances_to_sink(adj, head, cap, is_source, sink)
-        if start < 0:
-            break
-        flow += _blocking_flow(adj, head, cap, dist, start, sink, limit - flow)
+def _dinic(adj, head, cap, is_source, sink: int, limit: int, dist, it) -> int:
+    """Augment from the `is_source` vertices into `sink`, phase by phase,
+    up to `limit`; returns the flow added. The caller owns `dist` and `it`,
+    all -1 and all 0 on entry and on return: a phase resets what it labels."""
+    flow = start = 0
+    while flow < limit and start >= 0:
+        labelled, start = _distances_to_sink(adj, head, cap, is_source, sink, dist)
+        if start >= 0:
+            flow += _blocking_flow(adj, head, cap, dist, it, start, sink, limit - flow)
+        for v in labelled:
+            dist[v], it[v] = -1, 0
     return flow
 
 
-def _distances_to_sink(adj, head, cap, is_source, sink: int) -> tuple[list[int], int]:
-    """BFS distances to `sink` over arcs with residual capacity, and the
-    first vertex labelled with `is_source[v]` true (-1 if none is
-    reached); -1 in the distance list marks a vertex not reached. The
+def _distances_to_sink(adj, head, cap, is_source, sink: int, dist) -> tuple[list[int], int]:
+    """BFS distances to `sink` over arcs with residual capacity, written
+    into `dist` (-1 marks a vertex not reached); returns the labelled
+    vertices in search order, sink first, and the first of them with
+    `is_source[v]` true (-1 if none is reached), which ends the list. The
     search runs backwards: an arc b leaving w has a partner b ^ 1 that
     enters w from head[b]. It ends as soon as it labels a source: no
     vertex at that distance or beyond lies on a shortest path from it."""
-    dist = [-1] * len(adj)
     dist[sink] = 0
-    dq = deque([sink])
-    while dq:
-        w = dq.popleft()
+    queue = [sink]
+    for w in queue:  # also visits the vertices appended below
         nxt = dist[w] + 1
         for b in adj[w]:
             v = head[b]
             if dist[v] < 0 and cap[b ^ 1] > 0:
                 dist[v] = nxt
+                queue.append(v)
                 if is_source[v]:
-                    return dist, v
-                dq.append(v)
-    return dist, -1
+                    return queue, v
+    return queue, -1
 
 
-def _reached(adj, head, cap, source: int) -> list[bool]:
-    """Which vertices `source` reaches over arcs with residual capacity."""
+def _unreached(adj, head, cap, source: int, n: int) -> frozenset:
+    """The real vertices (ids below n) that `source` does not reach over
+    arcs with residual capacity."""
     seen = [False] * len(adj)
     seen[source] = True
     stack = [source]
@@ -354,10 +353,10 @@ def _reached(adj, head, cap, source: int) -> list[bool]:
             if not seen[w] and cap[a] > 0:
                 seen[w] = True
                 stack.append(w)
-    return seen
+    return frozenset([v for v in range(n) if not seen[v]])
 
 
-def _blocking_flow(adj, head, cap, dist, source: int, sink: int, limit: int) -> int:
+def _blocking_flow(adj, head, cap, dist, it, source: int, sink: int, limit: int) -> int:
     """Augment along shortest paths until none is left or `limit` is met.
 
     An explicit stack of arcs walks from the source along each vertex's
@@ -367,8 +366,9 @@ def _blocking_flow(adj, head, cap, dist, source: int, sink: int, limit: int) -> 
     the phase (distance -1). After an augmentation the walk resumes at
     the tail of the first saturated arc: the current arcs before it are
     unchanged, so paths are found in the order of a recursive search.
+    As the walk enters only labelled vertices, it advances `it[u]` or
+    marks u dead only where the phase's search labelled u.
     """
-    it = [0] * len(adj)
     path: list[int] = []
     pushed = 0
     u = source

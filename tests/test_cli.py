@@ -252,6 +252,17 @@ class TestSubcommands:
         validate(payload, "error.schema.json")
         assert payload["message"] == message
 
+    def test_bench_note_names_its_file(self, capsys, tmp_path):
+        # b.dmc has an arc into the source, vertex 1, which parsing drops.
+        (tmp_path / "a.dmc").write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+        (tmp_path / "b.dmc").write_text("p dmc 3 3 1\na 1 2\na 2 3\na 3 1\n")
+        code = main(["bench", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["file"] for r in records] == ["a.dmc", "b.dmc"]
+        assert captured.err == "note: b.dmc: dropped 0 self-loops and 1 source-incoming arcs\n"
+
     # "{graph}" stands for a valid graph file, "{dir}" for its directory,
     # so only the arguments themselves are wrong.
     @pytest.mark.parametrize("argv", [

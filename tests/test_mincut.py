@@ -217,8 +217,11 @@ class TestFirstMinSink:
         level = data.draw(st.integers(0, h.L), label="level")
         comps = [c for c in h.partition(level).components if g.source not in c]
         comp = data.draw(st.sampled_from(comps), label="component")
+        # Repeats included, so a label left over from one sink's run would
+        # change a later sink's answer.
         samples = data.draw(
-            st.lists(st.sampled_from(sorted(comp)), min_size=1, max_size=8), label="samples"
+            st.lists(st.sampled_from(sorted(comp)), min_size=1, max_size=3 * len(comp)),
+            label="samples",
         )
         bound = data.draw(st.integers(0, g.total_capacity() + 2), label="bound")
         supplies, intra, _big = inputs = probe_inputs(g, comp)
@@ -229,6 +232,27 @@ class TestFirstMinSink:
                 expected = (rho, v)
         problem = FlowProblem(g, supplies, {}, edge_filter=intra)
         assert first_min_sink(problem, samples, bound) == expected
+
+    def test_sweep_reuses_one_clean_label_array(self, monkeypatch):
+        # Every sink's run gets the sweep's own `dist` and `it` lists,
+        # all -1 and all 0 on entry and again on return.
+        seen = []
+        real = maxflow._dinic
+
+        def checking(*args):
+            dist, it = args[6], args[7]
+            assert dist == [-1] * len(dist) and it == [0] * len(it)
+            flow = real(*args)
+            assert dist == [-1] * len(dist) and it == [0] * len(it)
+            seen.append((dist, it))
+            return flow
+
+        monkeypatch.setattr(maxflow, "_dinic", checking)
+        g = normalize([(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 1, 1), (0, 3, 1), (1, 4, 1),
+                       (4, 2, 1), (3, 4, 1)], 5, 0)
+        assert first_min_sink(FlowProblem(g, {0: 9}, {}), [4, 2, 3, 1], 9) == (2, 4)
+        assert len(seen) == 4
+        assert all(dist is seen[0][0] and it is seen[0][1] for dist, it in seen)
 
     def test_best_equals_per_sample_search_on_instance_stream(self):
         for _name, g in instance_stream(60, seed=25, n_max=24, m_max=100, max_cap=4):
