@@ -22,15 +22,19 @@ path's least capacity. Supplies and sinks sit only on terminal
 vertices, so each trial's flow value is the one the full graph gives;
 a trial that falls short is run again on the full graph, whose residual
 graph yields the violating side. The output is therefore exactly that
-of running every trial on the full graph, while on a long ring with a
-few terminals each trial walks a handful of edges instead of the ring.
+of running every trial on the full graph. The BFS balls that pick two
+of every three demands jump over the same paths, one step each, and
+gain the kept vertices the vertex-by-vertex search would, in its
+order. So on a long ring with a few terminals each trial, ball and
+flow, walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
 in as the next terminal set until no cut is needed; every round starts
 from the graph's SCCs, computed once per build. The `Hierarchy` it
 builds keeps the graph, checks the levels and then derives, with one
 SCC pass each, the partition of the graph minus all higher-level edges
-for every level; the `cli` module writes it as JSON and reads it back.
+for every level above 0 (level 0 is all singletons); the `cli` module
+writes it as JSON and reads it back.
 
 Flow-based certification is a heuristic stand-in for the real expansion
 property; the exhaustive cut-expansion check in `oracle` is the ground
@@ -81,36 +85,77 @@ def certification_trials(n: int) -> int:
     return max(1, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def _grow_half(g, comp, deg, total, pivot, forward, threshold):
+def _grow_half(g, comp, deg, total, pivot, forward, threshold, walks):
     """Deterministic BFS ball around `pivot` inside `comp`, grown until it
     holds `threshold` (at most half) of the component's terminal degree
     `total`.
 
     The threshold is randomized by the caller so that a natural boundary
     sitting just under one half is still hit rather than overgrown.
+
+    `walks` maps the entry vertex of each walk through inner vertices
+    (see `_contract_inner_paths`), in the search direction, to the walk's
+    length in edges and its exit vertex. The ball jumps over such a walk:
+    a scan that reaches its entry vertex in `comp` schedules the exit
+    vertex for the level at which a vertex-by-vertex search would scan
+    it. There the exit vertex is sorted into that level's frontier by its
+    own id, and its scan discovers the kept vertex beyond the walk. So the
+    ball gains the same kept vertices in the same order as the plain BFS:
+
+    - An inner vertex has no terminal degree, so it never adds mass or
+      ends the growth.
+    - It has exactly one in-edge and one out-edge, so only its own walk
+      reaches it, and the walk reaches one vertex per level.
+    - `comp` is an SCC of G - B with at least 2 vertices, and an inner
+      vertex returns to it only forward along its walk, so a walk whose
+      entry vertex lies in `comp` lies wholly in it, far end included.
+    - The exit vertex is scanned at the same level and in the same place
+      of that level's sorted frontier as in the plain BFS.
+
+    The ball holds no inner vertex; the caller reads it only at active
+    vertices. Without inner vertices `walks` is empty and this is the
+    plain BFS.
     """
+    goal = threshold * total / 2
     ball = {pivot}
     mass = deg[pivot]
     frontier = [pivot]
-    while frontier and mass < threshold * total / 2:
+    level = 0
+    due: dict[int, list[int]] = {}  # level -> exit vertices scanned there
+    while mass < goal:
+        if not frontier:
+            if not due:
+                break
+            level = min(due)
+        frontier.extend(due.pop(level, ()))
         nxt: list[int] = []
         for u in sorted(frontier):
             edge_ids = g.out_edges(u) if forward else g.in_edges(u)
             for eid in edge_ids:
                 w = g.head(eid) if forward else g.tail(eid)
                 if w in comp and w not in ball:
+                    walk = walks.get(w)
+                    if walk is not None:
+                        length, exit_vertex = walk
+                        due.setdefault(level + length - 1, []).append(exit_vertex)
+                        continue
                     ball.add(w)
                     mass += deg[w]
                     nxt.append(w)
-                    if mass >= threshold * total / 2:
+                    if mass >= goal:
                         return ball
         frontier = nxt
+        level += 1
     return ball
 
 
-def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequence[int]]:
+def _contract_inner_paths(
+    g: DirectedGraph, deg
+) -> tuple[DirectedGraph, Sequence[int], dict, dict]:
     """The graph the certification flows of one `decompose` call run on,
-    and the id each kept vertex of g has there (-1 for the others).
+    the id each kept vertex of g has there (-1 for the others), and the
+    walks through inner vertices that `_grow_half` jumps over, forward
+    and backward.
 
     A vertex is inner when it has no terminal degree and exactly one
     in-edge and one out-edge. Each maximal path u -> x1 -> ... -> xk -> w
@@ -122,13 +167,17 @@ def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequenc
     No supply or sink sits on an inner vertex, so a flow crosses a path
     of them as it would cross a single edge of the path's bottleneck:
     every max-flow value between kept vertices is the same on both graphs.
+
+    The same pass records each path, w = u included, as a walk of
+    k + 1 edges: the forward walks map x1 to (k + 1, xk), the backward
+    walks map xk to (k + 1, x1). Without inner vertices both are empty.
     """
     inner = [
         not deg[v] and len(g.in_edges(v)) == 1 and len(g.out_edges(v)) == 1
         for v in range(g.n)
     ]
     if not any(inner):
-        return g, range(g.n)
+        return g, range(g.n), {}, {}
     new_id = [-1] * g.n
     kept = 0
     for v in range(g.n):
@@ -136,12 +185,21 @@ def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequenc
             new_id[v] = kept
             kept += 1
     edges = []
+    forward: dict[int, tuple[int, int]] = {}
+    backward: dict[int, tuple[int, int]] = {}
     for u, v, c in g.edges:
         if inner[u]:
             continue
+        first = last = v
+        length = 1
         while inner[v]:
+            last = v
             _x, v, c_next = g.edges[g.out_edges(v)[0]]
             c = min(c, c_next)
+            length += 1
+        if length > 1:
+            forward[first] = (length, last)
+            backward[last] = (length, first)
         if v != u:
             edges.append((new_id[u], new_id[v], c))
     contracted = DirectedGraph(
@@ -149,14 +207,13 @@ def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequenc
         edges=tuple(edges),
         source=new_id[g.source],
     )
-    return contracted, new_id
+    return contracted, new_id, forward, backward
 
 
-def _trial_flow(g, contracted, supplies, sinks, target, sigma):
+def _trial_flow(g, h, new_id, supplies, sinks, target, sigma):
     """One trial's max-flow, capped at `target`: on the contracted graph
     h first and, unless it reaches the target there, on g, whose result
     is returned. Raises `InternalError` if the two values differ."""
-    h, new_id = contracted
     if h is not g:
         res = max_flow(FlowProblem(
             h,
@@ -187,14 +244,16 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
     that already passed in this call is not routed again; its random
     draws are still made, so later trials see the same draws.
 
-    Each trial flow runs on `contracted = (h, new_id)` from
-    `_contract_inner_paths`: supplies and sinks sit on terminal vertices,
-    which h keeps, so the flow value is the one g gives, and a trial that
-    reaches its target passes as it would on g. A trial that falls short
-    is run again on g, whose residual graph gives the violating side;
-    the two values must agree. So the result is exactly the one of
-    running every trial on g.
+    `contracted = (h, new_id, forward_walks, backward_walks)` comes from
+    `_contract_inner_paths`. Each ball jumps over the walks of its
+    direction. Each trial flow runs on h: supplies and sinks sit on
+    terminal vertices, which h keeps, so the flow value is the one g
+    gives, and a trial that reaches its target passes as it would on g.
+    A trial that falls short is run again on g, whose residual graph
+    gives the violating side; the two values must agree. So the result
+    is exactly the one of running every trial on g.
     """
+    h, new_id, forward_walks, backward_walks = contracted
     active = [v for v in sorted(comp) if deg[v] > 0]
     if len(active) < 2:
         return None
@@ -222,11 +281,13 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
                     sinks[v] = deg[v]
         else:
             threshold = rng.uniform(0.7, 1.0)
+            forward = style == 1
             ball = _grow_half(
-                g, comp, deg, total, pick_pivot(), forward=(style == 1), threshold=threshold
+                g, comp, deg, total, pick_pivot(), forward, threshold,
+                forward_walks if forward else backward_walks,
             )
             for v in active:
-                if (v in ball) == (style == 1):
+                if (v in ball) == forward:
                     supplies[v] = deg[v]
                 else:
                     sinks[v] = deg[v]
@@ -234,7 +295,7 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
         demand = frozenset(supplies)
         if target == 0 or demand in passed:
             continue
-        res = _trial_flow(g, contracted, supplies, sinks, target, sigma)
+        res = _trial_flow(g, h, new_id, supplies, sinks, target, sigma)
         if res.value < target:
             viol = res.min_cut_side & comp
             if not viol or viol == comp:
@@ -319,9 +380,10 @@ class Hierarchy:
     Its readers take the graph from it, so it cannot be paired with
     another graph; two hierarchies are equal only when their graphs are.
 
-    Level 0 has no edge set; its partition is all singletons because every
-    edge counts as higher-level there. Partitions coarsen upward (a laminar
-    family): the edges above level i - 1 include those above level i.
+    Level 0 has no edge set; every edge counts as higher-level there, so
+    its partition is all singletons, built without an SCC pass.
+    Partitions coarsen upward (a laminar family): the edges above level
+    i - 1 include those above level i.
     `packing.critical_edges` turns this into one critical level per edge.
     """
 
@@ -333,9 +395,15 @@ class Hierarchy:
 
     def __post_init__(self) -> None:
         self.validate()
-        # Entry i is the union of E_j for j > i; validate bounds L.
-        above = (frozenset().union(*self.levels[i:]) for i in range(self.L + 1))
-        object.__setattr__(self, "partitions", tuple(scc(self.graph, up) for up in above))
+        # Every edge lies above level 0, since the levels cover the graph.
+        # Above level i > 0 lies the union of E_j for j > i; validate
+        # bounds L.
+        n = self.graph.n
+        singletons = Partition(tuple(range(n)), tuple(frozenset((v,)) for v in range(n)))
+        above = (frozenset().union(*self.levels[i:]) for i in range(1, self.L + 1))
+        object.__setattr__(
+            self, "partitions", (singletons, *(scc(self.graph, up) for up in above))
+        )
         s = self.graph.source
         for i, part in enumerate(self.partitions):
             if part.component(s) != frozenset({s}):
