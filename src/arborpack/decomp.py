@@ -6,7 +6,7 @@ terminal-degree demands route with congestion 1/phi, by pushing seeded
 random split-flow instances through an exact max-flow. The demands sit
 on the component's vertices, but the trial flows are not confined to
 it: `_trial_flow` passes no edge filter, so a flow may route through
-edges outside the component (ROADMAP item 8 step 1 confines them).
+edges outside the component (ROADMAP item 9 step 1 confines them).
 When a trial flow falls short, the residual min-cut exposes a
 violating vertex set; its smaller-direction crossing edges join the cut
 set B and both sides are re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
@@ -325,8 +325,7 @@ def decompose(
         return DecompResult(frozenset(), phi_target, 0)
 
     estar_cap = g.edge_capacity(terminals)
-    degrees = restricted_degrees(g, terminals)
-    deg = [degrees.deg(v) for v in range(g.n)]
+    deg = restricted_degrees(g, terminals)
     trials = certification_trials(g.n)
     contracted = _contract_inner_paths(g, deg)
 

@@ -54,10 +54,10 @@ held an earlier sink t_j would give t_j a value no larger, so none
 does, and the run of t* adds exactly the least value.
 
 An optional `flow_bound` stops augmentation as soon as the flow reaches
-it. Such a run is `capped`: it skips the final residual search, and its
-`min_cut_side` is None. Any other run (no bound, or `value < flow_bound`)
-is a genuine maximum flow: one forward search over the final residual
-graph gives its `min_cut_side`, a genuine minimum cut.
+it. Such a run skips the final residual search, and its `min_cut_side`
+is None. Any other run (no bound, or `value < flow_bound`) is a genuine
+maximum flow: one forward search over the final residual graph gives
+its `min_cut_side`, a genuine minimum cut.
 
 `verify_flow` re-derives every invariant of a result against its
 problem. `decompose_paths` takes the same pair, checks it with
@@ -130,8 +130,8 @@ class FlowResult:
     `flow[e]` is the flow on edge e in scaled capacity units, a list
     entry for every edge id (0 on edges outside the filter); `source_used`
     and `sink_used` record how much of each vertex's supply/sink capacity
-    the flow consumed. `capped` means the value reached `flow_bound`; the
-    run then stopped without a cut, and `min_cut_side` is None.
+    the flow consumed. `min_cut_side` is None exactly when the value
+    reached `flow_bound`: the run then stopped without a cut.
     """
 
     value: int
@@ -139,7 +139,6 @@ class FlowResult:
     min_cut_side: frozenset | None
     source_used: dict = field(repr=False)
     sink_used: dict = field(repr=False)
-    capped: bool = False
 
 
 def max_flow(problem: FlowProblem) -> FlowResult:
@@ -156,8 +155,7 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     is_source = [False] * n + [True, False]
     dist, it = [-1] * (n + 2), [0] * (n + 2)
     flow_total += _dinic(adj, head, cap, is_source, sink, limit - flow_total, dist, it)
-    capped = flow_total == bound
-    cut_side = None if capped else _unreached(adj, head, cap, source, n)
+    cut_side = None if flow_total == bound else _unreached(adj, head, cap, source, n)
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
     # flow on it.
@@ -167,7 +165,6 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         min_cut_side=cut_side,
         source_used={v: cap[a ^ 1] for v, a in supply_arc.items()},
         sink_used={v: cap[a ^ 1] for v, a in sink_arc.items()},
-        capped=capped,
     )
 
 
@@ -415,7 +412,8 @@ def verify_flow(problem: FlowProblem, result: FlowResult) -> None:
     """Re-derive every flow invariant; raises `InternalError` on failure.
 
     Checks capacity bounds, conservation and usage budgets, value
-    accounting, and (for uncapped runs) the min-cut identity
+    accounting, that only a value at `flow_bound` comes without a cut
+    side, and for a cut side T the min-cut identity
     value == supply(T) + c(crossing into T) + sink(V - T). Conservation
     and budgets can fail only where flow or a supply, sink or usage entry
     is, so only those vertices are checked, in ascending order.
@@ -446,8 +444,11 @@ def verify_flow(problem: FlowProblem, result: FlowResult) -> None:
         raise InternalError("value does not match total supply used")
     if sum(result.sink_used.values()) != result.value:
         raise InternalError("value does not match total sink usage")
-    if not result.capped:
-        t_side = result.min_cut_side
+    t_side = result.min_cut_side
+    if t_side is None:
+        if result.value != problem.flow_bound:
+            raise InternalError(f"flow of value {result.value} below its bound has no cut side")
+    else:
         crossing = 0
         for eid in range(g.m) if allowed is None else allowed:
             u, v, c = g.edges[eid]

@@ -76,9 +76,12 @@ def _subset_cuts(g: DirectedGraph) -> tuple[list[int], list[int]]:
     module docstring; T' lies above v, so v keeps only neighbours above it."""
     if g.n > _BRUTE_LIMIT:
         raise ScaleError(f"enumeration limited to n <= {_BRUTE_LIMIT}, got {g.n}")
-    degrees = restricted_degrees(g, range(g.m))
+    out_deg = [0] * g.n
+    in_deg = [0] * g.n
     above: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v, c in g.edges:
+        out_deg[u] += c
+        in_deg[v] += c
         low, high = min(u, v), max(u, v)
         above[low][1 << high] = above[low].get(1 << high, 0) + c
     size = 1 << g.n
@@ -89,8 +92,8 @@ def _subset_cuts(g: DirectedGraph) -> tuple[list[int], list[int]]:
         v = low.bit_length() - 1
         rest = t ^ low
         inner = sum([c for bit, c in above[v].items() if rest & bit])
-        delta[t] = delta[rest] + degrees.out_deg[v] - inner
-        rho[t] = rho[rest] + degrees.in_deg[v] - inner
+        delta[t] = delta[rest] + out_deg[v] - inner
+        rho[t] = rho[rest] + in_deg[v] - inner
     return delta, rho
 
 
@@ -122,12 +125,12 @@ def bruteforce_cut_expansion(
     Ratios are compared exactly, by cross-multiplying.
     """
     delta, rho = _subset_cuts(g)
-    table = restricted_degrees(g, estar)
+    deg = restricted_degrees(g, estar)
     size = 1 << g.n
     term = [0] * size
     for t in range(1, size):
         low = t & -t
-        term[t] = term[t ^ low] + table.deg(low.bit_length() - 1)
+        term[t] = term[t ^ low] + deg[low.bit_length() - 1]
     best_num = best_den = None
     for comp in partition.components:
         comp_mask = sum(1 << v for v in comp)

@@ -61,7 +61,7 @@ rejected. `pack` returns a `PackingResult`; `cli` writes it as JSON.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Mapping, Sequence
 
@@ -479,11 +479,12 @@ def extract_arborescences(
     g: DirectedGraph,
     coloring: Mapping[int, frozenset],
     k: int,
-    congestion_bound: Fraction | None = None,
-) -> PackingResult:
+    congestion_bound: Fraction,
+) -> tuple[tuple[int, ...], ...]:
     """One DFS tree per color, rooted at the source over that color's
-    edges; fails with the offending color and vertex if a color class
-    does not span the graph."""
+    edges, each as its edge ids in ascending order; fails with the
+    offending color and vertex if a color class does not span the graph,
+    and when more than `congestion_bound` trees share an edge."""
     s = g.source
     trees: list[tuple[int, ...]] = []
     for gamma, adj in enumerate(_color_adjacency(g, coloring, k), start=1):
@@ -508,14 +509,12 @@ def extract_arborescences(
         trees.append(tuple(sorted(tree_edges)))
     usage = Counter(e for tree in trees for e in tree)
     congestion = max(usage.values(), default=0)
-    if congestion_bound is not None and congestion > congestion_bound:
+    if congestion > congestion_bound:
         raise InvariantError(
             f"tree congestion {congestion} exceeds the instrumented bound "
             f"{congestion_bound}"
         )
-    return PackingResult(
-        kind="arborescences", k=k, trees=tuple(trees), congestion=congestion
-    )
+    return tuple(trees)
 
 
 def exchange_pass(
@@ -689,10 +688,10 @@ def pack(
         state = outcome
     coloring = finalize_coloring(hierarchy, state, crit)
     bound = 5 * hierarchy.L * hierarchy.L * state.route_factor + hierarchy.L + 1
-    result = extract_arborescences(g, coloring, k, bound)
-    trees, congestion = exchange_pass(g, result.trees)
-    return replace(
-        result,
+    trees, congestion = exchange_pass(g, extract_arborescences(g, coloring, k, bound))
+    return PackingResult(
+        kind="arborescences",
+        k=k,
         trees=trees,
         congestion=congestion,
         levels=hierarchy.L,

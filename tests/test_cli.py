@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arborpack
+from arborpack import cli
 from arborpack.cli import format_graph, hierarchy_from_json, hierarchy_to_json, main, parse_graph
 from arborpack.decomp import build_hierarchy
-from arborpack.errors import InputError
+from arborpack.errors import InputError, InternalError
 from arborpack.generators import (
     gen_cycle_plus_chords,
     gen_dag_layered,
@@ -142,6 +143,29 @@ class TestGenerators:
         payload = json.loads(out)
         validate(payload, "error.schema.json")
         assert payload["message"] == f"edge count {count} exceeds bound 2^24"
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param(argv, message, id=argv)
+            for argv, message in [
+                ("random_gnm --n 1 --m 1", "random_gnm needs n >= 2"),
+                ("random_gnm --n 5 --m -1", "random_gnm needs m >= 0"),
+                ("dag_layered --n 1 --m 1", "dag_layered needs n >= 2"),
+                ("two_cliques_bridge --half 1", "two_cliques_bridge needs half >= 2"),
+                ("cycle_plus_chords --n 2", "cycle_plus_chords needs n >= 3"),
+                ("known_packing --n 1 --k 1", "known_packing needs n >= 2"),
+                ("known_packing --n 5 --k 0", "known_packing needs k >= 1"),
+            ]
+        ],
+    )
+    def test_generator_parameter_check_is_a_json_error(self, capsys, argv, message):
+        code, out = run_cli(capsys, "gen", *argv.split())
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["error_type"] == "parameter"
+        assert payload["message"] == message
 
     def test_edge_count_at_the_bound_is_accepted(self):
         check_edge_count(MAX_EDGES)
@@ -380,6 +404,37 @@ class TestVerifyOtherKinds:
         report = json.loads(out)
         validate(report, "verify.schema.json")
         assert report["ok"]
+
+
+    def test_verify_mincut_against_a_single_vertex_graph(self, capsys, tmp_path):
+        path = tmp_path / "p.dmc"
+        path.write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+        code, out = run_cli(capsys, "mincut", str(path), "--seed", "1")
+        assert code == 0
+        result = tmp_path / "m.json"
+        result.write_text(out)
+        single = tmp_path / "one.dmc"
+        single.write_text("p dmc 1 0 1\n")
+        code, out = run_cli(capsys, "verify", str(result), str(single))
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["message"] == "rooted min-cut needs at least one non-source vertex"
+
+
+def test_internal_error_is_an_operation_error(capsys, tmp_path, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise InternalError("hierarchy check failed")
+
+    monkeypatch.setattr(cli, "build_hierarchy", broken)
+    path = tmp_path / "p.dmc"
+    path.write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+    code, out = run_cli(capsys, "hierarchy", str(path))
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "error.schema.json")
+    assert payload["error_type"] == "operation"
+    assert payload["message"] == "hierarchy check failed"
 
 
 class TestVerifyMalformedResults:

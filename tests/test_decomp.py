@@ -377,8 +377,7 @@ def reference_decompose(g, terminals, phi, seed):
     if not terminals:
         return DecompResult(frozenset(), phi, 0)
     estar_cap = g.edge_capacity(terminals)
-    degrees = restricted_degrees(g, terminals)
-    deg = [degrees.deg(v) for v in range(g.n)]
+    deg = restricted_degrees(g, terminals)
     trials = certification_trials(g.n)
     halvings = rounds = counter = 0
     cut = set()
@@ -423,8 +422,7 @@ class TestContraction:
     @settings(max_examples=150)
     def test_contracted_graph_keeps_every_flow_value(self, case, scale, data):
         g, terminals = case
-        degrees = restricted_degrees(g, terminals)
-        h, new_id, _fw, _bw = _contract_inner_paths(g, [degrees.deg(v) for v in range(g.n)])
+        h, new_id, _fw, _bw = _contract_inner_paths(g, restricted_degrees(g, terminals))
         kept = [v for v in range(g.n) if new_id[v] >= 0]
         assert [new_id[v] for v in kept] == list(range(h.n))
         assert (h is g) == (h.n == g.n)
@@ -500,8 +498,7 @@ class TestGrowHalf:
     @settings(max_examples=150)
     def test_ball_keeps_the_vertex_by_vertex_members(self, case, data):
         g, terminals = case
-        degrees = restricted_degrees(g, terminals)
-        deg = [degrees.deg(v) for v in range(g.n)]
+        deg = restricted_degrees(g, terminals)
         _h, new_id, fw, bw = _contract_inner_paths(g, deg)
         removed = frozenset(
             data.draw(st.sets(st.integers(0, g.m - 1), max_size=g.m // 3)) if g.m else ()

@@ -172,26 +172,21 @@ def test_edges_within_matches_a_scan_of_every_edge(g, data):
 class TestRestrictedDegrees:
     def test_empty_filter(self):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
-        table = restricted_degrees(g, ())
-        assert table.deg(1) == 0
+        assert restricted_degrees(g, ()) == [0, 0, 0]
 
     def test_full_path(self):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
-        table = restricted_degrees(g, range(g.m))
-        assert table.deg(1) == 2
+        assert restricted_degrees(g, range(g.m))[1] == 2
 
     def test_weighted_single_edge(self):
         g = normalize([(1, 2, 3), (2, 1, 1)], 3, 0)
         eid = next(e for e, (u, v, _) in enumerate(g.edges) if (u, v) == (1, 2))
-        table = restricted_degrees(g, (eid,))
-        assert table.out_deg[1] == 3
-        assert table.in_deg[2] == 3
+        assert restricted_degrees(g, (eid,)) == [0, 3, 3]
 
     @given(digraphs(max_n=6, max_m=14, max_cap=4), st.data())
     def test_degree_sums_match_filter_capacity(self, g, data):
         chosen = frozenset(
             data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
         ) & frozenset(range(g.m))
-        table = restricted_degrees(g, chosen)
-        assert sum(table.out_deg) == g.edge_capacity(chosen)
-        assert sum(table.in_deg) == g.edge_capacity(chosen)
+        deg = restricted_degrees(g, chosen)
+        assert sum(deg) == 2 * g.edge_capacity(chosen)

@@ -110,7 +110,6 @@ def reference_max_flow(problem):
         min_cut_side=None if capped else frozenset(v for v in range(g.n) if level[v] < 0),
         source_used={v: cap[a ^ 1] for v, a in supply_arc.items()},
         sink_used={v: cap[a ^ 1] for v, a in sink_arc.items()},
-        capped=capped,
     )
 
 
@@ -179,7 +178,6 @@ def result_fields(res):
         res.min_cut_side,
         res.source_used,
         res.sink_used,
-        res.capped,
     )
 
 
@@ -231,7 +229,6 @@ class TestMaxFlow:
         g = normalize([(0, 1, 5)], 2, 0)
         res = max_flow(FlowProblem(g, {0: 5}, {1: 5}, flow_bound=2))
         assert res.value == 2
-        assert res.capped
         assert res.min_cut_side is None
 
     def test_supply_below_bound_is_not_capped(self):
@@ -241,7 +238,6 @@ class TestMaxFlow:
         problem = FlowProblem(g, {0: 3}, {1: 5}, flow_bound=5)
         res = max_flow(problem)
         assert res.value == 3
-        assert not res.capped
         assert res.min_cut_side == frozenset({0, 1})
         verify_flow(problem, res)
 
@@ -312,8 +308,8 @@ class TestMaxFlow:
                 capacity_scale=problem.capacity_scale,
             )
             ref = max_flow(fresh)
-            assert (res.value, res.flow, res.min_cut_side, res.capped) == (
-                ref.value, ref.flow, ref.min_cut_side, ref.capped
+            assert (res.value, res.flow, res.min_cut_side) == (
+                ref.value, ref.flow, ref.min_cut_side
             )
             assert (res.source_used, res.sink_used) == (ref.source_used, ref.sink_used)
 
@@ -344,11 +340,11 @@ class TestMaxFlow:
         g = normalize(edges, 4, 0)
         capped = max_flow(FlowProblem(g, {0: 9, 1: 2}, {3: 9, 1: 1}, flow_bound=2,
                                       capacity_scale=2))
-        assert capped.capped and capped.value == 2
+        assert capped.min_cut_side is None and capped.value == 2
         res = max_flow(FlowProblem(g, {0: 9}, {3: 9}, capacity_scale=2))
         fresh = max_flow(FlowProblem(normalize(edges, 4, 0), {0: 9}, {3: 9}, capacity_scale=2))
         assert result_fields(res) == result_fields(fresh)
-        assert res.value == 6 and not res.capped
+        assert res.value == 6 and res.min_cut_side is not None
 
     def test_broom_matches_reference(self):
         # A complete binary tree of 2,047 dead-end vertices hangs off the
@@ -370,7 +366,7 @@ class TestMaxFlow:
             res = max_flow(problem)
             assert result_fields(res) == result_fields(reference_max_flow(problem))
             verify_flow(problem, res)
-        assert res.value == 2 and res.capped
+        assert res.value == 2 and res.min_cut_side is None
         res = max_flow(FlowProblem(g, {0: 5}, {sink: 5}))
         assert res.value == 3
         assert res.min_cut_side == frozenset(range(sink, nxt))
@@ -422,7 +418,7 @@ class TestShortPaths:
     def test_unit_case_values(self):
         g = normalize([(0, 1, 1), (1, 2, 2), (1, 3, 2), (1, 4, 2)], 5, 0)
         res = max_flow(FlowProblem(g, {1: 9}, {2: 2, 3: 2, 4: 2}, flow_bound=3))
-        assert res.capped and res.flow == [0, 2, 1, 0]
+        assert res.min_cut_side is None and res.flow == [0, 2, 1, 0]
         assert res.sink_used == {2: 2, 3: 1, 4: 0}
         g = normalize([(0, 1, 1), (1, 2, 3), (1, 3, 1), (3, 2, 1)], 4, 0)
         res = max_flow(FlowProblem(g, {1: 3}, {2: 3}, edge_filter=frozenset({0, 2, 3})))
@@ -438,7 +434,8 @@ class TestShortPaths:
                             lambda *a: calls.append(1) or search(*a))
         g = normalize([(0, v, 1) for v in range(1, 5)] + [(1, 2, 1), (2, 3, 1)], 5, 0)
         res = max_flow(FlowProblem(g, {0: 4}, dict.fromkeys(range(1, 5), 1), flow_bound=4))
-        assert res.capped and res.value == 4 and res.flow == [1, 1, 1, 1, 0, 0]
+        assert res.min_cut_side is None and res.value == 4
+        assert res.flow == [1, 1, 1, 1, 0, 0]
         assert calls == []
 
 
@@ -470,6 +467,22 @@ class TestDecomposePaths:
         paths = decompose_paths(FlowProblem(g, {0: 1}, {2: 1}), res)
         assert [p.vertices for p in paths] == [(0, 1, 2)]
 
+    @pytest.mark.parametrize("loop", [1, 2])
+    def test_cycle_met_while_tracing_is_cancelled(self, loop):
+        # The trace takes 1->2 (edge 1) before 1->3 (edge 3), so it walks
+        # the circulation 1->2->1 back to vertex 1 and cancels it: one
+        # unit as it is walked, and with `loop` = 2 the further unit too.
+        g = normalize([(0, 1, 1), (1, 2, loop), (2, 1, loop), (1, 3, 1)], 4, 0)
+        res = FlowResult(
+            value=1,
+            flow=[1, loop, loop, 1],
+            min_cut_side=None,
+            source_used={0: 1},
+            sink_used={3: 1},
+        )
+        paths = decompose_paths(FlowProblem(g, {0: 1}, {3: 1}, flow_bound=1), res)
+        assert [(p.vertices, p.edges) for p in paths] == [((0, 1, 3), (0, 3))]
+
     def test_trivial_path_at_supply_sink_vertex(self):
         g = normalize([(0, 1, 1)], 2, 0)
         problem = FlowProblem(g, {1: 2}, {1: 2})
@@ -499,11 +512,26 @@ class TestDecomposePaths:
             min_cut_side=None,
             source_used={0: 2},
             sink_used={3: 2},
-            capped=True,
         )
         problem = FlowProblem(g, {0: 2}, {3: 2}, flow_bound=2)
         with pytest.raises(InternalError, match="vertex 2: conservation violated"):
             verify_flow(problem, res)
+
+    def test_rejects_a_missing_cut_below_the_bound(self):
+        # A value of 1 where 5 units fit is no maximum flow, so it needs
+        # the cut side that would prove it one.
+        g = normalize([(0, 1, 5)], 2, 0)
+        res = FlowResult(
+            value=1,
+            flow=[1],
+            min_cut_side=None,
+            source_used={0: 1},
+            sink_used={1: 1},
+        )
+        for bound in (None, 2):
+            problem = FlowProblem(g, {0: 5}, {1: 5}, flow_bound=bound)
+            with pytest.raises(InternalError, match="below its bound has no cut side"):
+                verify_flow(problem, res)
 
     def test_rejects_flow_outside_the_edge_filter(self):
         # Two parallel routes 0->1->3 and 0->2->3; the problem allows only
@@ -515,7 +543,6 @@ class TestDecomposePaths:
             min_cut_side=None,
             source_used={0: 1},
             sink_used={3: 1},
-            capped=True,
         )
         problem = FlowProblem(g, {0: 1}, {3: 1}, flow_bound=1, edge_filter={0, 1})
         with pytest.raises(InternalError, match="filtered-out edge 2"):
@@ -529,7 +556,6 @@ class TestDecomposePaths:
             min_cut_side=None,
             source_used={0: 2},
             sink_used={2: 2},
-            capped=True,
         )
         problem = FlowProblem(g, {0: 2}, {2: 2}, flow_bound=2)
         with pytest.raises(InternalError, match=r"edge 0: flow 2 outside \[0, 1\]"):
@@ -543,7 +569,6 @@ class TestDecomposePaths:
             min_cut_side=None,
             source_used={0: 1},
             sink_used={2: 1},
-            capped=True,
         )
         problem = FlowProblem(g, {1: 1}, {2: 1}, flow_bound=1)
         with pytest.raises(InternalError, match="exceeds its budget"):

@@ -170,13 +170,13 @@ class TestBruteforceCutExpansion:
         edge_subsets = st.frozensets(st.integers(0, g.m - 1)) if g.m else st.just(frozenset())
         part = scc(g, data.draw(edge_subsets))
         estar = data.draw(edge_subsets)
-        table = restricted_degrees(g, estar)
+        deg = restricted_degrees(g, estar)
         best = math.inf
         for comp in part.components:
-            total = sum(table.deg(v) for v in comp)
+            total = sum(deg[v] for v in comp)
             for r in range(1, g.n + 1):
                 for combo in itertools.combinations(range(g.n), r):
-                    deg_t = sum(table.deg(v) for v in comp.intersection(combo))
+                    deg_t = sum(deg[v] for v in comp.intersection(combo))
                     if deg_t == 0 or 2 * deg_t > total:
                         continue
                     dv = cut_values(g, combo)

@@ -1,5 +1,7 @@
 """Arborescence packing: base case, the three level steps, extraction."""
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -395,6 +397,29 @@ class TestCheckInvariants:
         edge_colors[1] = {1}
         assert check_invariants(h, 1, state, critical_edges(h)) == []
 
+    def test_overfull_vertex_and_edge_break_invariants_2_and_3(self, monkeypatch):
+        # Vertex 1 has one in-edge critical at level 1, so it may hold
+        # 2 colors, and an edge may hold 5 * 1^2 * 1. Colors above k = 1
+        # count toward both bounds and leave Invariant 1 alone.
+        g = rooted_triangle()
+        h = build_hierarchy(g, seed=1)
+        crit = critical_edges(h)
+        state = run_level(h, 1, init_base_colors(g, 1), crit)
+        assert check_invariants(h, 1, state, crit) == []
+        state.vertex_colors[1] |= {2, 3}
+        state.edge_colors[1] |= set(range(2, 7))
+        messages = [
+            "vertex 1 holds 3 colors, bound is 2 (invariant 2)",
+            "edge 1 holds 6 colors, bound is 5 (invariant 3)",
+        ]
+        assert check_invariants(h, 1, state, crit) == messages
+        # A step 1 that keeps every color in X hands the same coloring on
+        # from level 0, and run_level's own check rejects it.
+        monkeypatch.setattr(packing, "split_colors", lambda colors, _caps: (set(colors), set(), set()))
+        with pytest.raises(InvariantError) as err:
+            run_level(h, 1, replace(state, level=0), crit)
+        assert str(err.value) == "; ".join(messages)
+
 
 class TestFinalizeColoring:
     def test_no_vertex_colors_keeps_edge_colors(self):
@@ -441,26 +466,27 @@ class TestFinalizeColoring:
 
 
 class TestExtractArborescences:
+    # Bound 1 passes and bound 0 fails: the trees have congestion 1.
     def test_single_colored_path(self):
         g = path3()
-        result = extract_arborescences(g, {0: frozenset({1}), 1: frozenset({1})}, 1)
-        assert result.trees == ((0, 1),)
-        assert result.congestion == 1
+        coloring = {0: frozenset({1}), 1: frozenset({1})}
+        assert extract_arborescences(g, coloring, 1, 1) == ((0, 1),)
+        with pytest.raises(InvariantError, match="tree congestion 1"):
+            extract_arborescences(g, coloring, 1, 0)
 
     def test_two_parallel_trees(self):
         g = normalize([(0, 1, 1), (0, 1, 1)], 2, 0)
-        result = extract_arborescences(
-            g, {0: frozenset({1}), 1: frozenset({2})}, 2
-        )
-        assert result.trees == ((0,), (1,))
-        assert result.congestion == 1
+        coloring = {0: frozenset({1}), 1: frozenset({2})}
+        assert extract_arborescences(g, coloring, 2, 1) == ((0,), (1,))
+        with pytest.raises(InvariantError, match="tree congestion 1"):
+            extract_arborescences(g, coloring, 2, 0)
 
     def test_uncolored_vertex_fails_loudly(self):
         from arborpack.errors import PropertyOneError
 
         g = path3()
         with pytest.raises(PropertyOneError):
-            extract_arborescences(g, {0: frozenset({1}), 1: frozenset()}, 1)
+            extract_arborescences(g, {0: frozenset({1}), 1: frozenset()}, 1, 1)
 
 
 class TestPack:
@@ -536,8 +562,9 @@ class TestPack:
             assert pack(g, k, seed=seed) == result
         assert verify_packing(g, result)["ok"]
         if result.kind == "arborescences":
-            assert result.congestion <= extracted[0].congestion
-            assert exchange_pass(g, extracted[0].trees) == (result.trees, result.congestion)
+            load = Counter(e for tree in extracted[0] for e in tree)
+            assert result.congestion <= max(load.values(), default=0)
+            assert exchange_pass(g, extracted[0]) == (result.trees, result.congestion)
             # A second pass moves nothing, and no pass beats ceil(k / lambda).
             assert exchange_pass(g, result.trees) == (result.trees, result.congestion)
             assert result.congestion >= -(-k // bruteforce_rooted_mincut(g)[0])
