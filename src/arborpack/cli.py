@@ -267,16 +267,16 @@ def _cmd_pack(args) -> int:
 
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
                "boolean": (bool,), "array": (list,), "object": (dict,)}
-_KEYWORDS = set("$schema $id title type const enum minimum pattern minItems items required "
-                "properties additionalProperties allOf if then".split())
+_KEYWORDS = set("$schema $id title type const enum minimum pattern minItems items uniqueItems "
+                "required properties additionalProperties allOf if then".split())
 _SCHEMAS: dict[str, dict] = {}
 
 
 def schema_violations(value, schema: dict, path: str):
     """Yield, lazily, each way in which the JSON `value` at `path` breaks
     `schema`; a keyword not in `_KEYWORDS` raises `InternalError`. Unlike
-    JSON Schema, an integer is never a float such as 9.0, and `const` and
-    `enum` compare types too."""
+    JSON Schema, an integer is never a float such as 9.0, and `const`,
+    `enum` and `uniqueItems` compare types too."""
     kind = type(value)
     for key, want in schema.items():
         if key not in _KEYWORDS or (key == "additionalProperties" and want is not False):
@@ -299,6 +299,14 @@ def schema_violations(value, schema: dict, path: str):
         ):
             for i, item in enumerate(value):
                 yield from schema_violations(item, want, f"{path}[{i}]")
+        elif key == "uniqueItems" and want and kind is list:
+            seen: set = set()
+            for i, item in enumerate(value):
+                mark = item if type(item) is int else json.dumps(item, sort_keys=True)
+                if mark in seen:
+                    yield f"{path}[{i}] repeats an earlier item"
+                    break
+                seen.add(mark)
         elif key == "required" and kind is dict:
             yield from (f"{path} lacks {name!r}" for name in want if name not in value)
         elif key == "properties" and kind is dict:

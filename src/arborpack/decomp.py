@@ -6,7 +6,7 @@ terminal-degree demands route with congestion 1/phi, by pushing seeded
 random split-flow instances through an exact max-flow. The demands sit
 on the component's vertices, but the trial flows are not confined to
 it: `_trial_flow` passes no edge filter, so a flow may route through
-edges outside the component (ROADMAP item 9 step 1 confines them).
+edges outside the component, and nothing yet confines it there.
 When a trial flow falls short, the residual min-cut exposes a
 violating vertex set; its smaller-direction crossing edges join the cut
 set B and both sides are re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
@@ -458,8 +458,6 @@ def build_hierarchy(
     """Iterate decompose until no cut edges remain; the `Hierarchy` built
     from the levels validates them and derives each level's partition."""
     phi_target = Fraction(phi_target)
-    if not 0 < phi_target <= 1:
-        raise ParameterError(f"phi_target must be in (0, 1], got {phi_target}")
     levels: list[frozenset] = []
     phis: list[Fraction] = []
     total_cap = g.total_capacity()

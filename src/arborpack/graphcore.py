@@ -21,8 +21,6 @@ VertexId = int
 EdgeId = int
 Edge = tuple[int, int, int]
 EdgeSet = frozenset  # frozenset[EdgeId]
-#: (head, cap, adj) of every residual arc a max-flow on a graph can use.
-ResidualArcs = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 #: Reject capacities above this bound so 64-bit accumulation cannot
 #: overflow even when summed over every edge of a desk-scale graph.
@@ -44,22 +42,11 @@ class DirectedGraph:
 
     `edges[e] = (tail, head, capacity)`.
 
-    `residual_arcs = (head, cap, adj)` holds every arc a max-flow on the
-    graph can use, with the super-source at n and the super-sink at
-    n + 1. Arc 2e runs along edge e with capacity c(e); arc 2e+1 runs
-    back with capacity 0. Each vertex v then has four arcs at fixed ids:
-    2m+4v runs from the super-source to v and 2m+4v+2 from v to the
-    super-sink, each followed by its partner. These have capacity 0
-    here; a flow writes its supplies and sinks into its own copy of
-    `cap`. `head[a]` and `cap[a]` give an arc's head and unscaled
-    capacity, and `adj[v]` lists the edge arcs leaving v in edge-id
-    order. `scaled_capacities` gives `cap` times a scale and keeps the
-    last scaled copy. Nothing changes `head` or `adj`. The arcs are
-    built at their first use, so a graph that runs no flow never builds
-    them; two readers that race to build them build equal tuples.
-
-    `sccs` is the graph's own SCC partition, `scc(g)`, likewise built at
-    its first use and kept.
+    `memo` keeps what is derived from the graph once: its own SCC
+    partition, `sccs` (that is, `scc(g)`), and the residual network that
+    `maxflow` builds for its flows. Each entry is built at its first use,
+    so a graph that needs none builds none; two readers that race to
+    build one build equal values.
     """
 
     n: int
@@ -67,9 +54,7 @@ class DirectedGraph:
     source: int
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _arcs: ResidualArcs | None = field(init=False, repr=False, compare=False)
-    _scaled: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _sccs: Partition | None = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -79,62 +64,18 @@ class DirectedGraph:
             inc[v].append(eid)
         object.__setattr__(self, "_out", tuple(tuple(a) for a in out))
         object.__setattr__(self, "_in", tuple(tuple(a) for a in inc))
-        # Filled in at first use, by `residual_arcs`, `scaled_capacities`
-        # and `sccs`. Not `functools.cached_property`: it writes through
-        # `__dict__`, after which CPython 3.11 and 3.12 read every
-        # attribute of the graph (`n`, `edges`) about 1.7 times slower.
-        object.__setattr__(self, "_arcs", None)
-        object.__setattr__(self, "_scaled", (1, ()))
-        object.__setattr__(self, "_sccs", None)
-
-    @property
-    def residual_arcs(self) -> ResidualArcs:
-        """`(head, cap, adj)`, as the class docstring describes them."""
-        arcs = self._arcs
-        if arcs is None:
-            n = self.n
-            head: list[int] = []
-            cap: list[int] = []
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for eid, (u, v, c) in enumerate(self.edges):
-                head += (v, u)
-                cap += (c, 0)
-                adj[u].append(2 * eid)
-                adj[v].append(2 * eid + 1)
-            # From 2m + 4v: source -> v, v -> source, v -> sink, sink -> v,
-            # with the super-source at n and the super-sink at n + 1.
-            virtual = [n] * (4 * n)
-            virtual[0::4] = virtual[3::4] = range(n)
-            virtual[2::4] = [n + 1] * n
-            head += virtual
-            cap += [0] * (4 * n)
-            arcs = (tuple(head), tuple(cap), tuple(tuple(a) for a in adj))
-            object.__setattr__(self, "_arcs", arcs)
-        return arcs
-
-    def scaled_capacities(self, scale: int) -> tuple[int, ...]:
-        """The arc capacities of `residual_arcs` times `scale`.
-
-        Scale 1 gives `cap` itself. The graph keeps the last other scaled
-        copy, as one `(scale, caps)` pair replaced in one assignment, so
-        flows at one scale share it and a concurrent reader never pairs a
-        scale with another scale's copy.
-        """
-        if scale == 1:
-            return self.residual_arcs[1]
-        last, caps = self._scaled
-        if last != scale:
-            caps = tuple([c * scale for c in self.residual_arcs[1]])
-            object.__setattr__(self, "_scaled", (scale, caps))
-        return caps
+        # Not `functools.cached_property`: it writes through `__dict__`,
+        # after which CPython 3.11 and 3.12 read every attribute of the
+        # graph (`n`, `edges`) about 1.7 times slower. Filling a dict
+        # field adds no attribute.
+        object.__setattr__(self, "memo", {})
 
     @property
     def sccs(self) -> Partition:
         """The strongly connected components of the whole graph."""
-        part = self._sccs
+        part = self.memo.get("sccs")
         if part is None:
-            part = _scc_partition(self, frozenset())
-            object.__setattr__(self, "_sccs", part)
+            part = self.memo["sccs"] = _scc_partition(self, frozenset())
         return part
 
     @property

@@ -28,10 +28,10 @@ order, so every result equals plain Dinic's; a flow that one-edge paths
 can carry up to its bound runs no search at all.
 
 Every arc a call can use is built once per graph, at its first flow
-(`DirectedGraph.residual_arcs`): the two arcs of each edge, and a supply
-and a sink arc pair for each vertex at fixed ids, with capacity 0. Every
-call shares the `head` tuple. A call copies one capacity template (the
-unscaled one, or the graph's kept copy at `capacity_scale`), writes its
+(`_residual_arcs`, kept in the graph's `memo`): the two arcs of each
+edge, and a supply and a sink arc pair for each vertex at fixed ids,
+with capacity 0. Every call shares the `head` tuple. A call copies the
+capacity template the graph keeps for its `capacity_scale`, writes its
 supplies and sink capacities into it, and gives edges outside
 `edge_filter` capacity 0 both ways. Only the arc lists of vertices that
 get a supply or sink arc are extended. The blocking-flow search keeps an
@@ -201,16 +201,53 @@ def first_min_sink(problem: FlowProblem, sinks: Sequence[int], bound: int) -> tu
     return best, first
 
 
+def _residual_arcs(g: DirectedGraph, scale: int):
+    """`(head, cap, adj)`: every arc a flow on g can use, with edge
+    capacities times `scale`, built at the first flow at that scale and
+    kept in `g.memo`.
+
+    The super-source is n and the super-sink n + 1. Arc 2e runs along
+    edge e with capacity c(e) * scale; arc 2e+1 runs back with capacity
+    0. Each vertex v then has four arcs at fixed ids: 2m+4v runs from the
+    super-source to v and 2m+4v+2 from v to the super-sink, each followed
+    by its partner. These have capacity 0 here; a run writes its supplies
+    and sinks into its own copy of `cap`. `adj[v]` lists the edge arcs
+    leaving v in edge-id order. Every scale shares the `head` and `adj`
+    of scale 1, and nothing changes them.
+    """
+    key = ("residual", scale)
+    arcs = g.memo.get(key)
+    if arcs is None and scale != 1:
+        head, cap, adj = _residual_arcs(g, 1)
+        arcs = g.memo[key] = (head, tuple([c * scale for c in cap]), adj)
+    elif arcs is None:
+        n = g.n
+        head, cap = [], []
+        adj = [[] for _ in range(n)]
+        for eid, (u, v, c) in enumerate(g.edges):
+            head += (v, u)
+            cap += (c, 0)
+            adj[u].append(2 * eid)
+            adj[v].append(2 * eid + 1)
+        # From 2m + 4v: source -> v, v -> source, v -> sink, sink -> v.
+        virtual = [n] * (4 * n)
+        virtual[0::4] = virtual[3::4] = range(n)
+        virtual[2::4] = [n + 1] * n
+        head += virtual
+        cap += [0] * (4 * n)
+        arcs = g.memo[key] = (tuple(head), tuple(cap), tuple(map(tuple, adj)))
+    return arcs
+
+
 def _residual_network(problem: FlowProblem):
     """The residual network of a fresh run: `(head, cap, adj, supply_arc,
     sink_arc)`, with the super-source at n and the super-sink at n + 1.
-    `head` is the graph's shared tuple (`DirectedGraph.residual_arcs`);
-    `cap` and `adj` are this run's own. `supply_arc[v]` and `sink_arc[v]`
-    are the forward arcs of v's supply and sink; each arc's partner
-    `a ^ 1` runs the other way."""
+    `head` is the graph's shared tuple (`_residual_arcs`); `cap` and
+    `adj` are this run's own. `supply_arc[v]` and `sink_arc[v]` are the
+    forward arcs of v's supply and sink; each arc's partner `a ^ 1` runs
+    the other way."""
     g = problem.graph
-    head, _cap, base_adj = g.residual_arcs
-    template = g.scaled_capacities(problem.capacity_scale)
+    head, template, base_adj = _residual_arcs(g, problem.capacity_scale)
     allowed = problem.edge_filter
     if allowed is None:
         cap = list(template)
@@ -255,8 +292,8 @@ def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
     is saturated, and to the next u once u's supply is. These are the augmentations `_blocking_flow` makes in
     those phases, in the same order, so `_dinic` continues from the
     first phase of 4 or more arcs with the same residual network. The
-    sink arc of a vertex w is `first + 4 * w + 2`, as in
-    `DirectedGraph.residual_arcs`.
+    sink arc of a vertex w is `first + 4 * w + 2`, as `_residual_arcs`
+    lays them out.
     """
     room = limit
     for v, a in supply_arc.items():

@@ -262,8 +262,13 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("text, message", [
         ("p dmc 3 1 1\nx 1 2\n", "c.dmc: line 2: unknown line type 'x'"),
+        ("p dmc 3 0 1\np dmc 3 0 1\n", "c.dmc: line 2: duplicate problem line"),
+        ("p dmc 3 x 1\n", "c.dmc: line 1: non-integer problem field"),
+        ("p dmc 3 0 4\n", "c.dmc: line 1: problem line out of range"),
+        ("p dmc 3 1 1\na 1 2 1.5\n", "c.dmc: line 2: non-integer arc field"),
         ("p dmc 1 0 1\n", "c.dmc: rooted min-cut needs at least one non-source vertex"),
-    ], ids=["parse_error", "single_vertex"])
+    ], ids=["parse_error", "duplicate_problem_line", "non_integer_problem_field",
+            "problem_line_out_of_range", "non_integer_arc_field", "single_vertex"])
     def test_bench_error_names_its_file(self, capsys, tmp_path, text, message):
         # a.dmc is benched first; then c.dmc fails with exit code 2.
         (tmp_path / "a.dmc").write_text("p dmc 3 2 1\na 1 2\na 2 1\n")
@@ -275,6 +280,14 @@ class TestSubcommands:
         payload = json.loads(error)
         validate(payload, "error.schema.json")
         assert payload["message"] == message
+
+    def test_bench_without_graph_files(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+        code, out = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload, "error.schema.json")
+        assert payload["message"] == f"no .dmc files under {tmp_path}"
 
     def test_bench_note_names_its_file(self, capsys, tmp_path):
         # b.dmc has an arc into the source, vertex 1, which parsing drops.
@@ -345,8 +358,9 @@ class TestSubcommands:
     # limit. phi = 0 must be rejected before `pack`, which answers a graph
     # with an unreachable vertex without building a hierarchy.
     @pytest.mark.parametrize("argv", [["hierarchy", "--phi", "1e-5000"],
-                                      ["pack", "--k", "1", "--phi", "0"]],
-                             ids=["tiny", "zero"])
+                                      ["pack", "--k", "1", "--phi", "0"],
+                                      ["mincut", "--phi", "abc"]],
+                             ids=["tiny", "zero", "not-a-number"])
     def test_phi_out_of_range(self, capsys, tmp_path, argv):
         path = tmp_path / "p.dmc"
         path.write_text("p dmc 3 1 1\na 1 2\n")

@@ -53,29 +53,6 @@ def cycle3():
     return normalize([(1, 2, 1), (2, 3, 1), (3, 1, 1)], 4, 0)
 
 
-class TestResidualArcs:
-    def test_layout(self):
-        # m = 2, n = 3: edge arcs 0-3, then four arcs per vertex from 4;
-        # the super-source is 3 and the super-sink 4.
-        g = normalize([(0, 1, 3), (1, 2, 2)], 3, 0)
-        head, cap, adj = g.residual_arcs
-        assert head == (1, 0, 2, 1) + (0, 3, 4, 0) + (1, 3, 4, 1) + (2, 3, 4, 2)
-        assert cap == (3, 0, 2, 0) + (0,) * 12
-        assert adj == ((0,), (1, 2), (3,))
-        assert g.residual_arcs is g.residual_arcs
-
-    def test_scaled_capacities_keep_the_last_scale(self):
-        g = normalize([(0, 1, 3), (1, 2, 2)], 3, 0)
-        assert g.scaled_capacities(1) is g.residual_arcs[1]
-        doubled = g.scaled_capacities(2)
-        assert doubled == (6, 0, 4, 0) + (0,) * 12
-        assert g.scaled_capacities(2) is doubled
-        assert g.scaled_capacities(1) is g.residual_arcs[1]
-        assert g.scaled_capacities(2) is doubled
-        assert g.scaled_capacities(16)[:4] == (48, 0, 32, 0)
-        assert g.scaled_capacities(2) == doubled
-
-
 class TestScc:
     def test_cycle_is_one_component(self):
         g = cycle3()

@@ -206,6 +206,28 @@ def flow_problems(draw, g, scales=st.integers(1, 3), both_ends=False):
     )
 
 
+class TestResidualArcs:
+    def test_layout(self):
+        # m = 2, n = 3: edge arcs 0-3, then four arcs per vertex from 4;
+        # the super-source is 3 and the super-sink 4.
+        g = normalize([(0, 1, 3), (1, 2, 2)], 3, 0)
+        head, cap, adj = maxflow._residual_arcs(g, 1)
+        assert head == (1, 0, 2, 1) + (0, 3, 4, 0) + (1, 3, 4, 1) + (2, 3, 4, 2)
+        assert cap == (3, 0, 2, 0) + (0,) * 12
+        assert adj == ((0,), (1, 2), (3,))
+        assert maxflow._residual_arcs(g, 1) is maxflow._residual_arcs(g, 1)
+
+    def test_each_scale_is_kept_and_shares_head_and_adj(self):
+        g = normalize([(0, 1, 3), (1, 2, 2)], 3, 0)
+        head, cap, adj = maxflow._residual_arcs(g, 1)
+        doubled = maxflow._residual_arcs(g, 2)
+        assert doubled[0] is head and doubled[2] is adj
+        assert doubled[1] == (6, 0, 4, 0) + (0,) * 12
+        assert maxflow._residual_arcs(g, 16)[1][:4] == (48, 0, 32, 0)
+        assert maxflow._residual_arcs(g, 2) is doubled
+        assert maxflow._residual_arcs(g, 1)[1] is cap
+
+
 class TestMaxFlow:
     def test_unit_path(self):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)

@@ -138,6 +138,42 @@ class TestApproxRootedMincut:
             assert report.best.rho == exact
 
 
+def hidden_clique(seed: int, n: int, d: int, t: int, c: int):
+    """A unit-capacity clique on t vertices hidden in a random graph on n.
+
+    The source is 0. Each background vertex v in 1..n-1 gets d in-edges
+    from uniform tails in 0..n-1 (a self-loop is dropped). The clique T
+    on n..n+t-1 has all t(t - 1) arcs among its vertices; c arcs enter T
+    from uniform background tails, and d leave T for uniform non-source
+    background heads.
+    """
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n), v, 1) for v in range(1, n) for _ in range(d)]
+    clique = range(n, n + t)
+    edges += [(u, w, 1) for u in clique for w in clique if u != w]
+    edges += [(rng.randrange(n), rng.choice(clique), 1) for _ in range(c)]
+    edges += [(rng.choice(clique), rng.randrange(1, n), 1) for _ in range(d)]
+    return normalize(edges, n + t, 0)
+
+
+def test_misses_on_hidden_cliques_are_pinned():
+    # Every benchmark graph gives the exact cut, so this stream is what
+    # shows a miss: the least cut is the one arc into T, and a probe
+    # finds it only from a sample that the arc separates from the source.
+    # Each cut stays within (L / phi_hat + 1) times the exact one, with
+    # phi_hat the least phi a level ended at. A change that moves the
+    # miss count says why.
+    misses = 0
+    for seed in range(40):
+        g = hidden_clique(seed, n=120, d=6, t=4, c=1)
+        h = build_hierarchy(g, seed=1)
+        approx = approx_rooted_mincut(h, seed=1).best.rho
+        exact, _ = exact_rooted_mincut(g)
+        assert exact <= approx <= (h.L / min(h.level_phis) + 1) * exact
+        misses += approx > exact
+    assert misses == 7
+
+
 class TestStructuralEdgeCases:
     def test_unreachable_scc_found_by_component_probe(self):
         # The cycle {1, 2} has no incoming edges: no singleton shows the

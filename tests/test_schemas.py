@@ -64,6 +64,9 @@ KEYWORD_CASES = {
     "minItems": ({"type": "array", "minItems": 1}, [[0]], [[]]),
     "items": ({"type": "array", "items": {"type": "integer", "minimum": 0}},
               [[], [0, 4]], [[-1], [0, 1.0], [[0]], [0, True]]),
+    "uniqueItems": ({"type": "array", "uniqueItems": True},
+                    [[], [0, 4], [1, True], ["1", 1], [[1, 2], [2, 1]]],
+                    [[0, 0], [3, 1, 3], [None, None], [{"a": 1, "b": 2}, {"b": 2, "a": 1}]]),
     "required": ({"type": "object", "required": ["k"]}, [{"k": 1}], [{}]),
     "properties": ({"type": "object", "properties": {"k": {"type": "integer"}}},
                    [{}, {"k": 1}], [{"k": "1"}]),
@@ -96,13 +99,12 @@ def test_validator_applies_each_keyword(keyword):
 
 @pytest.mark.parametrize("schema", [
     {"type": "array", "maxItems": 3},
-    {"type": "array", "uniqueItems": True},
     {"oneOf": [{"type": "integer"}]},
     {"$ref": "#"},
     {"type": "object", "additionalProperties": True},
     {"type": "object", "additionalProperties": {"type": "integer"}},
     {"type": "array", "items": {"type": "integer", "maximum": 9}},
-], ids=["maxItems", "uniqueItems", "oneOf", "$ref", "additional-true", "additional-schema",
+], ids=["maxItems", "oneOf", "$ref", "additional-true", "additional-schema",
         "nested-maximum"])
 def test_validator_raises_on_any_other_keyword(schema):
     # The value fits what the validator can read of each schema.
@@ -225,20 +227,38 @@ def test_verify_agrees_with_jsonschema_on_malformed_files(results, data):
         assert report["error_type"] == "parameter"
 
 
-@pytest.mark.parametrize("case", ["empty_component", "negative_candidate_id"])
+def _first(found, want):
+    return next((g, copy.deepcopy(d)) for g, d in found if want(d))
+
+
+@pytest.mark.parametrize("case", ["empty_component", "negative_candidate_id",
+                                  "repeated_mincut_vertex", "repeated_packing_cut_vertex",
+                                  "repeated_component_vertex"])
 def test_verify_rejects_what_the_schema_rejects(results, case):
     # An empty component would reach `min()` when the partitions are
     # compared, and a candidate cut lists vertex ids like every other
-    # id list: the schema rejects both, and `verify` names the path.
+    # id list: the schema rejects both, and `verify` names the path. A
+    # repeated id in a set verified ok before the schemas asked for
+    # unique items.
     work, found = results
     if case == "empty_component":
-        graph, doc = next((g, copy.deepcopy(d)) for g, d in found if d["kind"] == "hierarchy")
+        graph, doc = _first(found, lambda d: d["kind"] == "hierarchy")
         doc["partitions"][1].append([])
         where = f"$.partitions[1][{len(doc['partitions'][1]) - 1}] must have at least 1 items"
-    else:
-        graph, doc = next((g, copy.deepcopy(d)) for g, d in found if d.get("candidates"))
+    elif case == "negative_candidate_id":
+        graph, doc = _first(found, lambda d: d.get("candidates"))
         doc["candidates"][0]["cut"][0] = -1
         where = "$.candidates[0].cut[0] must be at least 0"
+    elif case == "repeated_component_vertex":
+        graph, doc = _first(found, lambda d: d["kind"] == "hierarchy")
+        comp = doc["partitions"][1][1]
+        comp.insert(1, comp[0])
+        where = "$.partitions[1][1][1] repeats an earlier item"
+    else:
+        kind = "mincut" if case == "repeated_mincut_vertex" else "packing"
+        graph, doc = _first(found, lambda d: d["kind"] == kind and "cut" in d)
+        doc["cut"].insert(1, doc["cut"][0])
+        where = "$.cut[1] repeats an earlier item"
     assert not jsonschema.Draft202012Validator(load_schema(doc["kind"])).is_valid(doc)
     result = work / f"{case}.json"
     result.write_text(json.dumps(doc))

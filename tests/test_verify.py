@@ -168,6 +168,22 @@ class TestAgainstOracle:
         assert code == 1 and not report["ok"]
         assert [c["name"] for c in report["checks"] if not c["ok"]] == [failing]
 
+    @pytest.mark.parametrize("tree, detail", [
+        ([0, 3], "edge id 3 is not a real edge"),
+        ([1, 2], "vertex 1 unreachable inside the tree"),
+    ], ids=["edge-id-past-m", "cycle-off-the-source"])
+    def test_tree_that_is_no_arborescence(self, work, tree, detail):
+        # In the second tree vertices 1 and 2 each have one parent, but
+        # the cycle they close hangs off no path from the source.
+        g = normalize([(0, 1, 1), (1, 2, 1), (2, 1, 1)], 3, 0)
+        payload = {"kind": "packing", "k": 1, "result": "arborescences", "trees": [tree],
+                   "congestion": 1}
+        assert not reference_ok(g, payload)
+        code, report = run_verify(work, g, payload)
+        assert code == 1 and not report["ok"]
+        assert [(c["name"], c["detail"]) for c in report["checks"] if not c["ok"]] == [
+            ("arborescence_1", detail)]
+
     def test_mincut_ids_outside_the_graph_add_nothing(self, work):
         # n and n + 1 name no vertex: the value is re-evaluated over {1}
         # alone, and only the range check fails. A negative id breaks the
