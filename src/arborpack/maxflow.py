@@ -1,31 +1,42 @@
 """Exact integral max-flow with multi-source/multi-sink boundaries.
 
-The solver is Dinic's algorithm over a residual network that attaches a
-virtual super-source and super-sink for the per-vertex supply and
-sink-capacity functions. Virtual vertices are never visible to callers:
-`min_cut_side` is always a set of real vertices (those unreachable from
-the super-source in the final residual graph).
+The solvers work over a residual network that attaches a virtual
+super-source and super-sink for the per-vertex supply and sink-capacity
+functions. Virtual vertices are never visible to callers: `min_cut_side`
+is always a set of real vertices (those unreachable from the
+super-source in the final residual graph).
 
-`_dinic` runs the phases, for `max_flow` from the super-source and for
-`first_min_sink` from the super-source and a growing set of real
-sources. Each phase labels vertices by their distance to the sink, with
-one backward BFS that stops at the first source it labels. The blocking flow
-then walks from that source along current-arc pointers and takes only
-arcs whose head is one step closer to the sink, so every walk reaches
-the sink unless arcs saturated earlier in the phase. After an
-augmentation the walk resumes at the tail of the first saturated arc.
-These are the arcs a source-side level graph offers minus its dead ends,
-so the augmenting paths and their order are those of the textbook
-forward labelling. The caller owns the label and current-arc arrays
-(one pair per `max_flow` call or per sweep), and a phase resets just
-the vertices its search labelled: it costs their arcs, not n.
+`max_flow` runs short paths, then one Dinic phase, then search trees.
+First it makes the augmentations of Dinic's phases of 2-arc paths
+(source, v, sink) and 3-arc paths (source, u, w, sink), in the same
+order, in one scan of the supply vertices and their arcs with no search
+(`_short_paths`); a flow that one-edge paths can carry up to its bound
+runs no search at all. Next it runs the following Dinic phase on fresh
+label and current-arc arrays. A flow still below its limit is finished
+with the two search trees of Boykov and Kolmogorov ("An experimental
+comparison of min-cut/max-flow algorithms for energy minimization in
+vision", IEEE TPAMI 26(9), 2004; `_search_trees`), one grown from the
+super-source and one into the super-sink, over the same arrays. The
+trees are kept from one augmentation to the next, so a flow made of
+many augmenting paths of different lengths pays for its search about
+once, not once per phase. Every maximum flow leaves the same vertices
+unreachable from the super-source, so `value` and `min_cut_side` equal
+plain Dinic's; the flow itself equals Dinic's up to the end of the one
+phase, and need not after it.
 
-Before its phases, `max_flow` makes the augmentations of the first two,
-the phases of 2-arc paths (source, v, sink) and 3-arc paths (source, u,
-w, sink), in one scan of the supply vertices and their arcs with no
-search (`_short_paths`). They are the same augmentations in the same
-order, so every result equals plain Dinic's; a flow that one-edge paths
-can carry up to its bound runs no search at all.
+`_dinic` runs the phases of `first_min_sink`, from the super-source and
+a growing set of real sources. Each phase, as also `max_flow`'s one,
+labels vertices by their distance to the sink, with one backward BFS
+that stops at the first source it labels. The blocking flow then walks
+from that source along current-arc pointers and takes only arcs whose
+head is one step closer to the sink, so every walk reaches the sink
+unless arcs saturated earlier in the phase. After an augmentation the
+walk resumes at the tail of the first saturated arc. These are the arcs
+a source-side level graph offers minus its dead ends, so the augmenting
+paths and their order are those of the textbook forward labelling. A
+sweep allocates one pair of label and current-arc arrays, and each of
+its phases resets just the vertices its search labelled: it costs their
+arcs, not n.
 
 Every arc a call can use is built once per graph, at its first flow
 (`_residual_arcs`, kept in the graph's `memo`): the two arcs of each
@@ -152,9 +163,16 @@ def max_flow(problem: FlowProblem) -> FlowResult:
         limit = min(limit, bound)
 
     flow_total = _short_paths(adj, head, cap, supply_arc, 2 * problem.graph.m, limit)
-    is_source = [False] * n + [True, False]
-    dist, it = [-1] * (n + 2), [0] * (n + 2)
-    flow_total += _dinic(adj, head, cap, is_source, sink, limit - flow_total, dist, it)
+    if flow_total < limit:
+        dist = [-1] * (n + 2)
+        is_source = [False] * n + [True, False]
+        _labelled, start = _distances_to_sink(adj, head, cap, is_source, sink, dist)
+        if start >= 0:
+            flow_total += _blocking_flow(
+                adj, head, cap, dist, [0] * (n + 2), start, sink, limit - flow_total
+            )
+            if flow_total < limit:
+                flow_total += _search_trees(adj, head, cap, source, sink, limit - flow_total)
     cut_side = None if flow_total == bound else _unreached(adj, head, cap, source, n)
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
@@ -289,11 +307,11 @@ def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
     over edge arcs u -> w into vertices with sink capacity. Its blocking
     flow takes each u with supply left in ascending order and its arcs
     in `adj[u]` order, and moves on past an arc once the arc or w's sink
-    is saturated, and to the next u once u's supply is. These are the augmentations `_blocking_flow` makes in
-    those phases, in the same order, so `_dinic` continues from the
-    first phase of 4 or more arcs with the same residual network. The
-    sink arc of a vertex w is `first + 4 * w + 2`, as `_residual_arcs`
-    lays them out.
+    is saturated, and to the next u once u's supply is. These are the
+    augmentations `_blocking_flow` makes in those phases, in the same
+    order, so `max_flow`'s one phase is Dinic's first phase of 4 or more
+    arcs, on the same residual network. The sink arc of a vertex w is
+    `first + 4 * w + 2`, as `_residual_arcs` lays them out.
     """
     room = limit
     for v, a in supply_arc.items():
@@ -443,6 +461,159 @@ def _blocking_flow(adj, head, cap, dist, it, source: int, sink: int, limit: int)
             return pushed
         u = head[path.pop() ^ 1]
         it[u] += 1
+
+
+_ROOT, _ORPHAN = -1, -2
+
+
+def _search_trees(adj, head, cap, source: int, sink: int, limit: int) -> int:
+    """Augment from `source` into `sink` up to `limit` with Boykov and
+    Kolmogorov's two search trees; returns the flow added.
+
+    The source tree (side 1) holds vertices the source reaches over arcs
+    with residual capacity, the sink tree (side -1) vertices that reach
+    the sink. `parent[v]` is the arc of `adj[v]` whose head is v's tree
+    parent: the flow on a tree path runs along its partner in the source
+    tree and along it in the sink tree. Active vertices are grown in FIFO
+    order, scanning their arcs in `adj` order; a free vertex joins the
+    tree of the first active vertex that reaches it, and an arc from the
+    source tree into the sink tree closes a path, which carries its
+    bottleneck. A vertex whose parent arc saturates is an orphan. It
+    re-attaches to the first neighbour in its tree, in `adj` order, with
+    residual capacity on the joining arc and a tree path to the root,
+    found by walking up to the root, an orphan, or a vertex already found
+    to reach the root since the augmentation (`stamp`). Failing that, it
+    leaves its tree: its children there become orphans, and its
+    neighbours there that have residual capacity to it (from it, in the
+    sink tree) become active again. The growth goes on from the active
+    vertex that closed the path, with its arcs scanned from the first.
+    With no active vertex left the flow is maximum.
+    """
+    size = len(adj)
+    tree = [0] * size
+    parent = [_ROOT] * size
+    stamp = [0] * size
+    active = [False] * size
+    tree[source], tree[sink] = 1, -1
+    active[source] = active[sink] = True
+    queue = [source, sink]
+    flow = qi = time = 0
+    while qi < len(queue):
+        p = queue[qi]
+        side = tree[p]
+        meet = -1
+        if side > 0:
+            for a in adj[p]:
+                if cap[a]:
+                    q = head[a]
+                    t = tree[q]
+                    if not t:
+                        tree[q] = 1
+                        parent[q] = a ^ 1
+                        if not active[q]:
+                            active[q] = True
+                            queue.append(q)
+                    elif t < 0:
+                        meet, x, y = a, p, q
+                        break
+        elif side < 0:
+            for a in adj[p]:
+                b = a ^ 1
+                if cap[b]:
+                    q = head[a]
+                    t = tree[q]
+                    if not t:
+                        tree[q] = -1
+                        parent[q] = b
+                        if not active[q]:
+                            active[q] = True
+                            queue.append(q)
+                    elif t > 0:
+                        meet, x, y = b, q, p
+                        break
+        if meet < 0:
+            active[p] = False
+            qi += 1
+            continue
+
+        # Carry the bottleneck along source -> x -> y -> sink.
+        d = limit - flow
+        if cap[meet] < d:
+            d = cap[meet]
+        v = x
+        while v != source:
+            b = parent[v]
+            if cap[b ^ 1] < d:
+                d = cap[b ^ 1]
+            v = head[b]
+        v = y
+        while v != sink:
+            b = parent[v]
+            if cap[b] < d:
+                d = cap[b]
+            v = head[b]
+        cap[meet] -= d
+        cap[meet ^ 1] += d
+        orphans = []
+        v = x
+        while v != source:
+            b = parent[v]
+            cap[b] += d
+            cap[b ^ 1] -= d
+            if not cap[b ^ 1]:
+                parent[v] = _ORPHAN
+                orphans.append(v)
+            v = head[b]
+        v = y
+        while v != sink:
+            b = parent[v]
+            cap[b] -= d
+            cap[b ^ 1] += d
+            if not cap[b]:
+                parent[v] = _ORPHAN
+                orphans.append(v)
+            v = head[b]
+        flow += d
+        if flow == limit:
+            return flow
+
+        time += 1
+        for o in orphans:  # also visits the orphans appended below
+            side = tree[o]
+            for a in adj[o]:
+                q = head[a]
+                if tree[q] != side or not cap[a ^ 1 if side > 0 else a]:
+                    continue
+                v = q
+                while stamp[v] != time:
+                    b = parent[v]
+                    if b < 0:
+                        break
+                    v = head[b]
+                if parent[v] == _ORPHAN:
+                    continue
+                while stamp[q] != time:
+                    stamp[q] = time
+                    b = parent[q]
+                    if b < 0:
+                        break
+                    q = head[b]
+                parent[o] = a
+                stamp[o] = time
+                break
+            else:
+                tree[o] = 0
+                for a in adj[o]:
+                    q = head[a]
+                    if tree[q] != side:
+                        continue
+                    if parent[q] == a ^ 1:
+                        parent[q] = _ORPHAN
+                        orphans.append(q)
+                    if cap[a ^ 1 if side > 0 else a] and not active[q]:
+                        active[q] = True
+                        queue.append(q)
+    return flow
 
 
 def verify_flow(problem: FlowProblem, result: FlowResult) -> None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arborpack import maxflow
 from arborpack.errors import InternalError, ParameterError
+from arborpack.generators import gen_cycle_plus_chords, gen_random_gnm
 from arborpack.graphcore import normalize
 from arborpack.maxflow import (
     FlowProblem,
@@ -81,29 +82,41 @@ def reference_network(problem):
     return head, cap, adj, supply_arc, sink_arc
 
 
-def reference_max_flow(problem):
+def reference_phases(problem, max_arcs=None):
     """Dinic with the textbook forward labelling, kept as a cross-check.
 
     Each phase labels vertices by BFS distance from the super-source and
     stops at the super-sink; the blocking flow restarts from the source
-    after every augmentation and walks into dead ends. The last search of
-    an uncapped run gives the cut side. It shares no code with
-    `max_flow`: its network comes from `reference_network`."""
-    g = problem.graph
-    source, sink = g.n, g.n + 1
-    head, cap, adj, supply_arc, sink_arc = reference_network(problem)
+    after every augmentation and walks into dead ends. The phases run on
+    a fresh `reference_network` until the flow reaches the bound or the
+    supply, or no path is left; with `max_arcs`, only the phases whose
+    paths have at most that many arcs run. Returns the network, the flow
+    value and the labels of the last search (None if none ran). It
+    shares no code with `max_flow`."""
+    source, sink = problem.graph.n, problem.graph.n + 1
+    network = reference_network(problem)
+    head, cap, adj, _supply_arc, _sink_arc = network
     bound = problem.flow_bound
     total_supply = sum(problem.source_supply.values())
     limit = total_supply if bound is None else min(bound, total_supply)
-    flow_total = 0
+    longest = len(adj) if max_arcs is None else max_arcs
+    flow_total, level = 0, None
     while bound is None or flow_total < bound:
         level = _reference_levels(adj, head, cap, source, sink if flow_total < limit else -1)
-        if flow_total >= limit or level[sink] < 0:
+        if flow_total >= limit or not 0 <= level[sink] <= longest:
             break
         flow_total += _reference_blocking_flow(
             adj, head, cap, level, source, sink, limit - flow_total
         )
-    capped = flow_total == bound
+    return network, flow_total, level
+
+
+def reference_max_flow(problem):
+    """The reference's maximum flow (`reference_phases`); the last search
+    of an uncapped run gives the cut side."""
+    g = problem.graph
+    (_head, cap, _adj, supply_arc, sink_arc), flow_total, level = reference_phases(problem)
+    capped = flow_total == problem.flow_bound
     return FlowResult(
         value=flow_total,
         flow=cap[1 : 2 * g.m : 2],
@@ -169,6 +182,17 @@ def _reference_blocking_flow(adj, head, cap, level, source, sink, limit):
             return pushed
         u = head[path.pop() ^ 1]
         it[u] += 1
+
+
+def assert_matches_reference(problem, res):
+    """`res` is a valid flow of `problem` with the reference's value and
+    cut side, and it has no cut side exactly when it met its bound. The
+    flow itself may differ from the reference's: after its one Dinic
+    phase, `max_flow` augments along the paths its search trees find."""
+    ref = reference_max_flow(problem)
+    assert (res.value, res.min_cut_side) == (ref.value, ref.min_cut_side)
+    assert (res.min_cut_side is None) == (res.value == problem.flow_bound)
+    verify_flow(problem, res)
 
 
 def result_fields(res):
@@ -343,8 +367,7 @@ class TestMaxFlow:
         for _ in range(3):
             problem = data.draw(flow_problems(g))
             res = max_flow(problem)
-            assert result_fields(res) == result_fields(reference_max_flow(problem))
-            verify_flow(problem, res)
+            assert_matches_reference(problem, res)
 
     @given(digraphs(max_n=10, max_m=30, max_cap=4), st.data())
     def test_problem_sequences_on_one_graph_match_reference(self, g, data):
@@ -354,8 +377,7 @@ class TestMaxFlow:
         for scale in (2, 16, 1, 16, 2):
             problem = data.draw(flow_problems(g, scales=st.just(scale), both_ends=True))
             res = max_flow(problem)
-            assert result_fields(res) == result_fields(reference_max_flow(problem))
-            verify_flow(problem, res)
+            assert_matches_reference(problem, res)
 
     def test_capped_run_leaves_no_state_behind(self):
         edges = [(0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 3), (3, 1, 1)]
@@ -386,35 +408,57 @@ class TestMaxFlow:
         for bound in (None, 2):
             problem = FlowProblem(g, {0: 5}, {sink: 5}, flow_bound=bound)
             res = max_flow(problem)
-            assert result_fields(res) == result_fields(reference_max_flow(problem))
-            verify_flow(problem, res)
+            assert_matches_reference(problem, res)
         assert res.value == 2 and res.min_cut_side is None
         res = max_flow(FlowProblem(g, {0: 5}, {sink: 5}))
         assert res.value == 3
         assert res.min_cut_side == frozenset(range(sink, nxt))
 
+@st.composite
+def certification_problems(draw, g):
+    """A problem shaped as in certification: every vertex supplies or
+    absorbs flow, some do both, capacities are scaled by 16, and the
+    bound is the smaller of the two totals."""
+    amounts = st.integers(1, 6)
+    supplies, sinks = {}, {}
+    for v in range(g.n):
+        role = draw(st.sampled_from(("supply", "sink", "both")))
+        if role != "sink":
+            supplies[v] = draw(amounts)
+        if role != "supply":
+            sinks[v] = draw(amounts)
+    bound = min(sum(supplies.values()), sum(sinks.values()))
+    return FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=16)
+
+
 class TestShortPaths:
     """The pass that makes the 2-arc and 3-arc phases' augmentations
-    without their searches gives plain Dinic's results."""
+    without their searches leaves plain Dinic's residual network."""
 
     @given(digraphs(max_n=12, max_m=40, max_cap=4), st.data())
     def test_certification_problems_match_reference(self, g, data):
-        # As in certification: every vertex supplies or absorbs flow,
-        # some do both, capacities are scaled by 16, and the bound is
-        # the smaller of the two totals.
-        amounts = st.integers(1, 6)
-        supplies, sinks = {}, {}
-        for v in range(g.n):
-            role = data.draw(st.sampled_from(("supply", "sink", "both")))
-            if role != "sink":
-                supplies[v] = data.draw(amounts)
-            if role != "supply":
-                sinks[v] = data.draw(amounts)
-        bound = min(sum(supplies.values()), sum(sinks.values()))
-        problem = FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=16)
+        problem = data.draw(certification_problems(g))
         res = max_flow(problem)
-        assert result_fields(res) == result_fields(reference_max_flow(problem))
-        verify_flow(problem, res)
+        assert_matches_reference(problem, res)
+
+    @given(digraphs(max_n=12, max_m=40, max_cap=4), st.data())
+    def test_leaves_the_residual_network_of_the_short_phases(self, g, data):
+        # Every residual capacity, of edge, supply and sink arcs, equals
+        # the one the reference's 2-arc and 3-arc phases leave.
+        problem = data.draw(certification_problems(g) | flow_problems(g, both_ends=True))
+        head, cap, adj, supply_arc, sink_arc = maxflow._residual_network(problem)
+        limit = sum(problem.source_supply.values())
+        if problem.flow_bound is not None:
+            limit = min(limit, problem.flow_bound)
+        value = maxflow._short_paths(adj, head, cap, supply_arc, 2 * g.m, limit)
+        network, ref_value, _level = reference_phases(problem, max_arcs=3)
+        _head, ref_cap, _adj, ref_supply_arc, ref_sink_arc = network
+        assert value == ref_value
+        assert cap[: 2 * g.m] == ref_cap[: 2 * g.m]
+        for arcs, ref_arcs in ((supply_arc, ref_supply_arc), (sink_arc, ref_sink_arc)):
+            assert {v: (cap[a], cap[a ^ 1]) for v, a in arcs.items()} == {
+                v: (ref_cap[a], ref_cap[a ^ 1]) for v, a in ref_arcs.items()
+            }
 
     @pytest.mark.parametrize("edges, supplies, sinks, bound, edge_filter", [
         # The bound is met at vertex 2, inside the 2-arc step.
@@ -459,6 +503,126 @@ class TestShortPaths:
         assert res.min_cut_side is None and res.value == 4
         assert res.flow == [1, 1, 1, 1, 0, 0]
         assert calls == []
+
+
+@st.composite
+def ring_problems(draw, min_n, max_n):
+    """A certification-shaped problem on a ring: the source 0 feeds a
+    directed cycle over 1..n-1, with random chords and capacities 1-3;
+    a contiguous arc of the cycle supplies flow and the other cycle
+    vertices absorb it, at scale 1 or 16, with no bound, the smaller
+    total as bound, or a lower one."""
+    n = draw(st.integers(min_n, max_n))
+    caps = st.integers(1, 3)
+    edges = [(0, 1, 1)] + [(v, v % (n - 1) + 1, draw(caps)) for v in range(1, n)]
+    ring = st.integers(1, n - 1)
+    edges += draw(st.lists(st.tuples(ring, ring, caps), max_size=n // 2))
+    first, length = draw(ring), draw(st.integers(1, n - 2))
+    arc = {(first + i - 1) % (n - 1) + 1 for i in range(length)}
+    amounts = st.integers(1, 6)
+    supplies = {v: draw(amounts) for v in sorted(arc)}
+    sinks = {v: draw(amounts) for v in range(1, n) if v not in arc}
+    target = min(sum(supplies.values()), sum(sinks.values()))
+    bound = draw(st.none() | st.just(target) | st.integers(0, target))
+    return FlowProblem(
+        normalize(edges, n, 0),
+        supplies,
+        sinks,
+        flow_bound=bound,
+        capacity_scale=draw(st.sampled_from((1, 16))),
+    )
+
+
+class TestSearchTrees:
+    """The search trees that finish a flow after its one Dinic phase
+    give the reference's value and cut side."""
+
+    @staticmethod
+    def tail_flows(monkeypatch):
+        """The flow each `_search_trees` call adds, in call order."""
+        added = []
+        search = maxflow._search_trees
+        monkeypatch.setattr(maxflow, "_search_trees",
+                            lambda *a: added.append(search(*a)) or added[-1])
+        return added
+
+    @staticmethod
+    def split_by_degree(g, arc):
+        """Supplies on the ring vertices of `arc` and sinks on the other
+        ring vertices, each at its degree, as certification sets them."""
+        deg = [0] * g.n
+        for u, v, c in g.edges:
+            deg[u] += c
+            deg[v] += c
+        supplies = {v: deg[v] for v in arc}
+        return supplies, {v: deg[v] for v in range(1, g.n) if v not in supplies}
+
+    def test_rings_with_a_supply_arc_match_reference(self, monkeypatch):
+        added = self.tail_flows(monkeypatch)
+
+        @given(ring_problems(8, 40))
+        def check(problem):
+            assert_matches_reference(problem, max_flow(problem))
+
+        check()
+        assert sum(1 for flow in added if flow) >= 10
+
+    def test_long_ring_at_scale_16(self, monkeypatch):
+        # Failing trial flows as certification makes them on a 60-vertex
+        # ring with 3 chords: the supplies hold a contiguous arc at their
+        # degrees and the sinks the rest. Each flow takes augmenting
+        # paths of many lengths and falls short of its bound.
+        added = self.tail_flows(monkeypatch)
+        g = gen_cycle_plus_chords(60, 3, seed=1)
+        for first, last in ((1, 20), (10, 40), (30, 59)):
+            supplies, sinks = self.split_by_degree(g, range(first, last))
+            bound = min(sum(supplies.values()), sum(sinks.values()))
+            problem = FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=16)
+            res = max_flow(problem)
+            assert_matches_reference(problem, res)
+            assert res.value < bound and added[-1] >= 8
+
+    def test_freed_orphan_wakes_its_neighbours(self, monkeypatch):
+        # Here a vertex leaves the source tree while the neighbours with
+        # residual capacity into it have been scanned: unless they become
+        # active again, nothing brings it back, and the search stops at
+        # 87 of the 95 units.
+        added = self.tail_flows(monkeypatch)
+        g = gen_cycle_plus_chords(41, 13, seed=94, max_cap=3)
+        supplies, sinks = self.split_by_degree(g, range(6, 22))
+        problem = FlowProblem(g, supplies, sinks, capacity_scale=16)
+        res = max_flow(problem)
+        assert_matches_reference(problem, res)
+        assert res.value == 95 and added[0] > 0
+
+    def test_dense_graphs_where_orphans_leave_their_tree(self, monkeypatch):
+        # 80 edges on 14 vertices; in seeds 1 and 3-5 some orphan finds
+        # no new parent, leaves its tree and orphans its children.
+        added = self.tail_flows(monkeypatch)
+        for seed in range(6):
+            g = gen_random_gnm(14, 80, seed=seed)
+            problem = FlowProblem(g, dict.fromkeys(range(1, 7), 3), dict.fromkeys(range(7, 14), 3))
+            assert_matches_reference(problem, max_flow(problem))
+        assert all(added)
+
+    # Supply at 1, sink at 5: the one phase takes 1 -> 2 -> 5 and the
+    # search trees take 1 -> 3 -> 4 -> 5.
+    TWO_ROUTES = [(1, 2, 1), (2, 5, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1)]
+
+    @pytest.mark.parametrize("supply, bound, capped", [
+        (5, None, False),  # both routes saturate: a maximum flow
+        (5, 2, True),  # the bound is met inside the search
+        (2, 3, False),  # the supply runs out inside the search, below the bound
+    ], ids=["maximum", "bound-met", "supply-runs-out"])
+    def test_two_routes_match_enumeration(self, monkeypatch, supply, bound, capped):
+        added = self.tail_flows(monkeypatch)
+        g = normalize(self.TWO_ROUTES, 6, 0)
+        problem = FlowProblem(g, {1: supply}, {5: 5}, flow_bound=bound)
+        res = max_flow(problem)
+        assert_matches_reference(problem, res)
+        assert res.value == 2 == brute_min_cut(g, {1: supply}, {5: 5})
+        assert (res.min_cut_side is None) == capped and added == [1]
+        assert res.flow == [1, 1, 1, 1, 1]
 
 
 class TestDecomposePaths:
