@@ -5,8 +5,8 @@ connected component of the working graph it tries to certify that the
 terminal-degree demands route with congestion 1/phi, by pushing seeded
 random split-flow instances through an exact max-flow. The demands sit
 on the component's vertices, but the trial flows are not confined to
-it: `_trial_flow` passes no edge filter, so a flow may route through
-edges outside the component, and nothing yet confines it there.
+it: they pass no edge filter, so a flow may route through edges
+outside the component, and nothing yet confines it there.
 When a trial flow falls short, the residual min-cut exposes a
 violating vertex set; its smaller-direction crossing edges join the cut
 set B and both sides are re-examined. The halving guarantee c(B) <= c(terminals)/2 is enforced,
@@ -15,17 +15,15 @@ offending component re-runs (routing always succeeds once the congestion
 allowance exceeds the total terminal degree, so this terminates). A
 violated component is split with one SCC pass over its own vertices.
 
-The trial flows of one `decompose` call run on a contracted copy of the
+The trials of one `decompose` call run on a contracted copy of the
 graph, built once per call: every maximal path through terminal-free
 vertices with one edge in and one out becomes a single edge of the
-path's least capacity. Supplies and sinks sit only on terminal
-vertices, so each trial's flow value is the one the full graph gives;
-a trial that falls short is run again on the full graph, whose residual
-graph yields the violating side. The output is therefore exactly that
-of running every trial on the full graph. The BFS balls that pick two
-of every three demands jump over the same paths, one step each, and
-gain the kept vertices the vertex-by-vertex search would, in its
-order. So on a long ring with a few terminals each trial, ball and
+path's least capacity. The BFS balls that pick two of every three
+demands grow there too, so they cross such a path in one step.
+Supplies and sinks sit only on terminal vertices, so each trial's flow
+value is the one the full graph gives; a trial that falls short is run
+again on the full graph, whose residual graph yields the violating
+side. So on a long ring with a few terminals each trial, ball and
 flow, walks a handful of edges instead of the ring.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
@@ -80,82 +78,49 @@ class DecompResult:
     rounds: int
 
 
+def _level_bound(total_cap: int) -> int:
+    """The most levels a hierarchy can have over edges of total capacity
+    `total_cap`: each level holds at most half the capacity of the one
+    below and at least 1."""
+    return (math.ceil(math.log2(total_cap)) if total_cap > 1 else 0) + 1
+
+
 def certification_trials(n: int) -> int:
     """Seeded demand-sampling count used per component."""
     return max(1, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def _grow_half(g, comp, deg, total, pivot, forward, threshold, walks):
+def _grow_half(g, comp, deg, total, pivot, forward, threshold):
     """Deterministic BFS ball around `pivot` inside `comp`, grown until it
     holds `threshold` (at most half) of the component's terminal degree
     `total`.
 
     The threshold is randomized by the caller so that a natural boundary
     sitting just under one half is still hit rather than overgrown.
-
-    `walks` maps the entry vertex of each walk through inner vertices
-    (see `_contract_inner_paths`), in the search direction, to the walk's
-    length in edges and its exit vertex. The ball jumps over such a walk:
-    a scan that reaches its entry vertex in `comp` schedules the exit
-    vertex for the level at which a vertex-by-vertex search would scan
-    it. There the exit vertex is sorted into that level's frontier by its
-    own id, and its scan discovers the kept vertex beyond the walk. So the
-    ball gains the same kept vertices in the same order as the plain BFS:
-
-    - An inner vertex has no terminal degree, so it never adds mass or
-      ends the growth.
-    - It has exactly one in-edge and one out-edge, so only its own walk
-      reaches it, and the walk reaches one vertex per level.
-    - `comp` is an SCC of G - B with at least 2 vertices, and an inner
-      vertex returns to it only forward along its walk, so a walk whose
-      entry vertex lies in `comp` lies wholly in it, far end included.
-    - The exit vertex is scanned at the same level and in the same place
-      of that level's sorted frontier as in the plain BFS.
-
-    The ball holds no inner vertex; the caller reads it only at active
-    vertices. Without inner vertices `walks` is empty and this is the
-    plain BFS.
     """
     goal = threshold * total / 2
     ball = {pivot}
     mass = deg[pivot]
     frontier = [pivot]
-    level = 0
-    due: dict[int, list[int]] = {}  # level -> exit vertices scanned there
-    while mass < goal:
-        if not frontier:
-            if not due:
-                break
-            level = min(due)
-        frontier.extend(due.pop(level, ()))
+    while frontier and mass < goal:
         nxt: list[int] = []
         for u in sorted(frontier):
             edge_ids = g.out_edges(u) if forward else g.in_edges(u)
             for eid in edge_ids:
                 w = g.head(eid) if forward else g.tail(eid)
                 if w in comp and w not in ball:
-                    walk = walks.get(w)
-                    if walk is not None:
-                        length, exit_vertex = walk
-                        due.setdefault(level + length - 1, []).append(exit_vertex)
-                        continue
                     ball.add(w)
                     mass += deg[w]
                     nxt.append(w)
                     if mass >= goal:
                         return ball
         frontier = nxt
-        level += 1
     return ball
 
 
-def _contract_inner_paths(
-    g: DirectedGraph, deg
-) -> tuple[DirectedGraph, Sequence[int], dict, dict]:
-    """The graph the certification flows of one `decompose` call run on,
-    the id each kept vertex of g has there (-1 for the others), and the
-    walks through inner vertices that `_grow_half` jumps over, forward
-    and backward.
+def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequence[int]]:
+    """The graph the certification trials of one `decompose` call run on,
+    and the id each kept vertex of g has there (-1 for the others).
 
     A vertex is inner when it has no terminal degree and exactly one
     in-edge and one out-edge. Each maximal path u -> x1 -> ... -> xk -> w
@@ -167,17 +132,13 @@ def _contract_inner_paths(
     No supply or sink sits on an inner vertex, so a flow crosses a path
     of them as it would cross a single edge of the path's bottleneck:
     every max-flow value between kept vertices is the same on both graphs.
-
-    The same pass records each path, w = u included, as a walk of
-    k + 1 edges: the forward walks map x1 to (k + 1, xk), the backward
-    walks map xk to (k + 1, x1). Without inner vertices both are empty.
     """
     inner = [
         not deg[v] and len(g.in_edges(v)) == 1 and len(g.out_edges(v)) == 1
         for v in range(g.n)
     ]
     if not any(inner):
-        return g, range(g.n), {}, {}
+        return g, range(g.n)
     new_id = [-1] * g.n
     kept = 0
     for v in range(g.n):
@@ -185,21 +146,12 @@ def _contract_inner_paths(
             new_id[v] = kept
             kept += 1
     edges = []
-    forward: dict[int, tuple[int, int]] = {}
-    backward: dict[int, tuple[int, int]] = {}
     for u, v, c in g.edges:
         if inner[u]:
             continue
-        first = last = v
-        length = 1
         while inner[v]:
-            last = v
             _x, v, c_next = g.edges[g.out_edges(v)[0]]
             c = min(c, c_next)
-            length += 1
-        if length > 1:
-            forward[first] = (length, last)
-            backward[last] = (length, first)
         if v != u:
             edges.append((new_id[u], new_id[v], c))
     contracted = DirectedGraph(
@@ -207,34 +159,13 @@ def _contract_inner_paths(
         edges=tuple(edges),
         source=new_id[g.source],
     )
-    return contracted, new_id, forward, backward
+    return contracted, new_id
 
 
-def _trial_flow(g, h, new_id, supplies, sinks, target, sigma):
-    """One trial's max-flow, capped at `target`: on the contracted graph
-    h first and, unless it reaches the target there, on g, whose result
-    is returned. Raises `InternalError` if the two values differ."""
-    if h is not g:
-        res = max_flow(FlowProblem(
-            h,
-            {new_id[v]: amt for v, amt in supplies.items()},
-            {new_id[v]: amt for v, amt in sinks.items()},
-            flow_bound=target,
-            capacity_scale=sigma,
-        ))
-        if res.value == target:
-            return res
-    full = max_flow(FlowProblem(g, supplies, sinks, flow_bound=target, capacity_scale=sigma))
-    if h is not g and full.value != res.value:
-        raise InternalError(
-            f"the contracted graph routes {res.value} units, the graph {full.value}"
-        )
-    return full
-
-
-def _certify_component(g, comp, deg, phi, rng, trials, contracted):
-    """Try to certify `comp`; return None on success or a violating
-    proper nonempty subset of comp on failure.
+def _certify_component(g, comp, phi, rng, trials, contracted):
+    """Try to certify `comp`, an SCC of g minus the cut so far; return
+    None on success or a violating proper nonempty subset of comp on
+    failure.
 
     Trials alternate between balanced random vertex splits and BFS-ball
     splits around degree-weighted pivots; the latter align with
@@ -244,17 +175,20 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
     that already passed in this call is not routed again; its random
     draws are still made, so later trials see the same draws.
 
-    `contracted = (h, new_id, forward_walks, backward_walks)` comes from
-    `_contract_inner_paths`. Each ball jumps over the walks of its
-    direction. Each trial flow runs on h: supplies and sinks sit on
-    terminal vertices, which h keeps, so the flow value is the one g
-    gives, and a trial that reaches its target passes as it would on g.
-    A trial that falls short is run again on g, whose residual graph
-    gives the violating side; the two values must agree. So the result
-    is exactly the one of running every trial on g.
+    `contracted = (h, new_id, deg)` holds the graph from
+    `_contract_inner_paths`, the ids of g's vertices there and the
+    terminal degree of each vertex of h. The trials run on comp's
+    vertices in h: the active ones, the pivots, the balls, which grow
+    along h's edges, and the flows. Supplies and sinks sit on terminal
+    vertices, which h keeps, so each flow value is the one g gives, and
+    a trial that reaches its target passes as it would on g. A trial
+    that falls short is run again on g, whose residual graph gives the
+    violating side; the two values must agree. As h keeps the order of
+    g's vertices, the trials make the same random draws as on g.
     """
-    h, new_id, forward_walks, backward_walks = contracted
-    active = [v for v in sorted(comp) if deg[v] > 0]
+    h, new_id, deg = contracted
+    h_comp = comp if h is g else frozenset(new_id[v] for v in comp if new_id[v] >= 0)
+    active = [v for v in sorted(h_comp) if deg[v] > 0]
     if len(active) < 2:
         return None
     sigma = max(1, int(Fraction(1) / phi))
@@ -282,10 +216,7 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
         else:
             threshold = rng.uniform(0.7, 1.0)
             forward = style == 1
-            ball = _grow_half(
-                g, comp, deg, total, pick_pivot(), forward, threshold,
-                forward_walks if forward else backward_walks,
-            )
+            ball = _grow_half(h, h_comp, deg, total, pick_pivot(), forward, threshold)
             for v in active:
                 if (v in ball) == forward:
                     supplies[v] = deg[v]
@@ -295,13 +226,28 @@ def _certify_component(g, comp, deg, phi, rng, trials, contracted):
         demand = frozenset(supplies)
         if target == 0 or demand in passed:
             continue
-        res = _trial_flow(g, h, new_id, supplies, sinks, target, sigma)
-        if res.value < target:
-            viol = res.min_cut_side & comp
-            if not viol or viol == comp:
-                raise InternalError("trial flow produced a degenerate cut side")
-            return frozenset(viol)
-        passed.add(demand)
+        res = max_flow(FlowProblem(h, supplies, sinks, flow_bound=target, capacity_scale=sigma))
+        if res.value == target:
+            passed.add(demand)
+            continue
+        if h is not g:
+            old_id = {new_id[v]: v for v in comp if new_id[v] >= 0}
+            full = max_flow(FlowProblem(
+                g,
+                {old_id[v]: amt for v, amt in supplies.items()},
+                {old_id[v]: amt for v, amt in sinks.items()},
+                flow_bound=target,
+                capacity_scale=sigma,
+            ))
+            if full.value != res.value:
+                raise InternalError(
+                    f"the contracted graph routes {res.value} units, the graph {full.value}"
+                )
+            res = full
+        viol = res.min_cut_side & comp
+        if not viol or viol == comp:
+            raise InternalError("trial flow produced a degenerate cut side")
+        return frozenset(viol)
     return None
 
 
@@ -327,7 +273,8 @@ def decompose(
     estar_cap = g.edge_capacity(terminals)
     deg = restricted_degrees(g, terminals)
     trials = certification_trials(g.n)
-    contracted = _contract_inner_paths(g, deg)
+    h, new_id = _contract_inner_paths(g, deg)
+    contracted = (h, new_id, deg if h is g else [d for d, i in zip(deg, new_id) if i >= 0])
 
     phi = phi_target
     halvings = 0
@@ -340,7 +287,7 @@ def decompose(
             continue
         rounds += 1
         rng = derive_rng(seed, "certify", halvings, rounds - 1)
-        viol = _certify_component(g, comp, deg, phi, rng, trials, contracted)
+        viol = _certify_component(g, comp, phi, rng, trials, contracted)
         if viol is None:
             continue
         rest = comp - viol
@@ -439,7 +386,7 @@ class Hierarchy:
                 raise HalvingViolation(
                     f"c(E_{i + 2}) = {caps[i + 1]} exceeds half of c(E_{i + 1}) = {caps[i]}"
                 )
-        limit = (math.ceil(math.log2(caps[0])) if caps[0] > 1 else 0) + 1
+        limit = _level_bound(caps[0])
         if self.L > limit:
             raise HalvingViolation(f"L = {self.L} exceeds bound {limit}")
         if not 0 < self.phi_target <= 1:
@@ -460,8 +407,7 @@ def build_hierarchy(
     phi_target = Fraction(phi_target)
     levels: list[frozenset] = []
     phis: list[Fraction] = []
-    total_cap = g.total_capacity()
-    max_levels = (math.ceil(math.log2(total_cap)) if total_cap > 1 else 0) + 2
+    max_levels = _level_bound(g.total_capacity())
     estar: frozenset = frozenset(range(g.m))
     i = 1
     while True:

@@ -301,32 +301,13 @@ def chain_rich(draw):
     return g, terminals
 
 
-def reference_grow_half(g, comp, deg, total, pivot, forward, threshold):
-    """The vertex-by-vertex BFS ball, inner vertices included: the
-    reference for `_grow_half`."""
-    ball = {pivot}
-    mass = deg[pivot]
-    frontier = [pivot]
-    while frontier and mass < threshold * total / 2:
-        nxt = []
-        for u in sorted(frontier):
-            edge_ids = g.out_edges(u) if forward else g.in_edges(u)
-            for eid in edge_ids:
-                w = g.head(eid) if forward else g.tail(eid)
-                if w in comp and w not in ball:
-                    ball.add(w)
-                    mass += deg[w]
-                    nxt.append(w)
-                    if mass >= threshold * total / 2:
-                        return ball
-        frontier = nxt
-    return ball
-
-
 def reference_certify(g, comp, deg, phi, rng, trials):
-    """The trial loop with every flow on g itself, every ball grown
-    vertex by vertex and every demand routed however often it repeats:
+    """The trial loop with every ball grown on the contracted graph, every
+    flow on g itself and every demand routed however often it repeats:
     the reference for `_certify_component`."""
+    h, new_id = _contract_inner_paths(g, deg)
+    h_comp = frozenset(new_id[v] for v in comp if new_id[v] >= 0)
+    h_deg = [deg[v] for v in range(g.n) if new_id[v] >= 0]
     active = [v for v in sorted(comp) if deg[v] > 0]
     if len(active) < 2:
         return None
@@ -352,11 +333,11 @@ def reference_certify(g, comp, deg, phi, rng, trials):
                     sinks[v] = deg[v]
         else:
             threshold = rng.uniform(0.7, 1.0)
-            ball = reference_grow_half(
-                g, comp, deg, total, pick_pivot(), forward=(style == 1), threshold=threshold
+            ball = _grow_half(
+                h, h_comp, h_deg, total, new_id[pick_pivot()], style == 1, threshold
             )
             for v in active:
-                if (v in ball) == (style == 1):
+                if (new_id[v] in ball) == (style == 1):
                     supplies[v] = deg[v]
                 else:
                     sinks[v] = deg[v]
@@ -422,7 +403,7 @@ class TestContraction:
     @settings(max_examples=150)
     def test_contracted_graph_keeps_every_flow_value(self, case, scale, data):
         g, terminals = case
-        h, new_id, _fw, _bw = _contract_inner_paths(g, restricted_degrees(g, terminals))
+        h, new_id = _contract_inner_paths(g, restricted_degrees(g, terminals))
         kept = [v for v in range(g.n) if new_id[v] >= 0]
         assert [new_id[v] for v in kept] == list(range(h.n))
         assert (h is g) == (h.n == g.n)
@@ -445,13 +426,10 @@ class TestContraction:
         raw += [(5, 9, 1), (9, 5, 1), (10, 11, 1), (11, 10, 1)]
         g = normalize(raw, 12, 0)
         deg = [1 if v in (1, 5) else 0 for v in range(12)]
-        h, new_id, forward, backward = _contract_inner_paths(g, deg)
+        h, new_id = _contract_inner_paths(g, deg)
         assert [v for v in range(12) if new_id[v] >= 0] == [0, 1, 5]
         assert h.edges == ((0, 1, 1), (1, 2, 2), (2, 1, 3))
         assert h.source == 0
-        # Walks by entry vertex: (edges, exit vertex); 5 -> 9 -> 5 too.
-        assert forward == {2: (4, 4), 6: (4, 8), 9: (2, 9)}
-        assert backward == {4: (4, 2), 8: (4, 6), 9: (2, 9)}
         # With a terminal on every vertex nothing is inner.
         assert _contract_inner_paths(g, [1] * 12)[0] is g
 
@@ -482,48 +460,38 @@ class TestContraction:
 
 
 def grow_both(g, comp, deg, pivot, forward, threshold):
-    """The ball `_grow_half` grows, with the walks `_contract_inner_paths`
-    records, and the reference ball."""
+    """The ball `_grow_half` grows on the graph `_contract_inner_paths`
+    makes, in g's vertex ids, and the one it grows on g."""
     total = sum(deg[v] for v in comp)
-    _h, _new_id, fw, bw = _contract_inner_paths(g, deg)
-    walks = fw if forward else bw
+    h, new_id = _contract_inner_paths(g, deg)
+    old_id = [v for v in range(g.n) if new_id[v] >= 0]
+    h_comp = frozenset(new_id[v] for v in comp if new_id[v] >= 0)
+    h_deg = [deg[v] for v in old_id]
+    ball = _grow_half(h, h_comp, h_deg, total, new_id[pivot], forward, threshold)
     return (
-        _grow_half(g, comp, deg, total, pivot, forward, threshold, walks),
-        reference_grow_half(g, comp, deg, total, pivot, forward, threshold),
+        {old_id[v] for v in ball},
+        _grow_half(g, comp, deg, total, pivot, forward, threshold),
     )
 
 
 class TestGrowHalf:
-    @given(chain_rich(), st.data())
-    @settings(max_examples=150)
-    def test_ball_keeps_the_vertex_by_vertex_members(self, case, data):
-        g, terminals = case
-        deg = restricted_degrees(g, terminals)
-        _h, new_id, fw, bw = _contract_inner_paths(g, deg)
-        removed = frozenset(
-            data.draw(st.sets(st.integers(0, g.m - 1), max_size=g.m // 3)) if g.m else ()
-        )
-        comps = [
-            c for c in scc(g, removed).components
-            if len(c) > 1 and sum(deg[v] > 0 for v in c) >= 2
-        ]
-        for comp in comps:
-            active = [v for v in sorted(comp) if deg[v] > 0]
-            total = sum(deg[v] for v in active)
-            for pivot in active:
-                for forward in (True, False):
-                    threshold = data.draw(st.floats(0.7, 1.0))
-                    ball = _grow_half(
-                        g, comp, deg, total, pivot, forward, threshold, fw if forward else bw
-                    )
-                    ref = reference_grow_half(g, comp, deg, total, pivot, forward, threshold)
-                    # The kept members, active ones included, are the same.
-                    assert ball == {v for v in ref if new_id[v] >= 0}
-
-    @staticmethod
-    def two_walks(walk_a, walk_b):
+    @pytest.mark.parametrize(
+        "walk_a, walk_b, g_ball",
+        [
+            # Equal lengths: on g the exit vertex 3 < 7 is scanned first
+            # at level 2 and reaches the far end 5.
+            ([2, 7, 4], [6, 3, 5], {1, 2, 3, 5, 6, 7}),
+            # On g the walk through 7 is one edge shorter, so its far end
+            # 5 is reached first.
+            ([2, 3, 4], [7, 5], {1, 2, 3, 5, 7}),
+        ],
+        ids=["equal-walks", "shorter-walk"],
+    )
+    def test_each_walk_is_one_step(self, walk_a, walk_b, g_ball):
         # 0 -> 1, and two walks from the pivot 1 that return to it
         # through their far ends; only the pivot and the ends are active.
+        # Contracted, each walk is one edge, and the first in edge order,
+        # to the far end 4, ends the ball.
         raw = [(0, 1, 1)]
         for walk in (walk_a, walk_b):
             path = [1, *walk]
@@ -536,30 +504,16 @@ class TestGrowHalf:
             deg[v] = 1
         comp = frozenset([1, *walk_a, *walk_b])
         assert scc(g).component(1) == comp
-        return g, comp, deg
-
-    def test_equal_walks_tie_on_the_exit_vertex(self):
-        # Entries 2, 6 in edge order, exits 7 > 3, far ends 4 < 5: the
-        # vertex-by-vertex search scans 3 first at level 2 and reaches 5,
-        # which crosses the threshold.
-        g, comp, deg = self.two_walks([2, 7, 4], [6, 3, 5])
         for threshold in (0.7, 1.0):
             ball, ref = grow_both(g, comp, deg, 1, True, threshold)
-            assert ball == {1, 5}
-            assert ref == {1, 2, 3, 5, 6, 7}
-
-    def test_shorter_walk_arrives_first(self):
-        # The walk through 2, 3 has the smaller ids but one edge more, so
-        # the far end 5 of the walk through 7 is reached first.
-        g, comp, deg = self.two_walks([2, 3, 4], [7, 5])
-        ball, ref = grow_both(g, comp, deg, 1, True, 1.0)
-        assert ball == {1, 5}
-        assert ref == {1, 2, 3, 5, 7}
+            assert ball == {1, 4}
+            assert ref == g_ball
 
     def test_ball_on_a_long_ring_costs_its_kept_vertices(self):
         # 0 -> 1 and a ring 1 -> 2 -> ... -> n - 1 -> 1 with terminal
-        # degree at four ring vertices: the ball grows to about half the
-        # ring vertex by vertex, but holds only kept vertices here.
+        # degree at four ring vertices: on g the ball grows to about half
+        # the ring vertex by vertex; contracted, the ring keeps only its
+        # terminals and 1, and the ball takes one step.
         n = 100_000
         raw = [(0, 1, 1)] + [(v, v % (n - 1) + 1, 1) for v in range(1, n)]
         g = normalize(raw, n, 0)
@@ -567,8 +521,7 @@ class TestGrowHalf:
         for v in (10, 25_000, 50_000, 75_000):
             deg[v] = 1
         comp = frozenset(range(1, n))
-        kept = [v for v in comp if deg[v] or len(g.in_edges(v)) != 1]
+        assert _contract_inner_paths(g, deg)[0].n == 6
         ball, ref = grow_both(g, comp, deg, 25_000, True, 1.0)
-        assert len(ball) <= 2 * len(kept)
         assert ball == {25_000, 50_000}
         assert len(ref) == 25_001
