@@ -217,51 +217,58 @@ def induced_sccs(g: DirectedGraph, vertices: frozenset, removed: EdgeSet) -> lis
 def _tarjan(n: int, adj, roots: Iterable[int]) -> list[list[int]]:
     """Tarjan's SCCs of the vertices reachable from `roots`, where
     `adj[v]` lists the heads of v's edges and vertex ids lie in 0..n-1.
-    Components come out in Tarjan's order."""
+    Components come out in Tarjan's order, each from its last vertex
+    pushed to its root.
+
+    The search keeps one frame per vertex on its path: the vertex, an
+    iterator over the positions of `adj[v]` that resumes where the frame
+    left off, and the height of the vertex stack when v was pushed. A
+    frame whose iterator runs out is done; if v is its component's root,
+    the component is the stack above that height. The iterator runs over
+    `range`, not over `adj[v]`: a range iterator holds no object, so the
+    garbage collector does not track it or its frame, while a deep search
+    that holds list iterators hands each collection during it thousands
+    of objects to promote, and brings the next full collection forward.
+    """
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
-    visited = [False] * n
     stack: list[int] = []
     groups: list[list[int]] = []
-    counter = 1
+    counter = 0
     for root in roots:
-        if visited[root]:
+        if index[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        on_stack[root] = True
+        work = [(root, iter(range(len(adj[root]))), len(stack))]
+        stack.append(root)
         while work:
-            v, ptr = work.pop()
-            if ptr == 0:
-                visited[v] = True
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            while ptr < len(adj[v]):
-                w = adj[v][ptr]
-                if not visited[w]:
-                    work.append((v, ptr + 1))
-                    work.append((w, 0))
-                    recurse = True
+            v, places, height = work[-1]
+            heads = adj[v]
+            for i in places:
+                w = heads[i]
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    on_stack[w] = True
+                    work.append((w, iter(range(len(adj[w]))), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                ptr += 1
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                groups.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[height:]
+                    del stack[height:]
+                    for w in comp:
+                        on_stack[w] = False
+                    comp.reverse()
+                    groups.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return groups
 
 

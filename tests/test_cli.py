@@ -753,6 +753,70 @@ class TestLongCycle:
         assert payload["value"] == 1
 
 
+# Characters that JSON escapes or that the writer's re-indenting reads:
+# quotes, brackets, commas, control characters, non-ASCII and a BOM.
+_TRICKY = st.text(
+    st.sampled_from('ab"\\[],{}: \x00\x1f\n\t\x7f\u00e9\u2028\ufeff\U0001f600'), max_size=6
+)
+_INTS = st.integers() | st.integers(1 << 64, 1 << 80) | st.integers(-(1 << 80), -(1 << 64))
+_NUMBERS = _INTS | st.floats() | st.sampled_from([-0.0, 1e300, float("inf"), float("nan")])
+_SCALARS = st.none() | st.booleans() | _NUMBERS | _TRICKY | st.text(max_size=6)
+
+
+def _nested(leaf, depth):
+    """Lists and tuples of `leaf`, perhaps empty, nested `depth` deep."""
+    for _ in range(depth):
+        leaf = st.lists(leaf, max_size=4) | st.lists(leaf, max_size=4).map(tuple)
+    return leaf
+
+
+# Each nested list draws all its leaves from one of three kinds, so that
+# lists of ints only and of numbers only, which the writer re-indents
+# from the C encoder's text, come up as often as mixed ones.
+_NESTED = st.tuples(st.integers(0, 4), st.sampled_from([_INTS, _NUMBERS, _SCALARS])).flatmap(
+    lambda case: _nested(case[1], case[0])
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _NESTED | st.lists(st.lists(_INTS, min_size=1, max_size=5), max_size=5),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_TRICKY | st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+def emitted(value) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(value)
+    return buf.getvalue()
+
+
+class TestEmit:
+    @given(_DOCUMENTS)
+    @settings(max_examples=400)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # As many brackets as a list of two lists of scalars, and of
+            # three, with the deep item first or later.
+            [[[44]], -0.0],
+            [-0.0, [[44]]],
+            [[1], [[2]], 3],
+            [[1, [2]], [3]],
+            [[], [1]],
+            [{}],
+            ([1, 2], (3,)),
+            {"b": [[0], [1, 2]], "a": [], "c": {}},
+        ],
+    )
+    def test_fixed_documents(self, value):
+        assert emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 # Fields for a malformed line: small or negative integers and non-integers.
 _FIELDS = st.one_of(st.integers(-1, 9).map(str), st.sampled_from(["x", "2.5", "0x1", ""]))
 

@@ -301,10 +301,11 @@ def chain_rich(draw):
     return g, terminals
 
 
-def reference_certify(g, comp, deg, phi, rng, trials):
+def reference_certify(g, comp, deg, phi, rng, trials, routed):
     """The trial loop with every ball grown on the contracted graph, every
     flow on g itself and every demand routed however often it repeats:
-    the reference for `_certify_component`."""
+    the reference for `_certify_component`. Appends the `(supplies,
+    sinks)` of each flow to `routed`."""
     h, new_id = _contract_inner_paths(g, deg)
     h_comp = frozenset(new_id[v] for v in comp if new_id[v] >= 0)
     h_deg = [deg[v] for v in range(g.n) if new_id[v] >= 0]
@@ -344,6 +345,7 @@ def reference_certify(g, comp, deg, phi, rng, trials):
         target = min(sum(supplies.values()), sum(sinks.values()))
         if target == 0:
             continue
+        routed.append((supplies, sinks))
         res = max_flow(
             FlowProblem(g, supplies, sinks, flow_bound=target, capacity_scale=sigma)
         )
@@ -352,9 +354,10 @@ def reference_certify(g, comp, deg, phi, rng, trials):
     return None
 
 
-def reference_decompose(g, terminals, phi, seed):
+def reference_decompose(g, terminals, phi, seed, routed):
     """`decompose` with `reference_certify` and each split read off an
-    SCC pass over the whole graph."""
+    SCC pass over the whole graph. Appends to `routed` one list per
+    certified component, of the demands its flows route."""
     if not terminals:
         return DecompResult(frozenset(), phi, 0)
     estar_cap = g.edge_capacity(terminals)
@@ -370,7 +373,8 @@ def reference_decompose(g, terminals, phi, seed):
         rounds += 1
         rng = derive_rng(seed, "certify", halvings, counter)
         counter += 1
-        viol = reference_certify(g, comp, deg, phi, rng, trials)
+        routed.append([])
+        viol = reference_certify(g, comp, deg, phi, rng, trials, routed[-1])
         if viol is None:
             continue
         rest = comp - viol
@@ -389,15 +393,56 @@ def reference_decompose(g, terminals, phi, seed):
     return DecompResult(frozenset(cut), phi, rounds)
 
 
+def traced_decompose(g, terminals, phi, seed):
+    """`decompose`, and one list per certified component of the demands
+    its trials route, in g's ids; a trial re-run on g is not listed."""
+    h, new_id = _contract_inner_paths(g, restricted_degrees(g, terminals))
+    old_id = [v for v in range(g.n) if new_id[v] >= 0]
+    routed = []
+    certify, flow = decomp._certify_component, decomp.max_flow
+
+    def certify_spy(*args):
+        routed.append([])
+        return certify(*args)
+
+    def flow_spy(problem):
+        if problem.graph is not g or h.n == g.n:
+            routed[-1].append(tuple(
+                {old_id[v]: amount for v, amount in side.items()}
+                for side in (problem.source_supply, problem.sink_capacity)
+            ))
+        return flow(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomp, "_certify_component", certify_spy)
+        patch.setattr(decomp, "max_flow", flow_spy)
+        result = decompose(g, terminals, phi, seed)
+    return result, routed
+
+
+def without_repeats(demands):
+    """`demands` with each repeat of an earlier one dropped. The reference
+    stops at the first demand that fails, so every earlier one passed."""
+    kept = []
+    for demand in demands:
+        if demand not in kept:
+            kept.append(demand)
+    return kept
+
+
 class TestContraction:
     @given(chain_rich(), st.sampled_from([Fraction(1, 16), Fraction(1)]),
            st.integers(0, 3))
     @settings(max_examples=150)
     def test_decompose_matches_flows_on_the_whole_graph(self, case, phi, seed):
+        # The same cut, and in each component the same demands in the
+        # same order, save the repeats of passed ones that `decompose`
+        # does not route again.
         g, terminals = case
-        assert decompose(g, terminals, phi, seed) == reference_decompose(
-            g, terminals, phi, seed
-        )
+        expected = []
+        result, routed = traced_decompose(g, terminals, phi, seed)
+        assert result == reference_decompose(g, terminals, phi, seed, expected)
+        assert routed == [without_repeats(demands) for demands in expected]
 
     @given(chain_rich(), st.sampled_from([1, 16]), st.data())
     @settings(max_examples=150)

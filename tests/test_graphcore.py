@@ -1,5 +1,6 @@
 """Graph core: normalization, SCCs, cuts, degrees."""
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from arborpack.errors import InputError
 from arborpack.graphcore import (
     DirectedGraph,
+    _tarjan,
     cut_values,
     edges_within,
+    induced_sccs,
     normalize,
     restricted_degrees,
     scc,
@@ -92,6 +95,112 @@ class TestScc:
     @given(digraphs(max_n=7, max_m=16))
     def test_deterministic(self, g):
         assert scc(g) == scc(g)
+
+
+def reachability_classes(g, vertices, removed):
+    """The classes of mutual reachability among `vertices` in the
+    subgraph they induce in g minus `removed`, by a BFS from each vertex,
+    ordered by smallest member."""
+    out = {v: [] for v in vertices}
+    for eid, (u, v, _c) in enumerate(g.edges):
+        if eid not in removed and u in out and v in out:
+            out[u].append(v)
+    reach = {}
+    for start in vertices:
+        seen, queue = {start}, deque([start])
+        while queue:
+            for w in out[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach[start] = seen
+    classes = {frozenset(w for w in reach[v] if v in reach[w]) for v in vertices}
+    return sorted(classes, key=min)
+
+
+def reference_tarjan(n, adj, roots):
+    """Tarjan's SCCs with a work stack that re-pushes `(v, ptr + 1)` for
+    each edge it descends: the reference for `_tarjan`'s groups and their
+    order."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    stack = []
+    groups = []
+    counter = 1
+    for root in roots:
+        if visited[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ptr = work.pop()
+            if ptr == 0:
+                visited[v] = True
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            while ptr < len(adj[v]):
+                w = adj[v][ptr]
+                if not visited[w]:
+                    work.append((v, ptr + 1))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                ptr += 1
+            if recurse:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                groups.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return groups
+
+
+class TestSccPasses:
+    @given(digraphs(max_n=9, max_m=30), st.data())
+    def test_components_are_the_mutual_reachability_classes(self, g, data):
+        ids = st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m)
+        removed = frozenset(data.draw(ids)) & frozenset(range(g.m))
+        vertices = frozenset(data.draw(st.sets(st.integers(0, g.n - 1))))
+        everything = reachability_classes(g, range(g.n), removed)
+        assert list(scc(g, removed).components) == everything
+        if not removed:
+            assert g.sccs.components == scc(g).components
+        assert induced_sccs(g, vertices, removed) == reachability_classes(g, vertices, removed)
+
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=5), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.integers(0, n),
+    )))
+    def test_tarjan_gives_the_reference_groups_in_order(self, case):
+        adj, order, count = case
+        roots = order[:count]
+        assert _tarjan(len(adj), adj, roots) == reference_tarjan(len(adj), adj, roots)
+        as_dict = dict(enumerate(adj))
+        assert _tarjan(len(adj), as_dict, roots) == reference_tarjan(len(adj), adj, roots)
+
+    def test_long_path_and_long_cycle(self):
+        # Searches 100,000 vertices deep without recursion.
+        n = 100_000
+        path = normalize([(v, v + 1, 1) for v in range(n - 1)], n, 0)
+        assert scc(path).components == tuple(frozenset((v,)) for v in range(n))
+        ring = DirectedGraph(n=n, edges=tuple((v, (v + 1) % n, 1) for v in range(n)), source=0)
+        assert scc(ring).components == (frozenset(range(n)),)
+        assert induced_sccs(ring, frozenset(range(n)), frozenset()) == [frozenset(range(n))]
 
 
 class TestCutValues:
