@@ -6,33 +6,35 @@ functions. Virtual vertices are never visible to callers: `min_cut_side`
 is always a set of real vertices (those unreachable from the
 super-source in the final residual graph).
 
-`max_flow` runs short paths, then one Dinic phase, then search trees.
-First it makes the augmentations of Dinic's phases of 2-arc paths
-(source, v, sink) and 3-arc paths (source, u, w, sink), in the same
-order, in one scan of the supply vertices and their arcs with no search
-(`_short_paths`); a flow that one-edge paths can carry up to its bound
-runs no search at all. Next it runs the following Dinic phase on fresh
-label and current-arc arrays. A flow still below its limit is finished
+`max_flow` runs Dinic's short phases, then search trees. First it makes
+the augmentations of Dinic's phases of 2-arc paths (source, v, sink),
+3-arc paths (source, u, w, sink) and 4-arc paths (source, u, x, w,
+sink), in the same order, by scanning the supply vertices and their
+arcs, with no search (`_short_paths`): each of these level graphs
+follows from which vertices have supply and sink capacity left. A flow
+that one-edge paths can carry up to its bound stops after the 3-arc
+phase. A flow still below its limit after the 4-arc phase is finished
 with the two search trees of Boykov and Kolmogorov ("An experimental
 comparison of min-cut/max-flow algorithms for energy minimization in
 vision", IEEE TPAMI 26(9), 2004; `_search_trees`), one grown from the
-super-source and one into the super-sink, over the same arrays. The
-trees are kept from one augmentation to the next, so a flow made of
-many augmenting paths of different lengths pays for its search about
-once, not once per phase. Every maximum flow leaves the same vertices
-unreachable from the super-source, so `value` and `min_cut_side` equal
-plain Dinic's; the flow itself equals Dinic's up to the end of the one
-phase, and need not after it.
+super-source and one into the super-sink. The trees are kept from one
+augmentation to the next, so a flow made of many augmenting paths of
+different lengths pays for its search about once, not once per phase.
+Every maximum flow leaves the same vertices unreachable from the
+super-source, so `value` and `min_cut_side` equal plain Dinic's; the
+flow itself equals Dinic's up to the end of the 4-arc phase, and need
+not after it.
 
 `_dinic` runs the phases of `first_min_sink`, from the super-source and
-a growing set of real sources. Each phase, as also `max_flow`'s one,
-labels vertices by their distance to the sink, with one backward BFS
-that stops at the first source it labels. The blocking flow then walks
-from that source along current-arc pointers and takes only arcs whose
-head is one step closer to the sink, so every walk reaches the sink
-unless arcs saturated earlier in the phase. After an augmentation the
-walk resumes at the tail of the first saturated arc. These are the arcs
-a source-side level graph offers minus its dead ends, so the augmenting
+a growing set of real sources; only this sink sweep runs
+`_distances_to_sink` and `_blocking_flow`. Each phase labels vertices by
+their distance to the sink, with one backward BFS that stops at the
+first source it labels. The blocking flow then walks from that source
+along current-arc pointers and takes only arcs whose head is one step
+closer to the sink, so every walk reaches the sink unless arcs
+saturated earlier in the phase. After an augmentation the walk resumes
+at the tail of the first saturated arc. These are the arcs a
+source-side level graph offers minus its dead ends, so the augmenting
 paths and their order are those of the textbook forward labelling. A
 sweep allocates one pair of label and current-arc arrays, and each of
 its phases resets just the vertices its search labelled: it costs their
@@ -45,9 +47,9 @@ with capacity 0. Every call shares the `head` tuple. A call copies the
 capacity template the graph keeps for its `capacity_scale`, writes its
 supplies and sink capacities into it, and gives edges outside
 `edge_filter` capacity 0 both ways. Only the arc lists of vertices that
-get a supply or sink arc are extended. The blocking-flow search keeps an
-explicit stack, so path length is not bounded by Python's recursion
-limit.
+get a supply or sink arc are extended. The blocking flow and the search
+trees keep explicit stacks and queues, so path length is not bounded by
+Python's recursion limit.
 
 `first_min_sink` sweeps a sequence of sinks over one residual network,
 after Hao and Orlin ("A faster algorithm for finding the minimum cut in
@@ -153,8 +155,13 @@ class FlowResult:
 
 
 def max_flow(problem: FlowProblem) -> FlowResult:
-    """Exact integral maximum flow, optionally capped at `flow_bound`."""
-    n = problem.graph.n
+    """Exact integral maximum flow, optionally capped at `flow_bound`.
+
+    Dinic's 2-, 3- and 4-arc phases by scanning (`_short_paths`), then
+    the search trees; the value and cut side are plain Dinic's.
+    """
+    g = problem.graph
+    n = g.n
     source, sink = n, n + 1
     head, cap, adj, supply_arc, sink_arc = _residual_network(problem)
     bound = problem.flow_bound
@@ -162,24 +169,17 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     if bound is not None:
         limit = min(limit, bound)
 
-    flow_total = _short_paths(adj, head, cap, supply_arc, 2 * problem.graph.m, limit)
+    edge_arcs = _residual_arcs(g, 1)[2]
+    flow_total = _short_paths(edge_arcs, head, cap, supply_arc, sink_arc, 2 * g.m, limit)
     if flow_total < limit:
-        dist = [-1] * (n + 2)
-        is_source = [False] * n + [True, False]
-        _labelled, start = _distances_to_sink(adj, head, cap, is_source, sink, dist)
-        if start >= 0:
-            flow_total += _blocking_flow(
-                adj, head, cap, dist, [0] * (n + 2), start, sink, limit - flow_total
-            )
-            if flow_total < limit:
-                flow_total += _search_trees(adj, head, cap, source, sink, limit - flow_total)
+        flow_total += _search_trees(adj, head, cap, source, sink, limit - flow_total)
     cut_side = None if flow_total == bound else _unreached(adj, head, cap, source, n)
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
     # flow on it.
     return FlowResult(
         value=flow_total,
-        flow=cap[1 : 2 * problem.graph.m : 2],
+        flow=cap[1 : 2 * g.m : 2],
         min_cut_side=cut_side,
         source_used={v: cap[a ^ 1] for v, a in supply_arc.items()},
         sink_used={v: cap[a ^ 1] for v, a in sink_arc.items()},
@@ -297,21 +297,25 @@ def _residual_network(problem: FlowProblem):
     return head, cap, adj, supply_arc, sink_arc
 
 
-def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
-    """Dinic's phases of 2-arc and 3-arc paths from the super-source,
-    without their BFS; returns the flow added, at most `limit`.
+def _short_paths(edge_arcs, head, cap, supply_arc, sink_arc, first: int, limit: int) -> int:
+    """Dinic's phases of 2-arc, 3-arc and 4-arc paths from the
+    super-source, without their BFS; returns the flow added, at most
+    `limit`. `edge_arcs[v]` lists the edge arcs leaving v, as the `adj`
+    of `_residual_arcs`, and the sink arc of a vertex w is
+    `first + 4 * w + 2`, as it lays them out.
 
     The 2-arc phase pushes source -> v -> sink for each v with supply
     and sink capacity, in ascending v. After it no vertex has both
     left, so the 3-arc phase's level graph is source -> u -> w -> sink
     over edge arcs u -> w into vertices with sink capacity. Its blocking
     flow takes each u with supply left in ascending order and its arcs
-    in `adj[u]` order, and moves on past an arc once the arc or w's sink
-    is saturated, and to the next u once u's supply is. These are the
-    augmentations `_blocking_flow` makes in those phases, in the same
-    order, so `max_flow`'s one phase is Dinic's first phase of 4 or more
-    arcs, on the same residual network. The sink arc of a vertex w is
-    `first + 4 * w + 2`, as `_residual_arcs` lays them out.
+    in `edge_arcs[u]` order, and moves on past an arc once the arc or
+    w's sink is saturated, and to the next u once u's supply is. The
+    4-arc phase follows (`_four_arc_paths`). Each phase makes the
+    augmentations of a blocking flow over its level graph, in the same
+    order as `_blocking_flow`, so the network left is the one Dinic's
+    phases of at most 4 arcs leave. One list, `room_at`, holds each
+    vertex's sink capacity left through the 3-arc and 4-arc phases.
     """
     room = limit
     for v, a in supply_arc.items():
@@ -323,37 +327,116 @@ def _short_paths(adj, head, cap, supply_arc, first: int, limit: int) -> int:
             cap[t] -= d
             cap[t + 1] += d
             room -= d
+    if not room:
+        return limit
+    room_at = [0] * len(edge_arcs)
+    for v, t in sink_arc.items():
+        room_at[v] = cap[t]
     for u, a in supply_arc.items():
-        if not room:
-            break
         left = cap[a]
         if not left:
             continue
-        for b in adj[u]:
-            if b >= first:
-                break  # u's supply and sink arcs follow its edge arcs
+        for b in edge_arcs[u]:
             c = cap[b]
             if c:
-                t = first + 4 * head[b] + 2
-                d = cap[t]
-                if d:
-                    if c < d:
-                        d = c
+                w = head[b]
+                r = room_at[w]
+                if r:
+                    d = c if c < r else r
                     if left < d:
                         d = left
                     if room < d:
                         d = room
                     cap[b] = c - d
                     cap[b ^ 1] += d
+                    t = first + 4 * w + 2
                     cap[t] -= d
                     cap[t + 1] += d
+                    room_at[w] = r - d
                     left -= d
                     room -= d
                     if not left or not room:
                         break
         cap[a + 1] += cap[a] - left
         cap[a] = left
-    return limit - room
+        if not room:
+            return limit
+    return limit - _four_arc_paths(edge_arcs, head, cap, supply_arc, room_at, first, room)
+
+
+def _four_arc_paths(edge_arcs, head, cap, supply_arc, room_at, first: int, room: int) -> int:
+    """Dinic's phase of 4-arc paths source -> u -> x -> w -> sink, right
+    after the shorter phases of `_short_paths`; returns what is left of
+    `room`, the flow still allowed.
+
+    Its level graph needs no search. The vertices with supply left are
+    at level 1, and after the 3-arc phase none of them has sink capacity
+    left or an open arc into a vertex that has. So the vertices with
+    sink capacity at the start, `room_at[w] > 0`, are at level 3, and
+    any other vertex that an open edge arc from level 1 enters is at
+    level 2. The phase turns `room_at` into each vertex's state: the
+    sink capacity left at a level-3 vertex w, 0 at a vertex that may
+    serve as a middle vertex x, and -1 at a vertex that may not. That
+    is a level-1 vertex, a level-3 vertex once its sink fills, and a
+    middle vertex with no arc left. The blocking flow takes each u with
+    supply left in ascending order and its arcs in `edge_arcs[u]` order;
+    each x walks its arcs from a current arc kept for this phase, and
+    takes x -> w while w's sink has room. Each path carries its
+    bottleneck, and the walk resumes at the first arc or sink it
+    saturated, as `_blocking_flow`'s does.
+    """
+    for v, a in supply_arc.items():
+        if cap[a]:
+            room_at[v] = -1
+    current: dict[int, int] = {}
+    for u, a in supply_arc.items():
+        left = cap[a]
+        if not left:
+            continue
+        for b in edge_arcs[u]:
+            c = cap[b]
+            if not c:
+                continue
+            x = head[b]
+            if room_at[x]:
+                continue
+            arcs = edge_arcs[x]
+            for i in range(current.get(x, 0), len(arcs)):
+                e = arcs[i]
+                ce = cap[e]
+                if ce:
+                    w = head[e]
+                    r = room_at[w]
+                    if r > 0:
+                        d = c if c < ce else ce
+                        if r < d:
+                            d = r
+                        if left < d:
+                            d = left
+                        if room < d:
+                            d = room
+                        cap[b] = c = c - d
+                        cap[b ^ 1] += d
+                        cap[e] = ce - d
+                        cap[e ^ 1] += d
+                        t = first + 4 * w + 2
+                        cap[t] -= d
+                        cap[t + 1] += d
+                        room_at[w] = r - d or -1
+                        left -= d
+                        room -= d
+                        if not c or not left or not room:
+                            current[x] = i
+                            break
+            else:
+                room_at[x] = -1
+            if not left or not room:
+                break
+        cap[a + 1] += cap[a] - left
+        cap[a] = left
+        if not room:
+            break
+    return room
 
 
 def _dinic(adj, head, cap, is_source, sink: int, limit: int, dist, it) -> int:

@@ -4,7 +4,7 @@ import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborpack import maxflow
@@ -187,12 +187,20 @@ def _reference_blocking_flow(adj, head, cap, level, source, sink, limit):
 def assert_matches_reference(problem, res):
     """`res` is a valid flow of `problem` with the reference's value and
     cut side, and it has no cut side exactly when it met its bound. The
-    flow itself may differ from the reference's: after its one Dinic
-    phase, `max_flow` augments along the paths its search trees find."""
+    flow itself may differ from the reference's: after its 4-arc phase,
+    `max_flow` augments along the paths its search trees find."""
     ref = reference_max_flow(problem)
     assert (res.value, res.min_cut_side) == (ref.value, ref.min_cut_side)
     assert (res.min_cut_side is None) == (res.value == problem.flow_bound)
     verify_flow(problem, res)
+
+
+def returns_of(monkeypatch, name):
+    """What each call of `maxflow.<name>` returns, in call order."""
+    returned = []
+    real = getattr(maxflow, name)
+    monkeypatch.setattr(maxflow, name, lambda *a: returned.append(real(*a)) or returned[-1])
+    return returned
 
 
 def result_fields(res):
@@ -431,9 +439,63 @@ def certification_problems(draw, g):
     return FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=16)
 
 
+@st.composite
+def layered_problems(draw):
+    """A problem whose paths mostly have 4 arcs: supplies on the layer
+    0..k-1, sinks on the layer 2k..3k-1, and edges from the first layer
+    into the middle one k..2k-1 and from there into the last, with a
+    few edges between any two vertices; capacities 1-3 and an optional
+    bound. Middle vertices meet several supplies and several sinks, so
+    the order of the 4-arc phase's augmentations shows."""
+    k = draw(st.integers(2, 4))
+    n = 3 * k
+
+    def layer(i):
+        return st.integers(i * k, i * k + k - 1)
+
+    ends = (
+        st.tuples(layer(0), layer(1))
+        | st.tuples(layer(1), layer(2))
+        | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    )
+    pairs = draw(st.lists(ends, min_size=2 * k, max_size=6 * k))
+    edges = [(u, v, draw(st.integers(1, 3))) for u, v in pairs]
+    amounts = st.integers(1, 4)
+    supplies = {u: draw(amounts) for u in range(k)}
+    sinks = {w: draw(amounts) for w in range(2 * k, n)}
+    bound = draw(st.none() | st.integers(0, sum(supplies.values())))
+    return FlowProblem(normalize(edges, n, 0), supplies, sinks, flow_bound=bound)
+
+
+def assert_leaves_short_phase_network(problem):
+    """Every residual capacity, of edge, supply and sink arcs, that
+    `_short_paths` leaves equals the one the reference's 2-arc, 3-arc and
+    4-arc phases leave, and so does the flow it returns."""
+    g = problem.graph
+    head, cap, _adj, supply_arc, sink_arc = maxflow._residual_network(problem)
+    limit = sum(problem.source_supply.values())
+    if problem.flow_bound is not None:
+        limit = min(limit, problem.flow_bound)
+    value = maxflow._short_paths(
+        maxflow._residual_arcs(g, 1)[2], head, cap, supply_arc, sink_arc, 2 * g.m, limit
+    )
+    network, ref_value, _level = reference_phases(problem, max_arcs=4)
+    _head, ref_cap, _adj, ref_supply_arc, ref_sink_arc = network
+    assert value == ref_value
+    assert cap[: 2 * g.m] == ref_cap[: 2 * g.m]
+    for arcs, ref_arcs in ((supply_arc, ref_supply_arc), (sink_arc, ref_sink_arc)):
+        assert {v: (cap[a], cap[a ^ 1]) for v, a in arcs.items()} == {
+            v: (ref_cap[a], ref_cap[a ^ 1]) for v, a in ref_arcs.items()
+        }
+
+
 class TestShortPaths:
-    """The pass that makes the 2-arc and 3-arc phases' augmentations
-    without their searches leaves plain Dinic's residual network."""
+    """The pass that makes the 2-arc, 3-arc and 4-arc phases'
+    augmentations without their searches leaves plain Dinic's residual
+    network."""
+
+    # Supply at 1, sink at 3: two 4-arc paths, 1 -> 2 -> 3 and 1 -> 4 -> 3.
+    FOUR_ARC_EDGES = [(0, 1, 1), (1, 2, 2), (2, 3, 2), (1, 4, 2), (4, 3, 2)]
 
     @given(digraphs(max_n=12, max_m=40, max_cap=4), st.data())
     def test_certification_problems_match_reference(self, g, data):
@@ -443,37 +505,35 @@ class TestShortPaths:
 
     @given(digraphs(max_n=12, max_m=40, max_cap=4), st.data())
     def test_leaves_the_residual_network_of_the_short_phases(self, g, data):
-        # Every residual capacity, of edge, supply and sink arcs, equals
-        # the one the reference's 2-arc and 3-arc phases leave.
-        problem = data.draw(certification_problems(g) | flow_problems(g, both_ends=True))
-        head, cap, adj, supply_arc, sink_arc = maxflow._residual_network(problem)
-        limit = sum(problem.source_supply.values())
-        if problem.flow_bound is not None:
-            limit = min(limit, problem.flow_bound)
-        value = maxflow._short_paths(adj, head, cap, supply_arc, 2 * g.m, limit)
-        network, ref_value, _level = reference_phases(problem, max_arcs=3)
-        _head, ref_cap, _adj, ref_supply_arc, ref_sink_arc = network
-        assert value == ref_value
-        assert cap[: 2 * g.m] == ref_cap[: 2 * g.m]
-        for arcs, ref_arcs in ((supply_arc, ref_supply_arc), (sink_arc, ref_sink_arc)):
-            assert {v: (cap[a], cap[a ^ 1]) for v, a in arcs.items()} == {
-                v: (ref_cap[a], ref_cap[a ^ 1]) for v, a in ref_arcs.items()
-            }
+        assert_leaves_short_phase_network(
+            data.draw(certification_problems(g) | flow_problems(g, both_ends=True))
+        )
+
+    @settings(max_examples=100)
+    @given(layered_problems())
+    def test_leaves_the_residual_network_of_the_four_arc_phase(self, problem):
+        # Here a pass that walks a middle vertex's arcs in another order,
+        # moves its current arc past an arc still open, or gives it up
+        # when the arc into it saturates leaves another network.
+        assert_leaves_short_phase_network(problem)
 
     @pytest.mark.parametrize("edges, supplies, sinks, bound, edge_filter", [
         # The bound is met at vertex 2, inside the 2-arc step.
         ([(0, 1, 1), (1, 2, 1)], {1: 3, 2: 2}, {1: 2, 2: 5}, 3, None),
         # The bound is met on the arc 1 -> 3, inside the 3-arc step.
         ([(0, 1, 1), (1, 2, 2), (1, 3, 2), (1, 4, 2)], {1: 9}, {2: 2, 3: 2, 4: 2}, 3, None),
+        # The bound is met on 1 -> 4 -> 3, inside the 4-arc step, after
+        # 1 -> 2 -> 3 carried 2.
+        (FOUR_ARC_EDGES, {1: 9}, {3: 9}, 3, None),
         # Vertex 1 both supplies and absorbs; its supply left goes on.
         ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2)], {1: 4}, {1: 1, 2: 2, 3: 5}, None,
          None),
-        # The edge 1 -> 2 into the sink is filtered out; 1 -> 3 -> 2 is
-        # a 4-arc path that Dinic's phases find after the pass.
+        # The edge 1 -> 2 into the sink is filtered out, so the 3-arc
+        # step finds nothing; the 4-arc step takes 1 -> 3 -> 2.
         ([(0, 1, 1), (1, 2, 3), (1, 3, 1), (3, 2, 1)], {1: 3}, {2: 3}, None,
          frozenset({0, 2, 3})),
-    ], ids=["bound-in-2-arc-step", "bound-in-3-arc-step", "supply-and-sink",
-            "filtered-edge-into-sink"])
+    ], ids=["bound-in-2-arc-step", "bound-in-3-arc-step", "bound-in-4-arc-step",
+            "supply-and-sink", "filtered-edge-into-sink"])
     def test_unit_cases_match_reference(self, edges, supplies, sinks, bound, edge_filter):
         g = normalize(edges, 5, 0)
         problem = FlowProblem(g, supplies, sinks, flow_bound=bound, edge_filter=edge_filter)
@@ -493,16 +553,26 @@ class TestShortPaths:
 
     def test_single_edge_flow_runs_no_search(self, monkeypatch):
         # Every unit goes over one edge from the supply to a sink, so the
-        # pass meets the bound and no phase runs.
-        calls = []
-        search = maxflow._distances_to_sink
-        monkeypatch.setattr(maxflow, "_distances_to_sink",
-                            lambda *a: calls.append(1) or search(*a))
+        # 3-arc step meets the bound: neither the 4-arc step nor a search
+        # tree runs.
+        four_arc = returns_of(monkeypatch, "_four_arc_paths")
+        trees = returns_of(monkeypatch, "_search_trees")
         g = normalize([(0, v, 1) for v in range(1, 5)] + [(1, 2, 1), (2, 3, 1)], 5, 0)
         res = max_flow(FlowProblem(g, {0: 4}, dict.fromkeys(range(1, 5), 1), flow_bound=4))
         assert res.min_cut_side is None and res.value == 4
         assert res.flow == [1, 1, 1, 1, 0, 0]
-        assert calls == []
+        assert four_arc == [] and trees == []
+
+    def test_four_arc_flow_runs_no_search_tree(self, monkeypatch):
+        # The supply of 3 runs out inside the 4-arc step, so the flow is
+        # maximum and no search tree runs.
+        four_arc = returns_of(monkeypatch, "_four_arc_paths")
+        trees = returns_of(monkeypatch, "_search_trees")
+        problem = FlowProblem(normalize(self.FOUR_ARC_EDGES, 5, 0), {1: 3}, {3: 9})
+        res = max_flow(problem)
+        assert result_fields(res) == result_fields(reference_max_flow(problem))
+        assert res.value == 3 and res.flow == [0, 2, 2, 1, 1]
+        assert four_arc == [0] and trees == []
 
 
 @st.composite
@@ -534,17 +604,8 @@ def ring_problems(draw, min_n, max_n):
 
 
 class TestSearchTrees:
-    """The search trees that finish a flow after its one Dinic phase
-    give the reference's value and cut side."""
-
-    @staticmethod
-    def tail_flows(monkeypatch):
-        """The flow each `_search_trees` call adds, in call order."""
-        added = []
-        search = maxflow._search_trees
-        monkeypatch.setattr(maxflow, "_search_trees",
-                            lambda *a: added.append(search(*a)) or added[-1])
-        return added
+    """The search trees that finish a flow after its short phases give
+    the reference's value and cut side."""
 
     @staticmethod
     def split_by_degree(g, arc):
@@ -558,7 +619,7 @@ class TestSearchTrees:
         return supplies, {v: deg[v] for v in range(1, g.n) if v not in supplies}
 
     def test_rings_with_a_supply_arc_match_reference(self, monkeypatch):
-        added = self.tail_flows(monkeypatch)
+        added = returns_of(monkeypatch, "_search_trees")
 
         @given(ring_problems(8, 40))
         def check(problem):
@@ -572,7 +633,7 @@ class TestSearchTrees:
         # ring with 3 chords: the supplies hold a contiguous arc at their
         # degrees and the sinks the rest. Each flow takes augmenting
         # paths of many lengths and falls short of its bound.
-        added = self.tail_flows(monkeypatch)
+        added = returns_of(monkeypatch, "_search_trees")
         g = gen_cycle_plus_chords(60, 3, seed=1)
         for first, last in ((1, 20), (10, 40), (30, 59)):
             supplies, sinks = self.split_by_degree(g, range(first, last))
@@ -587,7 +648,7 @@ class TestSearchTrees:
         # residual capacity into it have been scanned: unless they become
         # active again, nothing brings it back, and the search stops at
         # 87 of the 95 units.
-        added = self.tail_flows(monkeypatch)
+        added = returns_of(monkeypatch, "_search_trees")
         g = gen_cycle_plus_chords(41, 13, seed=94, max_cap=3)
         supplies, sinks = self.split_by_degree(g, range(6, 22))
         problem = FlowProblem(g, supplies, sinks, capacity_scale=16)
@@ -598,14 +659,14 @@ class TestSearchTrees:
     def test_dense_graphs_where_orphans_leave_their_tree(self, monkeypatch):
         # 80 edges on 14 vertices; in seeds 1 and 3-5 some orphan finds
         # no new parent, leaves its tree and orphans its children.
-        added = self.tail_flows(monkeypatch)
+        added = returns_of(monkeypatch, "_search_trees")
         for seed in range(6):
             g = gen_random_gnm(14, 80, seed=seed)
             problem = FlowProblem(g, dict.fromkeys(range(1, 7), 3), dict.fromkeys(range(7, 14), 3))
             assert_matches_reference(problem, max_flow(problem))
         assert all(added)
 
-    # Supply at 1, sink at 5: the one phase takes 1 -> 2 -> 5 and the
+    # Supply at 1, sink at 5: the 4-arc step takes 1 -> 2 -> 5 and the
     # search trees take 1 -> 3 -> 4 -> 5.
     TWO_ROUTES = [(1, 2, 1), (2, 5, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1)]
 
@@ -615,7 +676,7 @@ class TestSearchTrees:
         (2, 3, False),  # the supply runs out inside the search, below the bound
     ], ids=["maximum", "bound-met", "supply-runs-out"])
     def test_two_routes_match_enumeration(self, monkeypatch, supply, bound, capped):
-        added = self.tail_flows(monkeypatch)
+        added = returns_of(monkeypatch, "_search_trees")
         g = normalize(self.TWO_ROUTES, 6, 0)
         problem = FlowProblem(g, {1: supply}, {5: 5}, flow_bound=bound)
         res = max_flow(problem)
