@@ -25,20 +25,16 @@ super-source, so `value` and `min_cut_side` equal plain Dinic's; the
 flow itself equals Dinic's up to the end of the 4-arc phase, and need
 not after it.
 
-`_dinic` runs the phases of `first_min_sink`, from the super-source and
-a growing set of real sources; only this sink sweep runs
-`_distances_to_sink` and `_blocking_flow`. Each phase labels vertices by
-their distance to the sink, with one backward BFS that stops at the
-first source it labels. The blocking flow then walks from that source
-along current-arc pointers and takes only arcs whose head is one step
-closer to the sink, so every walk reaches the sink unless arcs
-saturated earlier in the phase. After an augmentation the walk resumes
-at the tail of the first saturated arc. These are the arcs a
-source-side level graph offers minus its dead ends, so the augmenting
-paths and their order are those of the textbook forward labelling. A
-sweep allocates one pair of label and current-arc arrays, and each of
-its phases resets just the vertices its search labelled: it costs their
-arcs, not n.
+`first_min_sink` augments along shortest paths, one search per path
+(Edmonds and Karp, "Theoretical improvements in algorithmic efficiency
+for network flow problems", JACM 19(2), 1972). The search
+(`_path_to_sink`) is a backward BFS from the sink over arcs with
+residual capacity that stops at the first source it labels, and the arc
+it records at each labelled vertex, one step closer to the sink, spells
+the path. A sweep allocates one list of those arcs and one list of
+stamps, each vertex stamped with the number of the last search that
+labelled it, so no search resets anything: it costs the arcs of the
+vertices it labels, not n.
 
 Every arc a call can use is built once per graph, at its first flow
 (`_residual_arcs`, kept in the graph's `memo`): the two arcs of each
@@ -47,9 +43,8 @@ with capacity 0. Every call shares the `head` tuple. A call copies the
 capacity template the graph keeps for its `capacity_scale`, writes its
 supplies and sink capacities into it, and gives edges outside
 `edge_filter` capacity 0 both ways. Only the arc lists of vertices that
-get a supply or sink arc are extended. The blocking flow and the search
-trees keep explicit stacks and queues, so path length is not bounded by
-Python's recursion limit.
+get a supply or sink arc are extended. Every search keeps an explicit
+queue, so path length is not bounded by Python's recursion limit.
 
 `first_min_sink` sweeps a sequence of sinks over one residual network,
 after Hao and Orlin ("A faster algorithm for finding the minimum cut in
@@ -206,11 +201,30 @@ def first_min_sink(problem: FlowProblem, sinks: Sequence[int], bound: int) -> tu
         return best, first
     head, cap, adj, _supply_arc, _sink_arc = _residual_network(problem)
     is_source = [False] * n + [True, False]
-    dist, it = [-1] * (n + 2), [0] * (n + 2)
+    via, stamp = [0] * (n + 2), [0] * (n + 2)
+    search = 0
     for t in sinks:
         if is_source[t]:
             continue
-        flow = _dinic(adj, head, cap, is_source, t, best, dist, it)
+        flow = 0
+        while flow < best:
+            search += 1
+            v = _path_to_sink(adj, head, cap, is_source, t, via, stamp, search)[1]
+            if v < 0:
+                break
+            start, d = v, best - flow
+            while v != t:
+                a = via[v]
+                if cap[a] < d:
+                    d = cap[a]
+                v = head[a]
+            v = start
+            while v != t:
+                a = via[v]
+                cap[a] -= d
+                cap[a ^ 1] += d
+                v = head[a]
+            flow += d
         if flow < best:
             best, first = flow, t
             if not best:
@@ -383,7 +397,8 @@ def _four_arc_paths(edge_arcs, head, cap, supply_arc, room_at, first: int, room:
     each x walks its arcs from a current arc kept for this phase, and
     takes x -> w while w's sink has room. Each path carries its
     bottleneck, and the walk resumes at the first arc or sink it
-    saturated, as `_blocking_flow`'s does.
+    saturated: where the walk of `tests/test_maxflow.py::reference_phases`,
+    which restarts at the source along its current arcs, arrives next.
     """
     for v, a in supply_arc.items():
         if cap[a]:
@@ -439,36 +454,27 @@ def _four_arc_paths(edge_arcs, head, cap, supply_arc, room_at, first: int, room:
     return room
 
 
-def _dinic(adj, head, cap, is_source, sink: int, limit: int, dist, it) -> int:
-    """Augment from the `is_source` vertices into `sink`, phase by phase,
-    up to `limit`; returns the flow added. The caller owns `dist` and `it`,
-    all -1 and all 0 on entry and on return: a phase resets what it labels."""
-    flow = start = 0
-    while flow < limit and start >= 0:
-        labelled, start = _distances_to_sink(adj, head, cap, is_source, sink, dist)
-        if start >= 0:
-            flow += _blocking_flow(adj, head, cap, dist, it, start, sink, limit - flow)
-        for v in labelled:
-            dist[v], it[v] = -1, 0
-    return flow
+def _path_to_sink(
+    adj, head, cap, is_source, sink: int, via, stamp, search: int
+) -> tuple[list[int], int]:
+    """A shortest path over arcs with residual capacity from an
+    `is_source` vertex into `sink`; returns the labelled vertices in
+    search order, sink first, and the path's source (-1 if none is
+    reached), which ends the list.
 
-
-def _distances_to_sink(adj, head, cap, is_source, sink: int, dist) -> tuple[list[int], int]:
-    """BFS distances to `sink` over arcs with residual capacity, written
-    into `dist` (-1 marks a vertex not reached); returns the labelled
-    vertices in search order, sink first, and the first of them with
-    `is_source[v]` true (-1 if none is reached), which ends the list. The
-    search runs backwards: an arc b leaving w has a partner b ^ 1 that
-    enters w from head[b]. It ends as soon as it labels a source: no
-    vertex at that distance or beyond lies on a shortest path from it."""
-    dist[sink] = 0
+    The BFS runs backwards: an arc b leaving w has a partner b ^ 1 that
+    enters w from head[b]. It stamps each vertex it labels with `search`,
+    which no vertex holds on entry, and sets `via[v]` to v's arc one step
+    closer to the sink; it ends as soon as it labels a source, and the
+    path follows `via` from that source."""
+    stamp[sink] = search
     queue = [sink]
     for w in queue:  # also visits the vertices appended below
-        nxt = dist[w] + 1
         for b in adj[w]:
             v = head[b]
-            if dist[v] < 0 and cap[b ^ 1] > 0:
-                dist[v] = nxt
+            if stamp[v] != search and cap[b ^ 1] > 0:
+                stamp[v] = search
+                via[v] = b ^ 1
                 queue.append(v)
                 if is_source[v]:
                     return queue, v
@@ -489,61 +495,6 @@ def _unreached(adj, head, cap, source: int, n: int) -> frozenset:
                 seen[w] = True
                 stack.append(w)
     return frozenset([v for v in range(n) if not seen[v]])
-
-
-def _blocking_flow(adj, head, cap, dist, it, source: int, sink: int, limit: int) -> int:
-    """Augment along shortest paths until none is left or `limit` is met.
-
-    An explicit stack of arcs walks from the source along each vertex's
-    current arc (`it`), taking only arcs whose head is one step closer to
-    the sink. At the start of the phase every such walk ends at the sink;
-    a vertex whose arcs have all saturated since is dead for the rest of
-    the phase (distance -1). After an augmentation the walk resumes at
-    the tail of the first saturated arc: the current arcs before it are
-    unchanged, so paths are found in the order of a recursive search.
-    As the walk enters only labelled vertices, it advances `it[u]` or
-    marks u dead only where the phase's search labelled u.
-    """
-    path: list[int] = []
-    pushed = 0
-    u = source
-    while True:
-        if u == sink:
-            d = limit - pushed
-            for a in path:
-                if cap[a] < d:
-                    d = cap[a]
-            for a in path:
-                cap[a] -= d
-                cap[a ^ 1] += d
-            pushed += d
-            if pushed == limit:
-                return pushed
-            i = 0
-            while cap[path[i]]:
-                i += 1
-            u = head[path[i] ^ 1]
-            del path[i:]
-            continue
-        arcs = adj[u]
-        i = it[u]
-        k = len(arcs)
-        want = dist[u] - 1
-        while i < k:
-            a = arcs[i]
-            if cap[a] > 0 and dist[head[a]] == want:
-                break
-            i += 1
-        it[u] = i
-        if i < k:
-            path.append(a)
-            u = head[a]
-            continue
-        dist[u] = -1
-        if not path:
-            return pushed
-        u = head[path.pop() ^ 1]
-        it[u] += 1
 
 
 _ROOT, _ORPHAN = -1, -2

@@ -232,16 +232,16 @@ def per_sample_best(h, seed: int) -> CutCandidate:
 
 
 @pytest.fixture
-def dinic_calls(monkeypatch):
-    """The sink of each Dinic run that `first_min_sink` makes."""
+def searched_sinks(monkeypatch):
+    """The sink of each augmenting-path search that `first_min_sink` runs."""
     calls = []
-    real = maxflow._dinic
+    real = maxflow._path_to_sink
 
     def counting(*args):
         calls.append(args[4])
         return real(*args)
 
-    monkeypatch.setattr(maxflow, "_dinic", counting)
+    monkeypatch.setattr(maxflow, "_path_to_sink", counting)
     return calls
 
 
@@ -270,25 +270,24 @@ class TestFirstMinSink:
         assert first_min_sink(problem, samples, bound) == expected
 
     def test_sweep_reuses_one_clean_label_array(self, monkeypatch):
-        # Every sink's run gets the sweep's own `dist` and `it` lists,
-        # all -1 and all 0 on entry and again on return.
+        # One `via` and one stamp list serve every search of the sweep,
+        # every sink's included, and no vertex holds a search's stamp on
+        # entry to it, so nothing is reset between searches.
         seen = []
-        real = maxflow._dinic
+        real = maxflow._path_to_sink
 
         def checking(*args):
-            dist, it = args[6], args[7]
-            assert dist == [-1] * len(dist) and it == [0] * len(it)
-            flow = real(*args)
-            assert dist == [-1] * len(dist) and it == [0] * len(it)
-            seen.append((dist, it))
-            return flow
+            sink, via, stamp, search = args[4:]
+            assert max(stamp) < search
+            seen.append((sink, via, stamp))
+            return real(*args)
 
-        monkeypatch.setattr(maxflow, "_dinic", checking)
+        monkeypatch.setattr(maxflow, "_path_to_sink", checking)
         g = normalize([(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 1, 1), (0, 3, 1), (1, 4, 1),
                        (4, 2, 1), (3, 4, 1)], 5, 0)
         assert first_min_sink(FlowProblem(g, {0: 9}, {}), [4, 2, 3, 1], 9) == (2, 4)
-        assert len(seen) == 4
-        assert all(dist is seen[0][0] and it is seen[0][1] for dist, it in seen)
+        assert list(dict.fromkeys(sink for sink, _via, _stamp in seen)) == [4, 2, 3, 1]
+        assert all(via is seen[0][1] and stamp is seen[0][2] for _sink, via, stamp in seen)
 
     def test_best_equals_per_sample_search_on_instance_stream(self):
         for _name, g in instance_stream(60, seed=25, n_max=24, m_max=100, max_cap=4):
@@ -307,15 +306,17 @@ class TestFirstMinSink:
         with pytest.raises(ParameterError):
             first_min_sink(FlowProblem(g, {0: 5}, {1: 5}), [1], 5)
 
-    def test_repeated_sink_is_swept_once(self, dinic_calls):
-        # 0 -> 1 -> 2 and 0 -> 2: sink 2 takes 2 units, then sink 1,
-        # entered by one unit edge, takes 1; the repeats run no flow.
+    def test_repeated_sink_is_swept_once(self, searched_sinks):
+        # 0 -> 1 -> 2 and 0 -> 2: sink 2 takes 2 units over two paths and
+        # a third search finds none; then sink 1, entered by one unit
+        # edge, takes 1 back from 2 and a second search finds none. The
+        # repeats run no search.
         g = normalize([(0, 1, 1), (1, 2, 2), (0, 2, 1)], 3, 0)
         problem = FlowProblem(g, {0: 9}, {})
         assert first_min_sink(problem, [2, 1, 2, 1, 1], 9) == (1, 1)
-        assert dinic_calls == [2, 1]
+        assert searched_sinks == [2, 2, 2, 1, 1]
 
-    def test_zero_bound_runs_no_flow(self, dinic_calls):
+    def test_zero_bound_runs_no_flow(self, searched_sinks):
         g = normalize([(0, 1, 1), (1, 2, 1)], 3, 0)
         assert first_min_sink(FlowProblem(g, {0: 5}, {}), [1, 2], 0) == (0, -1)
-        assert dinic_calls == []
+        assert searched_sinks == []

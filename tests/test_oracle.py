@@ -12,6 +12,12 @@ from hypothesis import strategies as st
 
 import arborpack.oracle
 from arborpack.errors import ParameterError, ScaleError
+from arborpack.generators import (
+    gen_cycle_plus_chords,
+    gen_known_packing,
+    gen_random_gnm,
+    gen_two_cliques_bridge,
+)
 from arborpack.graphcore import cut_values, normalize, restricted_degrees, scc
 from arborpack.maxflow import FlowProblem, max_flow
 from arborpack.oracle import (
@@ -101,6 +107,21 @@ class TestExactRootedMincut:
     def test_matches_one_flow_per_sink(self, g):
         # Same value and the same witness: the first minimising sink in
         # in-capacity order, and its minimal source side.
+        assert exact_rooted_mincut(g) == reference_exact_rooted_mincut(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_known_packing(120, 6, seed=1),
+            gen_cycle_plus_chords(200, 5, seed=1, max_cap=3),
+            gen_random_gnm(100, 600, seed=8, max_cap=4),  # seed 1 leaves a vertex unreached
+            gen_two_cliques_bridge(30, seed=1, max_cap=3),
+        ],
+        ids=["known_packing", "cycle_plus_chords", "random_gnm", "two_cliques_bridge"],
+    )
+    def test_matches_one_flow_per_sink_on_generated_graphs(self, g):
+        # Past the n <= 12 of the drawn graphs: sinks whose flows take
+        # many augmenting paths, some of them long.
         assert exact_rooted_mincut(g) == reference_exact_rooted_mincut(g)
 
     @pytest.mark.parametrize(

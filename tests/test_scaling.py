@@ -16,17 +16,17 @@ GROWTH = 2.5
 
 @pytest.fixture
 def labelled(monkeypatch):
-    """The vertices `_distances_to_sink` labels, summed over its calls;
+    """The vertices `_path_to_sink` labels, summed over its calls;
     only the `first_min_sink` sweep runs it."""
     total = [0]
-    real = maxflow._distances_to_sink
+    real = maxflow._path_to_sink
 
     def counting(*args):
         queue, start = real(*args)
         total[0] += len(queue)
         return queue, start
 
-    monkeypatch.setattr(maxflow, "_distances_to_sink", counting)
+    monkeypatch.setattr(maxflow, "_path_to_sink", counting)
     return total
 
 
