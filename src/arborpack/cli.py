@@ -42,7 +42,7 @@ from pathlib import Path
 from . import generators
 from .decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from .errors import ArborError, InputError, InternalError, ParameterError, UnsupportedGraphError
-from .graphcore import DirectedGraph, cut_values, normalize
+from .graphcore import DirectedGraph, check_edge_count, check_vertex_count, cut_values, normalize
 from .mincut import approx_rooted_mincut
 from .oracle import exact_rooted_mincut, verify_packing
 from .packing import PackingResult, pack
@@ -76,6 +76,8 @@ def parse_graph(text: str) -> tuple[DirectedGraph, ParseDiagnostics]:
                 raise InputError(f"line {lineno}: non-integer problem field") from exc
             if n < 1 or m < 0 or not 1 <= s <= n:
                 raise InputError(f"line {lineno}: problem line out of range")
+            check_vertex_count(n)
+            check_edge_count(m)
         elif fields[0] == "a":
             if n is None:
                 raise InputError(f"line {lineno}: arc before problem line")

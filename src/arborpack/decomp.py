@@ -29,10 +29,12 @@ flow, walks a handful of edges instead of the ring.
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
 in as the next terminal set until no cut is needed; every round starts
 from the graph's SCCs, computed once per build. The `Hierarchy` it
-builds keeps the graph, checks the levels and then derives, with one
-SCC pass each, the partition of the graph minus all higher-level edges
-for every level above 0 (level 0 is all singletons); the `cli` module
-writes it as JSON and reads it back.
+builds keeps the graph, checks the levels and then derives the
+partition of the graph minus all higher-level edges for every level:
+level 0 is all singletons, level L (no edge above it) is the graph's
+own SCCs, kept in its `memo`, and each level in between takes one SCC
+pass, so a build of L levels runs L - 1 passes. The `cli` module writes
+the hierarchy as JSON and reads it back.
 
 Flow-based certification is a heuristic stand-in for the real expansion
 property; the exhaustive cut-expansion check in `oracle` is the ground
@@ -327,7 +329,8 @@ class Hierarchy:
     another graph; two hierarchies are equal only when their graphs are.
 
     Level 0 has no edge set; every edge counts as higher-level there, so
-    its partition is all singletons, built without an SCC pass.
+    its partition is all singletons, built without an SCC pass. No edge
+    lies above level L, whose partition is the graph's own `sccs`.
     Partitions coarsen upward (a laminar family): the edges above level
     i - 1 include those above level i.
     `packing.critical_edges` turns this into one critical level per edge.

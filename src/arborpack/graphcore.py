@@ -130,12 +130,14 @@ def normalize(raw_edges: Sequence[tuple[int, ...]], n: int, s: int) -> DirectedG
 
     Drops self-loops and every edge whose head is the source; preserves
     the order of the surviving edges. Raises `InputError` for a vertex
-    count outside 1..`MAX_VERTICES`, ids out of range, non-positive
+    count outside 1..`MAX_VERTICES`, more than `MAX_EDGES` raw edges
+    (counted before any is read), ids out of range, non-positive
     capacities, or capacities above `MAX_CAPACITY`.
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
     check_vertex_count(n)
+    check_edge_count(len(raw_edges))
     if not 0 <= s < n:
         raise InputError(f"source {s} out of range for n={n}")
     kept: list[Edge] = []

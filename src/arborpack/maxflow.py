@@ -62,10 +62,10 @@ held an earlier sink t_j would give t_j a value no larger, so none
 does, and the run of t* adds exactly the least value.
 
 An optional `flow_bound` stops augmentation as soon as the flow reaches
-it. Such a run skips the final residual search, and its `min_cut_side`
-is None. Any other run (no bound, or `value < flow_bound`) is a genuine
-maximum flow: one forward search over the final residual graph gives
-its `min_cut_side`, a genuine minimum cut.
+it, and such a run's `min_cut_side` is None. Any other run is a genuine
+maximum flow, and its `min_cut_side` is read off the flow with no
+further search: every real vertex when all supply is used, and else
+those outside the source tree the search trees leave (`_search_trees`).
 
 `verify_flow` re-derives every invariant of a result against its
 problem. `decompose_paths` takes the same pair, checks it with
@@ -153,7 +153,8 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     """Exact integral maximum flow, optionally capped at `flow_bound`.
 
     Dinic's 2-, 3- and 4-arc phases by scanning (`_short_paths`), then
-    the search trees; the value and cut side are plain Dinic's.
+    the search trees, whose source tree gives the cut side; the value
+    and the cut side are plain Dinic's.
     """
     g = problem.graph
     n = g.n
@@ -167,8 +168,14 @@ def max_flow(problem: FlowProblem) -> FlowResult:
     edge_arcs = _residual_arcs(g, 1)[2]
     flow_total = _short_paths(edge_arcs, head, cap, supply_arc, sink_arc, 2 * g.m, limit)
     if flow_total < limit:
-        flow_total += _search_trees(adj, head, cap, source, sink, limit - flow_total)
-    cut_side = None if flow_total == bound else _unreached(adj, head, cap, source, n)
+        tree = [0] * len(adj)
+        flow_total += _search_trees(adj, head, cap, tree, source, sink, limit - flow_total)
+    if flow_total == bound:
+        cut_side = None
+    elif flow_total == limit:  # the super-source's arcs are all saturated
+        cut_side = frozenset(range(n))
+    else:
+        cut_side = frozenset([v for v in range(n) if tree[v] <= 0])
 
     # The reverse arc of an edge (or of a supply or sink arc) holds the
     # flow on it.
@@ -481,26 +488,10 @@ def _path_to_sink(
     return queue, -1
 
 
-def _unreached(adj, head, cap, source: int, n: int) -> frozenset:
-    """The real vertices (ids below n) that `source` does not reach over
-    arcs with residual capacity."""
-    seen = [False] * len(adj)
-    seen[source] = True
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for a in adj[u]:
-            w = head[a]
-            if not seen[w] and cap[a] > 0:
-                seen[w] = True
-                stack.append(w)
-    return frozenset([v for v in range(n) if not seen[v]])
-
-
 _ROOT, _ORPHAN = -1, -2
 
 
-def _search_trees(adj, head, cap, source: int, sink: int, limit: int) -> int:
+def _search_trees(adj, head, cap, tree, source: int, sink: int, limit: int) -> int:
     """Augment from `source` into `sink` up to `limit` with Boykov and
     Kolmogorov's two search trees; returns the flow added.
 
@@ -522,9 +513,17 @@ def _search_trees(adj, head, cap, source: int, sink: int, limit: int) -> int:
     sink tree) become active again. The growth goes on from the active
     vertex that closed the path, with its arcs scanned from the first.
     With no active vertex left the flow is maximum.
+
+    The caller owns `tree`, zeros for the vertices of `adj`. When the
+    call ends below `limit`, the source tree (`tree[v] > 0`) is what the
+    source reaches over residual arcs: a scanned vertex has no residual
+    arc out of the tree (it would adopt a free head, or meet the sink
+    tree and stay active), an augmentation opens only arcs within a tree
+    and the meeting arc's reverse, into the source tree, and a vertex
+    leaving a tree reactivates each neighbour there with residual
+    capacity into it.
     """
     size = len(adj)
-    tree = [0] * size
     parent = [_ROOT] * size
     stamp = [0] * size
     active = [False] * size

@@ -74,6 +74,10 @@ class TestParseGraph:
         with pytest.raises(InputError, match="exceeds bound"):
             parse_graph(f"p dmc {MAX_VERTICES + 1} 0 1\n")
 
+    def test_edge_count_above_bound_rejected_before_any_arc(self):
+        with pytest.raises(InputError, match=r"^edge count 16777217 exceeds bound 2\^24$"):
+            parse_graph("p dmc 3 16777217 1\n")
+
     @given(digraphs(max_n=8, max_m=20, max_cap=5))
     @settings(max_examples=30)
     def test_round_trip(self, g):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from arborpack.errors import InputError
 from arborpack.graphcore import (
+    MAX_EDGES,
     DirectedGraph,
     _tarjan,
     cut_values,
@@ -49,6 +50,19 @@ class TestNormalize:
     def test_rejects_huge_capacity(self):
         with pytest.raises(InputError):
             normalize([(0, 1, 1 << 41)], 2, 0)
+
+    def test_rejects_too_many_edges_before_reading_one(self):
+        class TooMany:
+            """A sequence one edge past the bound that fails when read."""
+
+            def __len__(self):
+                return MAX_EDGES + 1
+
+            def __iter__(self):
+                raise AssertionError("an edge was read")
+
+        with pytest.raises(InputError, match=r"edge count 16777217 exceeds bound 2\^24"):
+            normalize(TooMany(), 2, 0)
 
 
 def cycle3():

@@ -136,3 +136,11 @@ def test_output_digests_needs_graphs(tmp_path):
     res = run(SCRIPTS / "output_digests.py", tmp_path, cwd=tmp_path)
     assert res.returncode == 2
     assert res.stdout == "" and "no .dmc files" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [[], ["missing"], ["."]], ids=["none", "missing", "no-package"])
+def test_compare_outputs_needs_a_base_tree(tmp_path, argv):
+    res = subprocess.run(["bash", str(SCRIPTS / "compare_outputs.sh"), *argv], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr.startswith("usage:")
