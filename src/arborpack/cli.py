@@ -12,13 +12,9 @@ error (including a failed verification), 2 parse or parameter error
 (including a malformed command line).
 The ARBOR_SEED environment variable supplies the default seed.
 
-Every document `_emit` writes has the bytes of
-`json.dumps(data, indent=2, sort_keys=True)`. It has its own writer
-because with an indent Python's `json` runs its pure-Python encoder,
-while the writer hands each list of integers to the C encoder and
-re-indents the text. On the benchmark's `hierarchy` documents, which
-are nearly all id lists, the writer is 3 to 4 times faster (Python
-3.11.7 on a shared 2-vCPU x86-64 host).
+Every document is one line of `json.dumps(data, sort_keys=True)`;
+`bench` writes one such line per instance. `python -m json.tool`
+pretty-prints a document.
 
 Only this module writes and reads the result documents and parses phi
 text. `verify` checks a result file against the shipped schema of its
@@ -36,7 +32,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import generators
@@ -81,6 +76,8 @@ def parse_graph(text: str) -> tuple[DirectedGraph, ParseDiagnostics]:
         elif fields[0] == "a":
             if n is None:
                 raise InputError(f"line {lineno}: arc before problem line")
+            if len(raw) == m:
+                raise InputError(f"line {lineno}: problem line declares {m} arcs, found more")
             if len(fields) not in (3, 4):
                 raise InputError(f"line {lineno}: expected 'a <tail> <head> [cap]'")
             try:
@@ -142,55 +139,8 @@ def packing_to_json(result: PackingResult) -> dict:
     return data
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
-def _indented(value, indent: str = "\n") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for dicts with string
-    keys, lists, tuples and scalars, as text that starts at `indent`:
-    a newline and the spaces of the line `value` starts on.
-
-    A list whose compact C encoding holds no string, no dict and no empty
-    list is re-indented from that encoding: in a list of scalars every
-    comma separates two items, and in a list of nonempty lists of scalars
-    every "],[" separates two inner lists. One bracket count tells the
-    two apart only with every item a list: [[[44]], -0.0] has as many
-    brackets as a list of two lists of scalars. A list whose first item
-    is a list of lists is not encoded at all, since that item alone holds
-    too many brackets for either case; a `hierarchy` document's
-    partitions are such a list.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            inner + encode_basestring_ascii(key) + ": " + _indented(item, inner)
-            for key, item in sorted(value.items())
-        )
-        return "{" + ",".join(items) + indent + "}"
-    if not isinstance(value, (list, tuple)):
-        return _COMPACT.encode(value)
-    if not value:
-        return "[]"
-    first = value[0]
-    if not (isinstance(first, (list, tuple)) and first and isinstance(first[0], (list, tuple))):
-        text = _COMPACT.encode(value)
-        if '"' not in text and "{" not in text and "[]" not in text:
-            brackets = text.count("[")
-            if brackets == 1:
-                return "[" + inner + text[1:-1].replace(",", "," + inner) + indent + "]"
-            if brackets == len(value) + 1 and all(isinstance(x, (list, tuple)) for x in value):
-                deeper = inner + "  "
-                body = text[2:-2].replace(",", "," + deeper).replace(
-                    "]," + deeper + "[", inner + "]," + inner + "[" + deeper
-                )
-                return "[" + inner + "[" + deeper + body + inner + "]" + indent + "]"
-    return "[" + ",".join(inner + _indented(item, inner) for item in value) + indent + "]"
-
-
 def _emit(data: dict) -> None:
-    sys.stdout.write(_indented(data) + "\n")
+    sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str) -> DirectedGraph:
@@ -525,7 +475,7 @@ def _cmd_bench(args) -> int:
         except ArborError as exc:
             # Same class, so the exit code stays; the message names the file.
             raise type(exc)(f"{path.name}: {exc}") from exc
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        _emit(record)
     return 0
 
 

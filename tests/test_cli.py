@@ -66,6 +66,10 @@ class TestParseGraph:
         with pytest.raises(InputError, match="declares"):
             parse_graph("p dmc 2 2 1\na 1 2\n")
 
+    def test_arc_past_the_declared_count_positioned(self):
+        with pytest.raises(InputError, match=r"^line 3: problem line declares 1 arcs"):
+            parse_graph("p dmc 2 1 1\na 1 2\na 1 2\n")
+
     def test_out_of_range_vertex_positioned(self):
         with pytest.raises(InputError, match="line 2"):
             parse_graph("p dmc 2 1 1\na 1 9\n")
@@ -757,68 +761,50 @@ class TestLongCycle:
         assert payload["value"] == 1
 
 
-# Characters that JSON escapes or that the writer's re-indenting reads:
-# quotes, brackets, commas, control characters, non-ASCII and a BOM.
-_TRICKY = st.text(
-    st.sampled_from('ab"\\[],{}: \x00\x1f\n\t\x7f\u00e9\u2028\ufeff\U0001f600'), max_size=6
-)
-_INTS = st.integers() | st.integers(1 << 64, 1 << 80) | st.integers(-(1 << 80), -(1 << 64))
-_NUMBERS = _INTS | st.floats() | st.sampled_from([-0.0, 1e300, float("inf"), float("nan")])
-_SCALARS = st.none() | st.booleans() | _NUMBERS | _TRICKY | st.text(max_size=6)
+class TestOneLineOutput:
+    """Every subcommand but `gen` writes each document as one line of
+    `json.dumps(document, sort_keys=True)`; `bench` writes one per
+    instance."""
 
-
-def _nested(leaf, depth):
-    """Lists and tuples of `leaf`, perhaps empty, nested `depth` deep."""
-    for _ in range(depth):
-        leaf = st.lists(leaf, max_size=4) | st.lists(leaf, max_size=4).map(tuple)
-    return leaf
-
-
-# Each nested list draws all its leaves from one of three kinds, so that
-# lists of ints only and of numbers only, which the writer re-indents
-# from the C encoder's text, come up as often as mixed ones.
-_NESTED = st.tuples(st.integers(0, 4), st.sampled_from([_INTS, _NUMBERS, _SCALARS])).flatmap(
-    lambda case: _nested(case[1], case[0])
-)
-_DOCUMENTS = st.recursive(
-    _SCALARS | _NESTED | st.lists(st.lists(_INTS, min_size=1, max_size=5), max_size=5),
-    lambda kids: st.lists(kids, max_size=3)
-    | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(_TRICKY | st.text(max_size=4), kids, max_size=4),
-    max_leaves=8,
-)
-
-
-def emitted(value) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._emit(value)
-    return buf.getvalue()
-
-
-class TestEmit:
-    @given(_DOCUMENTS)
-    @settings(max_examples=400)
-    def test_writes_the_bytes_of_json_dumps(self, value):
-        assert emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("one-line")
+        corpus = work / "corpus"
+        corpus.mkdir()
+        graph, chain = corpus / "g.dmc", corpus / "p.dmc"
+        assert main(["gen", "known_packing", "--n", "8", "--k", "2", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        # A 3-vertex path has λ = 1, so `pack --k 2` on it gives a cut.
+        chain.write_text("p dmc 3 2 1\na 1 2\na 2 3\n")
+        good, wrong = work / "good.json", work / "wrong.json"
+        good.write_text(json.dumps({"kind": "mincut", "method": "exact", "value": 1, "cut": [2]}))
+        wrong.write_text(json.dumps({"kind": "mincut", "method": "exact", "value": 5, "cut": [2]}))
+        return {"G": graph, "P": chain, "GOOD": good, "WRONG": wrong, "CORPUS": corpus}
 
     @pytest.mark.parametrize(
-        "value",
+        ("argv", "code", "lines"),
         [
-            # As many brackets as a list of two lists of scalars, and of
-            # three, with the deep item first or later.
-            [[[44]], -0.0],
-            [-0.0, [[44]]],
-            [[1], [[2]], 3],
-            [[1, [2]], [3]],
-            [[], [1]],
-            [{}],
-            ([1, 2], (3,)),
-            {"b": [[0], [1, 2]], "a": [], "c": {}},
+            (["hierarchy", "G"], 0, 1),
+            (["mincut", "G"], 0, 1),
+            (["mincut", "G", "--exact"], 0, 1),
+            (["mincut", "G", "--verbose"], 0, 1),
+            (["mincut", "G", "--ratio"], 0, 1),
+            (["pack", "G", "--k", "2"], 0, 1),
+            (["pack", "P", "--k", "2"], 0, 1),
+            (["verify", "GOOD", "P"], 0, 1),
+            (["verify", "WRONG", "P"], 1, 1),
+            (["hierarchy", "G", "--phi", "2"], 2, 1),
+            (["bench", "CORPUS"], 0, 2),
         ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
     )
-    def test_fixed_documents(self, value):
-        assert emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    def test_one_sorted_line_per_document(self, capsys, files, argv, code, lines):
+        got, out = run_cli(capsys, *(str(files.get(arg, arg)) for arg in argv))
+        assert got == code
+        written = out.splitlines(keepends=True)
+        assert len(written) == lines
+        for line in written:
+            assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
 
 
 # Fields for a malformed line: small or negative integers and non-integers.

@@ -3,6 +3,14 @@
 Each digest is the SHA-256 of one subcommand's stdout on a small
 generated instance. A change that alters output on purpose records the
 new digests here and says why in CHANGES.md.
+
+The digests are of the one-line layout, `json.dumps(doc, sort_keys=True)`.
+They were re-recorded when the CLI dropped its `indent=2` layout; only
+the layout changed, so re-indenting each new output with
+`json.dumps(..., indent=2, sort_keys=True)` gives back the digest it
+replaced. The `bench` digest and the `gen` graph-text digests were not
+re-recorded: `bench` already wrote one such line per instance, and
+graph text is not JSON.
 """
 import hashlib
 
@@ -19,36 +27,36 @@ INSTANCES = (
 )
 
 GOLDEN = {
-    "known_packing hierarchy": "888869cb545566d4d97a41b6ee9f4770294cae71c00c9be4684032a50cbde553",
-    "known_packing mincut": "f69046c7719ce3a56a7366739bae5e1b60321c822602b440dd948e66d61822e9",
-    "known_packing mincut --exact": "c5172a4443e0a69f828bbc5cba4d1ca2335ee94c2e0656301d45e4c165b3058b",
-    "known_packing pack": "cb8206061cacb8b7e9dcfa559a1d35af07395aa029b12a8c7a2c6d9b1915ea51",
-    "cycle_plus_chords hierarchy": "4ecf5825553fecd862d1cd8f03902ffa5f990ea775fb74b3eaaab67cb7a130f7",
-    "cycle_plus_chords mincut": "dc59d902895e3e6b8baed73a1b2d1f9136dd0002f44e294113d14240cdb0a0e6",
-    "cycle_plus_chords mincut --exact": "fcb91e004c5443971aadeefb7808e2e682638d20cff566ddd0d6bb21bfb7542b",
-    "cycle_plus_chords pack": "784c0432021c6b6b1482d9c27189e02a345cb55ec0d28f2a0b0b83798f1db88d",
-    "cycle_plus_chords_weighted hierarchy": "2bd406b8375657444fa844b0bf1a1a569de70936d811e14e3907d3d28c165218",
-    "cycle_plus_chords_weighted mincut": "eeb4b00bd87c4866d9ef1b9855e85ddfe5a94d0c7d24869ad4b5c11b89b4c772",
-    "cycle_plus_chords_weighted mincut --exact": "41f28eb331950245cb5990af9a48b22f5d743335d3d14f422dcf0836981de345",
-    "two_cliques_bridge hierarchy": "79a66339e23d27e39032ce3c46150e754397cff095db6fedd8ed27026e99de28",
-    "two_cliques_bridge mincut": "124826a3e104e11efac92ba16ab1fd772a7af398062328a9882eb018b382263b",
-    "two_cliques_bridge mincut --exact": "038b27ef0368150f89816adb1f10973bef4ea64d1fca55c518d424129442a8ee",
-    "two_cliques_bridge pack": "206fbb8c9553c610b1718c18fd1027cdf37b701c3cf507a87e7579a65e2d27a3",
+    "known_packing hierarchy": "ad16e13da874e7c4105d21bd797fcaef009767db6585d9ab170fb6858a28cdf3",
+    "known_packing mincut": "428eba79a1a944eac8be75dca69c9bc231c4741dee34aa3953b5bc5fba5e93c2",
+    "known_packing mincut --exact": "05df82bc7c12816da241c8857edb309d23b31e47843134acde5067a5d4cd5c88",
+    "known_packing pack": "b1ecfb93db219268a5e10105880091f0d53b67ab20d8ed4946c41650da27e7a9",
+    "cycle_plus_chords hierarchy": "ad17342a724769a45e84e6adaffdf09f405f80956f6a43120f06711b23d81d96",
+    "cycle_plus_chords mincut": "64fe7398e6e96d2d619ffb5687d02a5b1e8bf42c00cbf36779ed0af9bb5bbaa5",
+    "cycle_plus_chords mincut --exact": "5a976c7c3dc401269837bd8089af771d2fbd8e1ec05cd6175a69248780ea9405",
+    "cycle_plus_chords pack": "f87509abd5fd4a4e8af3ea5e29e57e93a45daf02e8f4e6eb1049df2269dbb3bd",
+    "cycle_plus_chords_weighted hierarchy": "5ff61c85317cb811b489a946c24c202b9aaf3ff2cc83aa6e7b3731c965ec247e",
+    "cycle_plus_chords_weighted mincut": "02e7b13584d205e21e3e85330ab6b93718c06400c54170333d8739745abd413f",
+    "cycle_plus_chords_weighted mincut --exact": "fc263601932af3f21d7c56aa9abafac8b670d4ab999f07c555e00e167737eb07",
+    "two_cliques_bridge hierarchy": "c043816766ef40aedf02eea14d7c1f812fbb2f3f181b0872022cec3dbfbade93",
+    "two_cliques_bridge mincut": "783dfccdea573106cbd05e10c6b2b0548605cbfdcd641178909a449d94072782",
+    "two_cliques_bridge mincut --exact": "3faa92c7b5f6a6d21b8d17278c9d8258b1ea389d7e84287a25b201611f3b7f37",
+    "two_cliques_bridge pack": "e58205a9a853f75b4faa0e789c5e749142e9fb9931ff9069b93d80868446c25f",
     # `mincut --verbose`: the candidates pin the level-0 singletons and
     # which component sweeps went below the best cut so far, in the
     # order the search visits levels and components.
-    "known_packing mincut --verbose": "6c7bc0e9917aeb175aa8afdbbbe97ae0aea4ed6c85fa5ee880a06fa6925304ad",
-    "cycle_plus_chords mincut --verbose": "7303d51a573dae077a89e310d42ed70fef2d56ab497a60e315e00953aa927560",
-    "cycle_plus_chords_weighted mincut --verbose": "e0250cb9a81818a0490cac305f47c59d9fc6c089bffc42733947e1d63347c593",
-    "two_cliques_bridge mincut --verbose": "acb021c2b2a6df4aab124c92d054ddfaf825ed53a710c6fd268b04e1d5a0f513",
+    "known_packing mincut --verbose": "836c80bf0d8892e03ea430c8cd1e8af987f5b1992c1989ffc13d523a7f4481aa",
+    "cycle_plus_chords mincut --verbose": "b5725923a8cbd58b2722083bd7b4fea659af28ddcac1f29c59f4fc4f730272b3",
+    "cycle_plus_chords_weighted mincut --verbose": "4565fe858f6870d935ef78d7b7436a87afecd22900fea382fd8da80e3cfbcfa5",
+    "two_cliques_bridge mincut --verbose": "d3055655d71baa8401dff66a9349bfac85815f1aed5ea30dd9ed74e609f06f6a",
     # `verify` on the `mincut` and `pack` outputs above.
-    "known_packing verify mincut": "bd3351677830fe995e1c5b6144d015751f929fa98c528466e1aa52b7ce75e6c2",
-    "known_packing verify pack": "80e9c95bcd1b27b5e061a9ce7de6d60378a2de9a0f5650ce6453ed71ec442759",
-    "cycle_plus_chords verify mincut": "6e9182cbb327db396f139f7714b450f4c922cf7f2adb197ec0ca2a7623351b36",
-    "cycle_plus_chords verify pack": "aff962ca3c8b9483337b86cd6655e3605e86c63a92902ac3c61d74e6217eb242",
-    "cycle_plus_chords_weighted verify mincut": "884d0be453711b449154c9d9165885205b5f81f62519da4de64430d30191cc09",
-    "two_cliques_bridge verify mincut": "26d029fb209b867bb88f662cf5ee85bae3796df9e28dd63a6ff1d217b9d9ef36",
-    "two_cliques_bridge verify pack": "ff008999e96cdf7bd2c5fa72579fd1c297eadf17224bcc5e61bec6fe158be1a7",
+    "known_packing verify mincut": "f45b548bc31f5db5966cc03b94b93a0b7d7052e64d923df99a8cd8498b5cd35a",
+    "known_packing verify pack": "24597f6f1efd30d6108471a48b951699e47a35f9123195ceac26473e2e4fcddf",
+    "cycle_plus_chords verify mincut": "a17f191e3a6e5fa73b8b4efe1007a9ac990f85efc9270a8b3ba660452297d398",
+    "cycle_plus_chords verify pack": "b9da96dce1acb0087354f4f421baa06450c312c06dd93a78606f93979e9cb268",
+    "cycle_plus_chords_weighted verify mincut": "e2e91f227fc071b1026cd699b40f747e91533868dd4dfe9fc659b8b97365f4d5",
+    "two_cliques_bridge verify mincut": "ecaed2a237a72bcfd9526f9112d7ea5c84ce6a18f38a08f98a94b8e1275d260e",
+    "two_cliques_bridge verify pack": "5c5828207c1ce93129dbac40b62a0df29f53d395480077c0b7e21c0d3553360c",
     # `bench --seed 7` over a corpus of the known_packing and
     # two_cliques_bridge graphs.
     "bench": "4d13f10c2d14b67112dfab6c0435680427a801a3eaf3154478af71a6716ec178",
@@ -127,15 +135,15 @@ GEN_GOLDEN = {
     ),
     "missing --n": (
         ["random_gnm", "--m", "10", "--seed", "1"], 2,
-        "26911f8bffcbd90bba5168cf91ffd96b18075c6ef7cf17a445427a26418fa4e7",
+        "0995dfde9cad3e20261878267d4a90d4f1be2db36cfbe9743f3c82b15a605df5",
     ),
     "missing --m": (
         ["dag_layered", "--n", "10", "--seed", "1"], 2,
-        "78e57ffdb544f1ed35ccef04ac43dbf6af9e0a038345d5031a2efe6fe9e0e1ab",
+        "7ec06c0a247ed64725786526e851f9b6e9a2f9e0258c2c84db336dad1d7af60c",
     ),
     "missing --k": (
         ["known_packing", "--n", "10", "--seed", "1"], 2,
-        "a5f093d1fc201acd27dc4bf0490a45362aed4587f1ebbe4a1772f959c4a929f9",
+        "15ad64f5eb887b7843112e57268e148652311f73ff36ee2eafee8a2ee8a7942c",
     ),
 }
 
@@ -157,8 +165,8 @@ def test_gen_outputs_match_recorded_digests(capsys):
 # off shared edges; the instances above route only a few small trees.
 ROUTED_GEN = ["known_packing", "--n", "60", "--k", "6", "--seed", "4"]
 ROUTED_GOLDEN = {
-    "pack": "a37171116e3539980f86c36cfa5b659d97a66b08668bfb3cf92a243b75746b5e",
-    "verify pack": "c1ae331fb24986525bb80abc07b21eca0e74a8e2ede2b99d0a1ff11994371ea0",
+    "pack": "c0889a82eb6045fbc156a0b090bacb7917e48e0fd8bf31cab9aa9f720962b220",
+    "verify pack": "ab2966dc16e50faa9b131912d10c58940bbb5df3ad1d23c93c5ea984a7cce598",
 }
 
 
@@ -168,13 +176,13 @@ ROUTED_GOLDEN = {
 # only at scale 16.
 PHI1_GOLDEN = {
     "two_cliques_bridge hierarchy":
-        "056c8e11905b12ca19022b4c042adf441bcea68ece44ba872e2b5c4820be4aeb",
+        "4d3671557251533289f7f50729a960de2d44bec8050ceaec293c195926774db4",
     "two_cliques_bridge mincut":
-        "eeb685446ae70c03dadf9e170f82dcdfb0c21bdc00f12201a1e1827f49cb23a3",
+        "514e1442ac0f070bc70a60dba06c28e4b65c801cafaed7efb7860bfb067f2d46",
     "cycle_plus_chords_weighted hierarchy":
-        "93a6bdfb9fe5af91f3336ab840b810427e0635e0628bf1fde7b971718458cf41",
+        "74d2a98e000703dcc4e133c87fd1517ab8a0ff1ee3fb902767aa0f990495ce18",
     "cycle_plus_chords_weighted mincut":
-        "7540b96b642642816a323680a67ed71223ffdcc9792f0784fd8dabdb93d63bd0",
+        "e8b7815647c4e41b5f4d5f9e77302d30f0e8d84cac00460a6c6ff05490ef55ab",
 }
 
 
@@ -196,11 +204,11 @@ def test_phi_one_outputs_match_recorded_digests(capsys, tmp_path):
 EXACT_GOLDEN = {
     "cycle_plus_chords n=1200": (
         ["cycle_plus_chords", "--n", "1200", "--chords", "4", "--seed", "3"],
-        "1f1371d13e92a5508696c87c51a7d47a2d0e03065edf25e9a89ba5c1aa0d19d5",
+        "5b0886165997d630ff897f16066e2235e7d11cdb1fb44ecef2294ecb94066e3c",
     ),
     "known_packing n=200": (
         ["known_packing", "--n", "200", "--k", "5", "--seed", "2"],
-        "97a24af328e9d21cefb2540b5fd6e963731a92f0767be9d6e2a6615a12b1415b",
+        "9d3d8b28ef4c3b948b12925864e6b77307035b60e896c6f8737e06557e9e553d",
     ),
 }
 
@@ -224,8 +232,8 @@ def test_exact_mincut_at_scale_matches_recorded_digests(capsys, tmp_path):
 # stretches contracted to single edges.
 CONTRACTED_GEN = EXACT_GOLDEN["cycle_plus_chords n=1200"][0]
 CONTRACTED_GOLDEN = {
-    "hierarchy": "58fe4b02e80ece31627a6a5137264dd9b493dd79fe1ef752df9c0301941ad50d",
-    "mincut --verbose": "7bcb3f72ff3429c19b378a95f22f352663cabefc342dd45e0fca6ae3c5105d0c",
+    "hierarchy": "d1496d518eba8521d4ebb4edf2290394423ba31cc57902a9f0c868e746de13be",
+    "mincut --verbose": "95d37be4a3464eb686441939d1d9179e25be86842358f9702d981f90f6e6c5a3",
 }
 
 
