@@ -37,7 +37,14 @@ from pathlib import Path
 from . import generators
 from .decomp import DEFAULT_PHI, Hierarchy, build_hierarchy
 from .errors import ArborError, InputError, InternalError, ParameterError, UnsupportedGraphError
-from .graphcore import DirectedGraph, check_edge_count, check_vertex_count, cut_values, normalize
+from .graphcore import (
+    MAX_CAPACITY,
+    DirectedGraph,
+    check_edge_count,
+    check_vertex_count,
+    cut_values,
+    normalize,
+)
 from .mincut import approx_rooted_mincut
 from .oracle import exact_rooted_mincut, verify_packing
 from .packing import PackingResult, pack
@@ -89,6 +96,8 @@ def parse_graph(text: str) -> tuple[DirectedGraph, ParseDiagnostics]:
                 raise InputError(f"line {lineno}: arc endpoint out of range")
             if cap < 1:
                 raise InputError(f"line {lineno}: capacity must be >= 1")
+            if cap > MAX_CAPACITY:
+                raise InputError(f"line {lineno}: capacity {cap} exceeds bound 2^40")
             raw.append((tail - 1, head - 1, cap))
         else:
             raise InputError(f"line {lineno}: unknown line type {fields[0]!r}")
@@ -216,6 +225,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.n is None or args.k is None:
             raise ParameterError("known_packing requires --n and --k")
+        if cap != 1:
+            raise ParameterError("known_packing has unit capacities, so --max-cap must be 1")
         g = generators.gen_known_packing(args.n, args.k, seed)
     text = format_graph(g, comment=f"kind={kind} seed={seed}")
     if args.out:

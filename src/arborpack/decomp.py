@@ -21,10 +21,11 @@ vertices with one edge in and one out becomes a single edge of the
 path's least capacity. The BFS balls that pick two of every three
 demands grow there too, so they cross such a path in one step.
 Supplies and sinks sit only on terminal vertices, so each trial's flow
-value is the one the full graph gives; a trial that falls short is run
-again on the full graph, whose residual graph yields the violating
-side. So on a long ring with a few terminals each trial, ball and
-flow, walks a handful of edges instead of the ring.
+value is the one the full graph gives; a trial that falls short reads
+the violating side off its own flow, lifted to the full graph through a
+table of which kept vertices decide each vertex's side. So on a long
+ring with a few terminals each trial, ball and flow, walks a handful of
+edges instead of the ring, and runs one max-flow.
 
 `build_hierarchy` iterates decompose, feeding each round's cut edges back
 in as the next terminal set until no cut is needed; every round starts
@@ -120,40 +121,69 @@ def _grow_half(g, comp, deg, total, pivot, forward, threshold):
     return ball
 
 
-def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequence[int]]:
+def _contract_inner_paths(
+    g: DirectedGraph, deg
+) -> tuple[DirectedGraph, Sequence[int], list[tuple[int, ...]] | None]:
     """The graph the certification trials of one `decompose` call run on,
-    and the id each kept vertex of g has there (-1 for the others).
+    the id each kept vertex of g has there (-1 for the others), and for
+    each vertex of g the ids in it of the kept vertices whose sides decide
+    its side after a maximum flow.
 
     A vertex is inner when it has no terminal degree and exactly one
     in-edge and one out-edge. Each maximal path u -> x1 -> ... -> xk -> w
     through inner vertices becomes one edge u -> w of the path's least
     capacity; a path with w = u is dropped, and so is a cycle of inner
     vertices, which no kept vertex reaches. Kept vertices keep their
-    order. Without inner vertices the result is g itself.
+    order. Without inner vertices the result is g itself, with no table.
 
     No supply or sink sits on an inner vertex, so a flow crosses a path
     of them as it would cross a single edge of the path's bottleneck:
     every max-flow value between kept vertices is the same on both graphs.
+    The table lifts a min-cut side of h to g. Let R be the set the
+    super-source reaches in h's residual graph after a maximum flow,
+    whose complement is h's `min_cut_side`. Every maximum flow of g
+    leaves the same set reachable (Picard and Queyranne, Math.
+    Programming Study 13, 1980), so take h's flow copied onto each
+    contracted path, a maximum flow of g. An inner vertex has residual
+    arcs only along its path, and on a path carrying f units g has a
+    forward arc wherever an edge is above f and a backward arc wherever
+    f > 0, as h has on the path's edge. So a kept vertex is reached in
+    g exactly when its id in h is in R. An inner vertex x on a path
+    u -> ... -> w is reached exactly when u is and, in addition, w is
+    or x lies before the path's first least-capacity edge: every edge
+    from u to x is then above the least capacity, so none of them
+    saturates, and from w only a path with f > 0 leads back, through x
+    to u. Its entry lists u alone or both u and w. The inner vertices
+    on a dropped path follow u, as they carry no flow. The vertices of
+    a cycle of inner vertices are never reached; their entry is empty.
     """
     inner = [
         not deg[v] and len(g.in_edges(v)) == 1 and len(g.out_edges(v)) == 1
         for v in range(g.n)
     ]
     if not any(inner):
-        return g, range(g.n)
+        return g, range(g.n), None
     new_id = [-1] * g.n
     kept = 0
     for v in range(g.n):
         if not inner[v]:
             new_id[v] = kept
             kept += 1
+    sides = [(i,) if i >= 0 else () for i in new_id]
     edges = []
     for u, v, c in g.edges:
         if inner[u]:
             continue
+        path, before = [], 0
         while inner[v]:
+            path.append(v)
             _x, v, c_next = g.edges[g.out_edges(v)[0]]
-            c = min(c, c_next)
+            if c_next < c:
+                c, before = c_next, len(path)
+        first = (new_id[u],)
+        last = first if v == u else (*first, new_id[v])
+        for i, x in enumerate(path):
+            sides[x] = first if i < before else last
         if v != u:
             edges.append((new_id[u], new_id[v], c))
     contracted = DirectedGraph(
@@ -161,7 +191,15 @@ def _contract_inner_paths(g: DirectedGraph, deg) -> tuple[DirectedGraph, Sequenc
         edges=tuple(edges),
         source=new_id[g.source],
     )
-    return contracted, new_id
+    return contracted, new_id, sides
+
+
+def _lift_side(side, sides, vertices) -> set[int]:
+    """The vertices among `vertices` of g on the side that a maximum flow
+    on g leaves unreached, given h's `min_cut_side` and the `sides` table
+    of `_contract_inner_paths`: those whose entry is empty or names an id
+    in h's side."""
+    return {v for v in vertices if not sides[v] or not side.isdisjoint(sides[v])}
 
 
 def _certify_component(g, comp, phi, rng, trials, contracted):
@@ -177,18 +215,20 @@ def _certify_component(g, comp, phi, rng, trials, contracted):
     that already passed in this call is not routed again; its random
     draws are still made, so later trials see the same draws.
 
-    `contracted = (h, new_id, deg)` holds the graph from
-    `_contract_inner_paths`, the ids of g's vertices there and the
-    terminal degree of each vertex of h. The trials run on comp's
-    vertices in h: the active ones, the pivots, the balls, which grow
-    along h's edges, and the flows. Supplies and sinks sit on terminal
-    vertices, which h keeps, so each flow value is the one g gives, and
-    a trial that reaches its target passes as it would on g. A trial
-    that falls short is run again on g, whose residual graph gives the
-    violating side; the two values must agree. As h keeps the order of
-    g's vertices, the trials make the same random draws as on g.
+    `contracted = (h, new_id, sides, deg)` holds the graph from
+    `_contract_inner_paths`, the ids of g's vertices there, its table of
+    the ids that decide each vertex's side, and the terminal degree of
+    each vertex of h. The trials run on comp's vertices in h: the active
+    ones, the pivots, the balls, which grow along h's edges, and the
+    flows. Supplies and sinks sit on terminal vertices, which h keeps,
+    so each flow value is the one g gives, and a trial that reaches its
+    target passes as it would on g. A trial that falls short ran a
+    maximum flow, and `_lift_side` lifts its `min_cut_side` to the side
+    that a maximum flow on g leaves, so each trial runs one flow, on h.
+    As h keeps the order of g's vertices, the trials make the same
+    random draws as on g.
     """
-    h, new_id, deg = contracted
+    h, new_id, sides, deg = contracted
     h_comp = comp if h is g else frozenset(new_id[v] for v in comp if new_id[v] >= 0)
     active = [v for v in sorted(h_comp) if deg[v] > 0]
     if len(active) < 2:
@@ -232,21 +272,8 @@ def _certify_component(g, comp, phi, rng, trials, contracted):
         if res.value == target:
             passed.add(demand)
             continue
-        if h is not g:
-            old_id = {new_id[v]: v for v in comp if new_id[v] >= 0}
-            full = max_flow(FlowProblem(
-                g,
-                {old_id[v]: amt for v, amt in supplies.items()},
-                {old_id[v]: amt for v, amt in sinks.items()},
-                flow_bound=target,
-                capacity_scale=sigma,
-            ))
-            if full.value != res.value:
-                raise InternalError(
-                    f"the contracted graph routes {res.value} units, the graph {full.value}"
-                )
-            res = full
-        viol = res.min_cut_side & comp
+        side = res.min_cut_side
+        viol = side & comp if h is g else _lift_side(side, sides, comp)
         if not viol or viol == comp:
             raise InternalError("trial flow produced a degenerate cut side")
         return frozenset(viol)
@@ -275,8 +302,8 @@ def decompose(
     estar_cap = g.edge_capacity(terminals)
     deg = restricted_degrees(g, terminals)
     trials = certification_trials(g.n)
-    h, new_id = _contract_inner_paths(g, deg)
-    contracted = (h, new_id, deg if h is g else [d for d, i in zip(deg, new_id) if i >= 0])
+    h, new_id, sides = _contract_inner_paths(g, deg)
+    contracted = (h, new_id, sides, deg if h is g else [d for d, i in zip(deg, new_id) if i >= 0])
 
     phi = phi_target
     halvings = 0

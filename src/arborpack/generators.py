@@ -1,9 +1,10 @@
 """Seeded graph generators for fixtures, corpora, and benchmarks.
 
 Every `gen_*` function is a pure function of its parameters and seed;
-the same call always yields the same graph. Each one rejects a vertex
-count above `MAX_VERTICES`, and then a count of the edges it would build
-above `MAX_EDGES`, before it builds anything.
+the same call always yields the same graph. Each one rejects a count
+below its least value and a `max_cap` below 1, then a vertex count above
+`MAX_VERTICES`, and then a count of the edges it would build above
+`MAX_EDGES`, before it builds anything.
 """
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ __all__ = [
 ]
 
 
+def _check_max_cap(kind: str, max_cap: int) -> None:
+    if max_cap < 1:
+        raise ParameterError(f"{kind} needs max_cap >= 1")
+
+
 def _caps(rng: random.Random, count: int, max_cap: int) -> list[int]:
     if max_cap <= 1:
         return [1] * count
@@ -31,6 +37,7 @@ def gen_random_gnm(n: int, m: int, seed: int = 0, max_cap: int = 1) -> DirectedG
         raise ParameterError("random_gnm needs n >= 2")
     if m < 0:
         raise ParameterError("random_gnm needs m >= 0")
+    _check_max_cap("random_gnm", max_cap)
     check_vertex_count(n)
     check_edge_count(m)
     rng = derive_rng(seed, "gnm", n, m, max_cap)
@@ -52,6 +59,9 @@ def gen_dag_layered(n: int, m: int, seed: int = 0, max_cap: int = 1) -> Directed
     edges up to roughly m total."""
     if n < 2:
         raise ParameterError("dag_layered needs n >= 2")
+    if m < 0:
+        raise ParameterError("dag_layered needs m >= 0")
+    _check_max_cap("dag_layered", max_cap)
     check_vertex_count(n)
     check_edge_count(max(m, n - 1))
     # The None is part of the seed tag; dropping it would change every graph.
@@ -83,6 +93,7 @@ def gen_two_cliques_bridge(half: int, seed: int = 0, max_cap: int = 1) -> Direct
     separate source attached to the first clique by a single edge."""
     if half < 2:
         raise ParameterError("two_cliques_bridge needs half >= 2")
+    _check_max_cap("two_cliques_bridge", max_cap)
     n = 2 * half + 1
     check_vertex_count(n)
     check_edge_count(2 * half * (half - 1) + 3)
@@ -108,6 +119,9 @@ def gen_cycle_plus_chords(
     chord edges."""
     if n < 3:
         raise ParameterError("cycle_plus_chords needs n >= 3")
+    if chords < 0:
+        raise ParameterError("cycle_plus_chords needs chords >= 0")
+    _check_max_cap("cycle_plus_chords", max_cap)
     check_vertex_count(n)
     check_edge_count(n + chords)
     rng = derive_rng(seed, "cycle", n, chords, max_cap)
@@ -187,7 +201,9 @@ def instance_stream(
             g = gen_two_cliques_bridge(half, derive_seed(seed, idx), cap)
         elif kind == "cycle_plus_chords":
             n = max(3, n)
-            chords = min(m_max - n, rng.randint(0, 2 * n))
+            # Clamped at 0: a negative count means n > m_max, and the
+            # graph is skipped below anyway.
+            chords = max(0, min(m_max - n, rng.randint(0, 2 * n)))
             g = gen_cycle_plus_chords(n, chords, derive_seed(seed, idx), cap)
         else:
             k = rng.randint(1, 4)

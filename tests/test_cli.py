@@ -53,6 +53,12 @@ class TestParseGraph:
         with pytest.raises(InputError):
             parse_graph("p dmc 2 1 1\na 1 2 0\n")
 
+    def test_capacity_above_bound_positioned(self):
+        with pytest.raises(
+            InputError, match=r"^line 3: capacity 1099511627777 exceeds bound 2\^40$"
+        ):
+            parse_graph("p dmc 2 2 1\na 1 2 1099511627776\na 1 2 1099511627777\n")
+
     def test_self_loop_counted_and_dropped(self):
         g, diag = parse_graph("p dmc 2 2 1\na 1 2\na 1 1 1\n")
         assert g.m == 1
@@ -164,6 +170,15 @@ class TestGenerators:
                 ("cycle_plus_chords --n 2", "cycle_plus_chords needs n >= 3"),
                 ("known_packing --n 1 --k 1", "known_packing needs n >= 2"),
                 ("known_packing --n 5 --k 0", "known_packing needs k >= 1"),
+                ("cycle_plus_chords --n 5 --chords -3", "cycle_plus_chords needs chords >= 0"),
+                ("dag_layered --n 5 --m -4", "dag_layered needs m >= 0"),
+                ("random_gnm --n 5 --m 5 --max-cap 0", "random_gnm needs max_cap >= 1"),
+                ("dag_layered --n 5 --m 5 --max-cap -2", "dag_layered needs max_cap >= 1"),
+                ("two_cliques_bridge --half 3 --max-cap 0",
+                 "two_cliques_bridge needs max_cap >= 1"),
+                ("cycle_plus_chords --n 5 --max-cap -2", "cycle_plus_chords needs max_cap >= 1"),
+                ("known_packing --n 5 --k 2 --max-cap 7",
+                 "known_packing has unit capacities, so --max-cap must be 1"),
             ]
         ],
     )

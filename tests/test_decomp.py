@@ -14,6 +14,7 @@ from arborpack.decomp import (
     Hierarchy,
     _contract_inner_paths,
     _grow_half,
+    _lift_side,
     build_hierarchy,
     certification_trials,
     decompose,
@@ -306,7 +307,7 @@ def reference_certify(g, comp, deg, phi, rng, trials, routed):
     flow on g itself and every demand routed however often it repeats:
     the reference for `_certify_component`. Appends the `(supplies,
     sinks)` of each flow to `routed`."""
-    h, new_id = _contract_inner_paths(g, deg)
+    h, new_id, _sides = _contract_inner_paths(g, deg)
     h_comp = frozenset(new_id[v] for v in comp if new_id[v] >= 0)
     h_deg = [deg[v] for v in range(g.n) if new_id[v] >= 0]
     active = [v for v in sorted(comp) if deg[v] > 0]
@@ -395,8 +396,9 @@ def reference_decompose(g, terminals, phi, seed, routed):
 
 def traced_decompose(g, terminals, phi, seed):
     """`decompose`, and one list per certified component of the demands
-    its trials route, in g's ids; a trial re-run on g is not listed."""
-    h, new_id = _contract_inner_paths(g, restricted_degrees(g, terminals))
+    its trials route, in g's ids. Every flow runs on the contracted graph;
+    one on g itself, unless nothing contracts, fails the test."""
+    h, new_id, _sides = _contract_inner_paths(g, restricted_degrees(g, terminals))
     old_id = [v for v in range(g.n) if new_id[v] >= 0]
     routed = []
     certify, flow = decomp._certify_component, decomp.max_flow
@@ -406,11 +408,11 @@ def traced_decompose(g, terminals, phi, seed):
         return certify(*args)
 
     def flow_spy(problem):
-        if problem.graph is not g or h.n == g.n:
-            routed[-1].append(tuple(
-                {old_id[v]: amount for v, amount in side.items()}
-                for side in (problem.source_supply, problem.sink_capacity)
-            ))
+        assert problem.graph == h
+        routed[-1].append(tuple(
+            {old_id[v]: amount for v, amount in side.items()}
+            for side in (problem.source_supply, problem.sink_capacity)
+        ))
         return flow(problem)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -448,7 +450,7 @@ class TestContraction:
     @settings(max_examples=150)
     def test_contracted_graph_keeps_every_flow_value(self, case, scale, data):
         g, terminals = case
-        h, new_id = _contract_inner_paths(g, restricted_degrees(g, terminals))
+        h, new_id, _sides = _contract_inner_paths(g, restricted_degrees(g, terminals))
         kept = [v for v in range(g.n) if new_id[v] >= 0]
         assert [new_id[v] for v in kept] == list(range(h.n))
         assert (h is g) == (h.n == g.n)
@@ -471,18 +473,49 @@ class TestContraction:
         raw += [(5, 9, 1), (9, 5, 1), (10, 11, 1), (11, 10, 1)]
         g = normalize(raw, 12, 0)
         deg = [1 if v in (1, 5) else 0 for v in range(12)]
-        h, new_id = _contract_inner_paths(g, deg)
+        h, new_id, sides = _contract_inner_paths(g, deg)
         assert [v for v in range(12) if new_id[v] >= 0] == [0, 1, 5]
         assert h.edges == ((0, 1, 1), (1, 2, 2), (2, 1, 3))
         assert h.source == 0
+        # In h's ids 1 and 5 are 1 and 2. Each kept vertex follows its
+        # own id. Before the first least edge of its path (2 -> 3 and
+        # 6 -> 7) an inner vertex follows the path's start; after it, it
+        # needs both ends. 9 follows 5, and the cycle is never reached.
+        assert sides == [
+            (0,), (1,), (1,), (1, 2), (1, 2), (2,), (2,), (2, 1), (2, 1), (2,), (), (),
+        ]
         # With a terminal on every vertex nothing is inner.
         assert _contract_inner_paths(g, [1] * 12)[0] is g
 
-    def test_short_trial_value_mismatch_is_an_internal_error(self, monkeypatch):
+    @given(chain_rich(), st.sampled_from([1, 16]), st.data())
+    @settings(max_examples=200)
+    def test_lifted_side_is_the_side_a_flow_on_g_leaves(self, case, scale, data):
+        # The reference is the flow that `decompose` once ran again on g
+        # to read a short trial's side.
+        g, terminals = case
+        h, new_id, sides = _contract_inner_paths(g, restricted_degrees(g, terminals))
+        assume(h is not g)
+        kept = [v for v in range(g.n) if new_id[v] >= 0]
+        amounts = st.dictionaries(st.sampled_from(kept), st.integers(1, 6), max_size=3)
+        supplies, sinks = data.draw(amounts), data.draw(amounts)
+        bound = data.draw(st.integers(1, 1 + sum(supplies.values())))
+        on_h = max_flow(FlowProblem(
+            h,
+            {new_id[v]: a for v, a in supplies.items()},
+            {new_id[v]: a for v, a in sinks.items()},
+            flow_bound=bound,
+            capacity_scale=scale,
+        ))
+        if on_h.value == bound:
+            return
+        on_g = max_flow(FlowProblem(g, supplies, sinks, flow_bound=bound, capacity_scale=scale))
+        assert on_g.value == on_h.value
+        assert _lift_side(on_h.min_cut_side, sides, range(g.n)) == on_g.min_cut_side
+
+    def test_every_trial_flow_runs_on_the_contracted_graph(self, monkeypatch):
         # Two bidirected 4-cliques joined both ways by two-edge chains,
-        # with the clique edges as terminals. If the contracted graph ever
-        # routed another value than g, the re-run would expose it rather
-        # than cut at a wrong side.
+        # with the clique edges as terminals. Trials fall short, and each
+        # reads its side off its one flow on the contracted graph.
         raw = [(0, 1, 1), (4, 9, 1), (9, 5, 1), (8, 10, 1), (10, 1, 1)]
         for first in (1, 5):
             raw += [(u, v, 1) for u in range(first, first + 4)
@@ -491,24 +524,24 @@ class TestContraction:
         terminals = frozenset(
             e for e, (u, v, _c) in enumerate(g.edges) if 0 < u < 9 and v < 9
         )
-        assert decompose(g, terminals, PHI, seed=1).cut_edges
+        runs = []
 
-        def lying(problem):
+        def spy(problem):
             res = max_flow(problem)
-            if problem.graph is not g and res.value < problem.flow_bound:
-                object.__setattr__(res, "value", res.value + 1)
+            runs.append((problem.graph, res.value < problem.flow_bound))
             return res
 
-        monkeypatch.setattr("arborpack.decomp.max_flow", lying)
-        with pytest.raises(InternalError):
-            decompose(g, terminals, PHI, seed=1)
+        monkeypatch.setattr(decomp, "max_flow", spy)
+        assert decompose(g, terminals, PHI, seed=1).cut_edges
+        assert all(graph is not g and graph.n == 9 for graph, _short in runs)
+        assert any(short for _graph, short in runs)
 
 
 def grow_both(g, comp, deg, pivot, forward, threshold):
     """The ball `_grow_half` grows on the graph `_contract_inner_paths`
     makes, in g's vertex ids, and the one it grows on g."""
     total = sum(deg[v] for v in comp)
-    h, new_id = _contract_inner_paths(g, deg)
+    h, new_id, _sides = _contract_inner_paths(g, deg)
     old_id = [v for v in range(g.n) if new_id[v] >= 0]
     h_comp = frozenset(new_id[v] for v in comp if new_id[v] >= 0)
     h_deg = [deg[v] for v in old_id]
